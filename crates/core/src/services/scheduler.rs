@@ -6,7 +6,7 @@
 //! returns the new cache Ψk. The host then deletes `Δk \ Ψk`, keeps
 //! `Δk ∩ Ψk`, and downloads `Ψk \ Δk`.
 //!
-//! This is a faithful transcription of Algorithm 1:
+//! This implements Algorithm 1 with the paper's semantics:
 //!
 //! * **Step 1** (cache validation): keep cached data that are still managed
 //!   (`∈ Θ`), whose absolute lifetime has not passed, and whose relative
@@ -29,6 +29,36 @@
 //! *fault-tolerant* data dies it is removed from Ω, so the next synchronizing
 //! host picks the replica up; owners of non-fault-tolerant data stay listed
 //! ("the replica will be unavailable as long as the host is down").
+//!
+//! # Indexes
+//!
+//! Every reservoir calls [`DataScheduler::sync`] on every heartbeat, so a
+//! synchronization must cost O(|Δk| + assignments), not O(|Θ|). Three
+//! indexes, each maintained at the single points where Θ, Ω or the
+//! attributes mutate, answer what the algorithm would otherwise find by
+//! scanning Θ or Ω (the literal scans survive as the test-only oracle in
+//! `scheduler_oracle.rs`, which the differential proptest in `shard.rs`
+//! holds this implementation to, reply for reply):
+//!
+//! * **`owned`** — reverse Ω: `d ∈ owned[h]  ⇔  h ∈ Ω(d)`, each list
+//!   ascending. A host gets an entry when it first owns something — not
+//!   when it first synchronizes — and keeps it, possibly empty, until it
+//!   is declared dead owning nothing: a host whose download is in flight
+//!   leaves and re-enters Ω on every heartbeat, and must not pay for an
+//!   entry each time. Step 1's reconciliation and the failure detector's
+//!   per-host eviction walk `owned[h]` only. Pins need no reverse map:
+//!   both walks test the forward `pinned[d]`.
+//! * **`open`** — the affinity-free data whose demand is unmet:
+//!   `d ∈ open  ⇔  d ∈ Θ ∧ affinity(d) = ∅ ∧ (replica(d) = −1 ∨
+//!   |Ω(d)| < replica(d))`, ordered by id. Step 2's replica pass walks
+//!   `open ∖ holds`.
+//! * **`followers`** — reverse affinity: `f ∈ followers[t]  ⇔  f ∈ Θ ∧
+//!   affinity(f) = t`, with no empty sets; `t` itself need not be managed
+//!   here (or anywhere). Step 2's affinity pass walks the followers of
+//!   what the host holds and of what this synchronization assigns.
+//!
+//! [`DataScheduler::theta_visits`] counts the Θ entries a synchronization
+//! examines, which pins the cost model in tests.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -142,7 +172,35 @@ pub struct DataScheduler {
     /// `affinity = data`) reach partial holders because `sync_as` counts
     /// repair targets as held.
     partials: HashMap<DataId, HashMap<HostUid, BTreeSet<u32>>>,
+    /// Reverse Ω (see the module docs' *Indexes*): host → the data it
+    /// owns, ascending.
+    owned: HashMap<HostUid, Vec<DataId>>,
+    /// Affinity-free managed data whose replica demand is unmet, by id.
+    open: BTreeSet<DataId>,
+    /// Reverse affinity: target → managed data that follow it.
+    followers: HashMap<DataId, BTreeSet<DataId>>,
+    /// How many Θ entries synchronizations have examined (cache-slice
+    /// validations plus step-2 candidates).
+    theta_visits: u64,
+    /// Run the retained whole-Θ transcription instead of the indexes.
+    #[cfg(test)]
+    oracle: bool,
 }
+
+/// The `open` predicate: an affinity-free datum that wants a replica on
+/// every host, or more owners than it has. (Affinity-carrying data place
+/// only through their target.)
+fn demand_unmet(attrs: &DataAttributes, owner_count: usize) -> bool {
+    attrs.affinity.is_none()
+        && (attrs.replicate_everywhere() || (owner_count as i64) < attrs.replica)
+}
+
+/// Under `debug_assertions` every mutating call re-derives the indexes and
+/// compares, while Θ and the hosts with an `owned` entry are at most this
+/// many each (the check walks all of Θ and Ω, so on larger states it would
+/// make debug runs quadratic).
+#[cfg(debug_assertions)]
+const DEBUG_CHECK_MAX: usize = 32;
 
 impl DataScheduler {
     /// Scheduler with the given failure-detection timeout and per-sync
@@ -160,7 +218,116 @@ impl DataScheduler {
             sweep_visits: 0,
             chunk_totals: HashMap::new(),
             partials: HashMap::new(),
+            owned: HashMap::new(),
+            open: BTreeSet::new(),
+            followers: HashMap::new(),
+            theta_visits: 0,
+            #[cfg(test)]
+            oracle: false,
         }
+    }
+
+    /// Add `host` to Ω(`d`), keeping `owned` and `open` in step. Returns
+    /// whether the host was new to the set.
+    fn omega_insert(&mut self, d: DataId, host: HostUid) -> bool {
+        let owners = self.owners.entry(d).or_default();
+        if !owners.insert(host) {
+            return false;
+        }
+        let owner_count = owners.len();
+        let held = self.owned.entry(host).or_default();
+        if let Err(at) = held.binary_search(&d) {
+            held.insert(at, d);
+        }
+        self.refresh_open(d, owner_count);
+        true
+    }
+
+    /// Remove `host` from Ω(`d`), keeping `owned` and `open` in step.
+    /// Returns whether the host was in the set.
+    fn omega_remove(&mut self, d: DataId, host: HostUid) -> bool {
+        if !self.omega_unlist(d, host) {
+            return false;
+        }
+        self.unlink_owned(host, d);
+        true
+    }
+
+    /// The Ω and `open` half of [`Self::omega_remove`]: the caller drops
+    /// `d` from `owned[host]` itself.
+    fn omega_unlist(&mut self, d: DataId, host: HostUid) -> bool {
+        let Some(owners) = self.owners.get_mut(&d) else {
+            return false;
+        };
+        if !owners.remove(&host) {
+            return false;
+        }
+        let owner_count = owners.len();
+        self.refresh_open(d, owner_count);
+        true
+    }
+
+    /// Drop `d` from `owned[host]`.
+    fn unlink_owned(&mut self, host: HostUid, d: DataId) {
+        if let Some(held) = self.owned.get_mut(&host) {
+            if let Ok(at) = held.binary_search(&d) {
+                held.remove(at);
+            }
+        }
+    }
+
+    /// Take `host` out of Ω(`d`) for every datum it owns that `evict`
+    /// selects — one in-place pass over `owned[host]`.
+    fn evict_owned(&mut self, host: HostUid, evict: impl Fn(&DataScheduler, DataId) -> bool) {
+        let Some(slot) = self.owned.get_mut(&host) else {
+            return;
+        };
+        let mut held = std::mem::take(slot);
+        held.retain(|&d| !(evict(self, d) && self.omega_unlist(d, host)));
+        if let Some(slot) = self.owned.get_mut(&host) {
+            *slot = held;
+        }
+    }
+
+    /// Re-derive `d`'s membership of `open` now that |Ω(`d`)| is
+    /// `owner_count`.
+    fn refresh_open(&mut self, d: DataId, owner_count: usize) {
+        let unmet = self
+            .theta
+            .get(&d)
+            .is_some_and(|sd| demand_unmet(&sd.attrs, owner_count));
+        self.set_open(d, unmet);
+    }
+
+    /// Put `d` in `open` or take it out.
+    fn set_open(&mut self, d: DataId, unmet: bool) {
+        if unmet {
+            self.open.insert(d);
+        } else {
+            self.open.remove(&d);
+        }
+    }
+
+    /// Whether `host` pinned `d`.
+    fn is_pinned(&self, d: DataId, host: HostUid) -> bool {
+        self.pinned.get(&d).is_some_and(|p| p.contains(&host))
+    }
+
+    /// Whether `d` is managed and fault tolerant.
+    fn is_fault_tolerant(&self, d: DataId) -> bool {
+        self.theta.get(&d).is_some_and(|sd| sd.attrs.fault_tolerant)
+    }
+
+    /// Forget `host`'s partial holding of `d`. Returns whether it had one.
+    fn clear_partial(&mut self, d: DataId, host: HostUid) -> bool {
+        let Some(p) = self.partials.get_mut(&d) else {
+            return false;
+        };
+        let had = p.remove(&host).is_some();
+        if p.is_empty() {
+            self.partials.remove(&d);
+        }
+        had
     }
 
     /// Record that `data` is chunked into `total` pieces (its manifest was
@@ -197,19 +364,13 @@ impl DataScheduler {
         };
         let set: BTreeSet<u32> = held.iter().copied().filter(|&c| c < t).collect();
         if set.len() as u32 >= t {
-            if let Some(p) = self.partials.get_mut(&data) {
-                p.remove(&host);
-                if p.is_empty() {
-                    self.partials.remove(&data);
-                }
-            }
-            self.owners.entry(data).or_default().insert(host);
+            self.clear_partial(data, host);
+            self.omega_insert(data, host);
         } else {
             self.partials.entry(data).or_default().insert(host, set);
-            if let Some(o) = self.owners.get_mut(&data) {
-                o.remove(&host);
-            }
+            self.omega_remove(data, host);
         }
+        self.debug_check();
     }
 
     /// Hosts currently recorded as partial holders of `data`, with their
@@ -273,28 +434,43 @@ impl DataScheduler {
     /// relative lifetimes — for a sharded plane, which resolves references
     /// against its global live set rather than this shard's Θ.
     pub fn schedule_unchecked(&mut self, data: Data, attrs: DataAttributes) {
-        self.owners.entry(data.id).or_default();
-        // Re-scheduling may change the lifetime: drop stale index entries
-        // before recording the new ones.
-        self.unindex_lifetime(data.id);
+        let id = data.id;
+        let owner_count = self.owners.entry(id).or_default().len();
+        // Re-scheduling may change the lifetime or the affinity: drop stale
+        // index entries before recording the new ones.
+        self.unindex_attrs(id);
         match attrs.lifetime {
             Lifetime::Absolute(t) => {
-                self.expiries.insert((t, data.id));
+                self.expiries.insert((t, id));
             }
             Lifetime::RelativeTo(r) => {
-                self.rdeps.entry(r).or_default().insert(data.id);
+                self.rdeps.entry(r).or_default().insert(id);
             }
             Lifetime::Unbounded => {}
         }
-        self.theta.insert(data.id, ScheduledData { data, attrs });
+        if let Some(target) = attrs.affinity {
+            self.followers.entry(target).or_default().insert(id);
+        }
+        self.set_open(id, demand_unmet(&attrs, owner_count));
+        self.theta.insert(id, ScheduledData { data, attrs });
+        self.debug_check();
     }
 
-    /// Remove `id`'s lifetime-index entries (deadline index / reverse-dep
-    /// registration), using the attributes currently recorded in Θ.
-    fn unindex_lifetime(&mut self, id: DataId) {
+    /// Remove the index entries derived from `id`'s attributes (deadline
+    /// index, reverse-dep registration, follower edge), using the
+    /// attributes currently recorded in Θ.
+    fn unindex_attrs(&mut self, id: DataId) {
         let Some(sd) = self.theta.get(&id) else {
             return;
         };
+        if let Some(target) = sd.attrs.affinity {
+            if let Some(fs) = self.followers.get_mut(&target) {
+                fs.remove(&id);
+                if fs.is_empty() {
+                    self.followers.remove(&target);
+                }
+            }
+        }
         match sd.attrs.lifetime {
             Lifetime::Absolute(t) => {
                 self.expiries.remove(&(t, id));
@@ -316,7 +492,8 @@ impl DataScheduler {
     /// failure detector.
     pub fn pin(&mut self, data: DataId, host: HostUid) {
         self.pinned.entry(data).or_default().insert(host);
-        self.owners.entry(data).or_default().insert(host);
+        self.omega_insert(data, host);
+        self.debug_check();
     }
 
     /// Remove a datum from management, cascading to its relative-lifetime
@@ -328,11 +505,14 @@ impl DataScheduler {
         let mut removed = Vec::new();
         let mut stack = vec![id];
         while let Some(d) = stack.pop() {
-            self.unindex_lifetime(d);
+            self.unindex_attrs(d);
             if self.theta.remove(&d).is_some() {
                 removed.push(d);
             }
-            self.owners.remove(&d);
+            self.open.remove(&d);
+            for host in self.owners.remove(&d).unwrap_or_default() {
+                self.unlink_owned(host, d);
+            }
             self.pinned.remove(&d);
             self.chunk_totals.remove(&d);
             self.partials.remove(&d);
@@ -340,6 +520,7 @@ impl DataScheduler {
                 stack.extend(deps.into_iter().filter(|x| self.theta.contains_key(x)));
             }
         }
+        self.debug_check();
         removed
     }
 
@@ -383,6 +564,15 @@ impl DataScheduler {
     /// this counter pins the sweep's cost model in tests.
     pub fn sweep_visits(&self) -> u64 {
         self.sweep_visits
+    }
+
+    /// Total Θ entries synchronizations have examined: one per distinct
+    /// entry of a presented cache slice (step 1) plus one per step-2
+    /// candidate — followers of held or newly assigned data, and open data
+    /// the host does not hold. A steady-state synchronization with every
+    /// replica floor met examines |Δk| entries whatever |Θ| is.
+    pub fn theta_visits(&self) -> u64 {
+        self.theta_visits
     }
 
     /// Entries currently in the absolute-deadline expiry index.
@@ -465,8 +655,14 @@ impl DataScheduler {
         now: u64,
         ext_alive: AliveOracle<'_>,
     ) -> CacheValidation {
+        #[cfg(test)]
+        if self.oracle {
+            return self.validate_cache_oracle(host, delta_k, now, ext_alive);
+        }
         self.last_seen.insert(host, now);
-        let delta: BTreeSet<DataId> = delta_k.iter().copied().collect();
+        let mut delta: Vec<DataId> = delta_k.to_vec();
+        delta.sort_unstable();
+        delta.dedup();
 
         // Expiry sweep: lapsed data leave Θ entirely so step 2 can never
         // re-schedule them (their cache copies are then swept out by the
@@ -475,23 +671,16 @@ impl DataScheduler {
 
         // Reconcile Ω with the report: the host no longer holds data missing
         // from its cache (unless pinned). Step 2 may legitimately re-assign.
-        let pinned_here: HashSet<DataId> = self
-            .pinned
-            .iter()
-            .filter(|(_, hosts)| hosts.contains(&host))
-            .map(|(d, _)| *d)
-            .collect();
-        for (d, owners) in self.owners.iter_mut() {
-            if !delta.contains(d) && !pinned_here.contains(d) {
-                owners.remove(&host);
-            }
-        }
+        self.evict_owned(host, |ds, d| {
+            delta.binary_search(&d).is_err() && !ds.is_pinned(d, host)
+        });
 
         let mut v = CacheValidation {
             expired,
             ..CacheValidation::default()
         };
-        for &d in &delta {
+        self.theta_visits += delta.len() as u64;
+        for d in delta {
             let keep = match self.theta.get(&d) {
                 None => false,
                 Some(sd) => {
@@ -513,12 +702,13 @@ impl DataScheduler {
                     // fault-tolerant data; refreshing unconditionally is the
                     // same steady state since non-ft owner sets are only
                     // pruned by the report reconciliation above).
-                    self.owners.entry(d).or_default().insert(host);
+                    self.omega_insert(d, host);
                 }
             } else {
                 v.delete.push(d);
             }
         }
+        self.debug_check();
         v
     }
 
@@ -530,10 +720,16 @@ impl DataScheduler {
     /// per-shard calls).
     ///
     /// Algorithm 1 runs one affinity pass (against Δk) and one replica
-    /// pass. We iterate the two passes to their fixed point so that a
-    /// datum assigned by the replica pass pulls its affinity-dependents
-    /// in the *same* synchronization instead of the next heartbeat —
-    /// identical steady state, one round sooner.
+    /// pass. We iterate to the fixed point so that a datum assigned by the
+    /// replica pass pulls its affinity-dependents in the *same*
+    /// synchronization instead of the next heartbeat — identical steady
+    /// state, one round sooner. Each pass assigns in ascending id order,
+    /// exactly as a walk over all of Θ would: the affinity pass visits the
+    /// followers of `holds` and of data assigned so far (a follower with a
+    /// larger id than its just-assigned target joins the running pass, one
+    /// with a smaller id waits for the next), the replica pass visits
+    /// `open ∖ holds` — once, since nothing this synchronization does can
+    /// re-open a datum.
     pub fn assign_new(
         &mut self,
         host: HostUid,
@@ -543,77 +739,99 @@ impl DataScheduler {
         budget: usize,
         ext_alive: AliveOracle<'_>,
     ) -> Vec<(Data, DataAttributes)> {
-        let candidates: Vec<DataId> = self
-            .theta
-            .keys()
-            .copied()
-            .filter(|d| !holds.contains(d))
-            .collect();
-        let mut newly: BTreeSet<DataId> = BTreeSet::new();
+        #[cfg(test)]
+        if self.oracle {
+            return self.assign_new_oracle(host, holds, now, role, budget, ext_alive);
+        }
         let mut downloads: Vec<(Data, DataAttributes)> = Vec::new();
+        let mut frontier = self.followers_of_held(holds);
+        let mut replica_pass_due = role == SyncRole::Reservoir;
         loop {
             let before = downloads.len();
+            let mut next: BTreeSet<DataId> = BTreeSet::new();
 
             // Affinity resolution first — affinity is stronger than replica.
-            for &dj in &candidates {
-                if downloads.len() >= budget {
+            while downloads.len() < budget {
+                let Some(dj) = frontier.pop_first() else {
                     break;
-                }
-                if newly.contains(&dj) {
-                    continue;
-                }
-                let sd = &self.theta[&dj];
-                let Some(target) = sd.attrs.affinity else {
-                    continue;
                 };
-                let lt = sd.attrs.lifetime;
-                if !(holds.contains(&target) || newly.contains(&target)) {
+                if holds.contains(&dj) {
                     continue;
                 }
-                if !self.lifetime_live(lt, now, ext_alive) {
-                    continue;
-                }
+                self.theta_visits += 1;
                 let sd = &self.theta[&dj];
+                if !self.lifetime_live(sd.attrs.lifetime, now, ext_alive) {
+                    continue;
+                }
                 downloads.push((sd.data.clone(), sd.attrs.clone()));
-                newly.insert(dj);
-                self.owners.entry(dj).or_default().insert(host);
+                self.omega_insert(dj, host);
+                for &f in self.followers.get(&dj).into_iter().flatten() {
+                    if f > dj {
+                        frontier.insert(f);
+                    } else {
+                        next.insert(f);
+                    }
+                }
             }
 
-            // Replica scheduling (reservoir hosts only).
-            for &dj in &candidates {
-                if role == SyncRole::Client {
-                    break;
+            // Replica scheduling (reservoir hosts only). Selection reads
+            // only each candidate's own state, so the orders are written
+            // first and Ω updated after.
+            if std::mem::take(&mut replica_pass_due) {
+                let first = downloads.len();
+                let mut visited = 0;
+                for &dj in &self.open {
+                    if downloads.len() >= budget {
+                        break;
+                    }
+                    if holds.contains(&dj) {
+                        continue;
+                    }
+                    visited += 1;
+                    let sd = &self.theta[&dj];
+                    if self.lifetime_live(sd.attrs.lifetime, now, ext_alive) {
+                        downloads.push((sd.data.clone(), sd.attrs.clone()));
+                    }
                 }
-                if downloads.len() >= budget {
-                    break;
-                }
-                if newly.contains(&dj) {
-                    continue;
-                }
-                let sd = &self.theta[&dj];
-                // Affinity-carrying data only place via their dependency.
-                if sd.attrs.affinity.is_some() {
-                    continue;
-                }
-                let lt = sd.attrs.lifetime;
-                if !self.lifetime_live(lt, now, ext_alive) {
-                    continue;
-                }
-                let sd = &self.theta[&dj];
-                let owner_count = self.owners.get(&dj).map(|s| s.len()).unwrap_or(0);
-                let wants_all = sd.attrs.replicate_everywhere();
-                if wants_all || (owner_count as i64) < sd.attrs.replica {
-                    downloads.push((sd.data.clone(), sd.attrs.clone()));
-                    newly.insert(dj);
-                    self.owners.entry(dj).or_default().insert(host);
+                self.theta_visits += visited;
+                for (data, _) in &downloads[first..] {
+                    let dj = data.id;
+                    self.omega_insert(dj, host);
+                    if let Some(fs) = self.followers.get(&dj) {
+                        next.extend(fs.iter().copied());
+                    }
                 }
             }
 
             if downloads.len() == before || downloads.len() >= budget {
                 break;
             }
+            frontier = next;
         }
+        self.debug_check();
         downloads
+    }
+
+    /// The affinity pass's starting candidates: managed followers of what
+    /// the host holds, minus what it already holds — found from whichever
+    /// of `holds` and the follower index is smaller.
+    fn followers_of_held(&self, holds: &BTreeSet<DataId>) -> BTreeSet<DataId> {
+        let mut out = BTreeSet::new();
+        let mut add = |fs: &BTreeSet<DataId>| {
+            out.extend(fs.iter().copied().filter(|f| !holds.contains(f)));
+        };
+        if holds.len() <= self.followers.len() {
+            holds
+                .iter()
+                .filter_map(|t| self.followers.get(t))
+                .for_each(&mut add);
+        } else {
+            self.followers
+                .iter()
+                .filter(|(t, _)| holds.contains(t))
+                .for_each(|(_, fs)| add(fs));
+        }
+        out
     }
 
     /// Catalog-free liveness: refresh a host's last-seen instant without a
@@ -633,13 +851,10 @@ impl DataScheduler {
         if !self.theta.contains_key(&data) {
             return false;
         }
-        if let Some(p) = self.partials.get_mut(&data) {
-            p.remove(&host);
-            if p.is_empty() {
-                self.partials.remove(&data);
-            }
-        }
-        self.owners.entry(data).or_default().insert(host)
+        self.clear_partial(data, host);
+        let added = self.omega_insert(data, host);
+        self.debug_check();
+        added
     }
 
     /// TTL expiry of an announce-cache entry: forget `host`'s claimed
@@ -648,28 +863,11 @@ impl DataScheduler {
     /// non-pinned data (so the replica gets re-placed), while partial
     /// records always go. Returns whether any state changed.
     pub fn drop_host_holding(&mut self, host: HostUid, data: DataId) -> bool {
-        let mut changed = false;
-        if let Some(p) = self.partials.get_mut(&data) {
-            changed |= p.remove(&host).is_some();
-            if p.is_empty() {
-                self.partials.remove(&data);
-            }
+        let mut changed = self.clear_partial(data, host);
+        if self.is_fault_tolerant(data) && !self.is_pinned(data, host) {
+            changed |= self.omega_remove(data, host);
         }
-        let ft = self
-            .theta
-            .get(&data)
-            .map(|sd| sd.attrs.fault_tolerant)
-            .unwrap_or(false);
-        let pinned = self
-            .pinned
-            .get(&data)
-            .map(|p| p.contains(&host))
-            .unwrap_or(false);
-        if ft && !pinned {
-            if let Some(o) = self.owners.get_mut(&data) {
-                changed |= o.remove(&host);
-            }
-        }
+        self.debug_check();
         changed
     }
 
@@ -678,6 +876,10 @@ impl DataScheduler {
     /// (so replicas get rescheduled); non-fault-tolerant owner entries stay.
     /// Returns the hosts declared dead.
     pub fn detect_failures(&mut self, now: u64) -> Vec<HostUid> {
+        #[cfg(test)]
+        if self.oracle {
+            return self.detect_failures_oracle(now);
+        }
         let dead: Vec<HostUid> = self
             .last_seen
             .iter()
@@ -686,26 +888,94 @@ impl DataScheduler {
             .collect();
         for &h in &dead {
             self.last_seen.remove(&h);
-            // A dead host's partial holdings are gone with it.
-            self.partials.retain(|_, hosts| {
-                hosts.remove(&h);
-                !hosts.is_empty()
-            });
-            for (d, owners) in self.owners.iter_mut() {
-                let ft = self
-                    .theta
-                    .get(d)
-                    .map(|sd| sd.attrs.fault_tolerant)
-                    .unwrap_or(false);
-                let pinned = self.pinned.get(d).map(|p| p.contains(&h)).unwrap_or(false);
-                if ft && !pinned {
-                    owners.remove(&h);
-                }
+            self.evict_owned(h, |ds, d| ds.is_fault_tolerant(d) && !ds.is_pinned(d, h));
+            // An owner of nothing needs no entry; a dead one will not come
+            // back for it.
+            if self.owned.get(&h).is_some_and(Vec::is_empty) {
+                self.owned.remove(&h);
             }
         }
+        // Dead hosts' partial holdings are gone with them.
+        if !dead.is_empty() && !self.partials.is_empty() {
+            let gone: HashSet<HostUid> = dead.iter().copied().collect();
+            self.partials.retain(|_, hosts| {
+                hosts.retain(|h, _| !gone.contains(h));
+                !hosts.is_empty()
+            });
+        }
+        self.debug_check();
         dead
     }
+
+    /// Under `debug_assertions`, hold the indexes to their definitions
+    /// after a mutation (small states only — see [`DEBUG_CHECK_MAX`]).
+    #[inline]
+    fn debug_check(&self) {
+        #[cfg(test)]
+        if self.oracle {
+            return;
+        }
+        #[cfg(debug_assertions)]
+        if self.theta.len() <= DEBUG_CHECK_MAX && self.owned.len() <= DEBUG_CHECK_MAX {
+            if let Err(e) = self.check_indexes() {
+                panic!("scheduler index out of step: {e}");
+            }
+        }
+    }
+
+    /// Recompute the three indexes from Θ, Ω and the attributes and compare
+    /// them with the maintained ones (see the module docs' *Indexes*).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn check_indexes(&self) -> std::result::Result<(), String> {
+        let mut owned: HashMap<HostUid, Vec<DataId>> = HashMap::new();
+        for (&d, hosts) in &self.owners {
+            for &h in hosts {
+                owned.entry(h).or_default().push(d);
+            }
+        }
+        owned.values_mut().for_each(|held| held.sort_unstable());
+        let mut listed = self.owned.clone();
+        listed.retain(|_, held| !held.is_empty());
+        if listed != owned {
+            return Err(format!("owned is {listed:?}, Ω gives {owned:?}"));
+        }
+        let mut open: BTreeSet<DataId> = BTreeSet::new();
+        let mut followers: HashMap<DataId, BTreeSet<DataId>> = HashMap::new();
+        for (&d, sd) in &self.theta {
+            if let Some(target) = sd.attrs.affinity {
+                followers.entry(target).or_default().insert(d);
+            }
+            if demand_unmet(&sd.attrs, self.owners.get(&d).map_or(0, |o| o.len())) {
+                open.insert(d);
+            }
+        }
+        if open != self.open {
+            return Err(format!("open is {:?}, Θ/Ω give {open:?}", self.open));
+        }
+        if followers != self.followers {
+            return Err(format!(
+                "followers is {:?}, Θ gives {followers:?}",
+                self.followers
+            ));
+        }
+        Ok(())
+    }
+
+    /// A scheduler that runs the retained whole-Θ transcription of
+    /// Algorithm 1 (`scheduler_oracle.rs`) — what the differential tests
+    /// compare the indexed implementation with.
+    #[cfg(test)]
+    pub(crate) fn new_oracle(timeout_nanos: u64, max_data_schedule: usize) -> DataScheduler {
+        DataScheduler {
+            oracle: true,
+            ..DataScheduler::new(timeout_nanos, max_data_schedule)
+        }
+    }
 }
+
+#[cfg(test)]
+#[path = "scheduler_oracle.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1101,6 +1371,58 @@ mod tests {
             f.ds.sync(h, &[], t * SEC);
         }
         assert_eq!(f.ds.sweep_visits(), 2);
+    }
+
+    #[test]
+    fn sync_examines_the_cache_slice_and_open_data_not_theta() {
+        // The indexes mean a synchronization's Θ lookups are bounded by
+        // |Δk| plus the open data it is offered, at any |Θ|.
+        const THETA: usize = 10_000;
+        const CACHED: usize = 50;
+        let mut f = Fixture::new();
+        let (h, elsewhere) = (f.host(), f.host());
+        let mut cache: Vec<DataId> = Vec::new();
+        for i in 0..THETA {
+            let d = f.datum(&format!("d{i}"));
+            f.ds.schedule(d.clone(), DataAttributes::default().with_replica(1));
+            if i < CACHED {
+                f.ds.pin(d.id, h);
+                cache.push(d.id);
+            } else {
+                f.ds.pin(d.id, elsewhere);
+            }
+        }
+        // Every floor met: only the presented slice is examined.
+        let before = f.ds.theta_visits();
+        let r = f.ds.sync(h, &cache, SEC);
+        assert_eq!(r.keep.len(), CACHED);
+        assert!(r.download.is_empty());
+        assert!(f.ds.theta_visits() - before <= CACHED as u64);
+
+        // m open data (one of them pulling a follower along): |Δk| + m + 1.
+        const OPEN: usize = 7;
+        let mut fresh: Vec<DataId> = Vec::new();
+        for i in 0..OPEN {
+            let d = f.datum(&format!("open{i}"));
+            f.ds.schedule(d.clone(), DataAttributes::default().with_replica(1));
+            fresh.push(d.id);
+        }
+        let follower = f.datum("follower");
+        f.ds.schedule(
+            follower.clone(),
+            DataAttributes::default().with_affinity(fresh[0]),
+        );
+        let before = f.ds.theta_visits();
+        let r = f.ds.sync(h, &cache, 2 * SEC);
+        assert_eq!(ids(&r).len(), OPEN + 1);
+        assert!(ids(&r).contains(&follower.id));
+        assert!(f.ds.theta_visits() - before <= (CACHED + OPEN + 1) as u64);
+
+        // A host holding nothing, with nothing open, examines nothing.
+        let idle = f.host();
+        let before = f.ds.theta_visits();
+        assert_eq!(f.ds.sync(idle, &[], 3 * SEC), SyncReply::default());
+        assert_eq!(f.ds.theta_visits(), before);
     }
 
     #[test]

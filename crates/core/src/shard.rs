@@ -130,11 +130,17 @@ impl RefRegistry {
 }
 
 /// Per-shard work profile of one fan-out synchronization: how many items
-/// (cache-slice entries + candidate scans) each shard examined. The
-/// simulator charges per-shard service latency from this.
+/// each shard is *charged* — its cache-slice entries, plus |Θ_shard| per
+/// step-2 pass it took part in. The simulator turns the count into virtual
+/// service time ([`SimBitdew::set_service_cost`](crate::simdriver::SimBitdew::set_service_cost)),
+/// so this is a cost model, not a measurement: the indexed scheduler
+/// examines far fewer entries than it is charged for
+/// ([`DataScheduler::theta_visits`] counts those), and the charge stays as
+/// defined so that virtual-time results do not move with the
+/// implementation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SyncProfile {
-    /// Items examined per shard.
+    /// Items charged per shard.
     pub per_shard: Vec<usize>,
     /// Events the synchronization round that consumed this profile
     /// deferred for full [`Backpressure::Block`](crate::Backpressure)
@@ -164,6 +170,17 @@ impl SyncProfile {
     /// process their slices in parallel).
     pub fn max_items(&self) -> usize {
         self.per_shard.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// Merge one shard's part of a reply into the whole. The first non-empty
+/// part — the only one on a single-shard plane — is adopted as is rather
+/// than copied.
+fn append<T>(whole: &mut Vec<T>, mut part: Vec<T>) {
+    if whole.is_empty() {
+        *whole = part;
+    } else {
+        whole.append(&mut part);
     }
 }
 
@@ -197,6 +214,17 @@ impl ShardedScheduler {
             refs: Mutex::new(RefRegistry::default()),
             max_data_schedule: max_data_schedule.max(1),
         }
+    }
+
+    /// The same plane over shards that run the retained whole-Θ
+    /// transcription of Algorithm 1 — the differential tests' oracle.
+    #[cfg(test)]
+    fn new_oracle(shards: NonZeroUsize, timeout_nanos: u64, max_data_schedule: usize) -> Self {
+        let plane = ShardedScheduler::new(shards, timeout_nanos, max_data_schedule);
+        for shard in &plane.shards {
+            *shard.lock() = DataScheduler::new_oracle(timeout_nanos, max_data_schedule);
+        }
+        plane
     }
 
     /// The router this plane partitions with.
@@ -472,9 +500,9 @@ impl ShardedScheduler {
             profile.per_shard[i] += slice.len();
             holds.extend(v.keep.iter().copied());
             holds.extend(v.repair.iter().copied());
-            merged.keep.extend(v.keep);
-            merged.delete.extend(v.delete);
-            merged.repair.extend(repair_entries);
+            append(&mut merged.keep, v.keep);
+            append(&mut merged.delete, v.delete);
+            append(&mut merged.repair, repair_entries);
             if !v.expired.is_empty() {
                 self.propagate_expiry(&v.expired);
             }
@@ -489,6 +517,8 @@ impl ShardedScheduler {
                     break;
                 }
                 let mut sh = shard.lock();
+                // The modelled charge of a step-2 pass (see `SyncProfile`),
+                // not what `assign_new` examines.
                 profile.per_shard[i] += sh.managed_count();
                 let dl = sh.assign_new(host, &holds, now, role, budget, ext);
                 drop(sh);
@@ -497,7 +527,7 @@ impl ShardedScheduler {
                     holds.insert(d.id);
                 }
                 progress |= !dl.is_empty();
-                merged.download.extend(dl);
+                append(&mut merged.download, dl);
             }
             if !progress || budget == 0 {
                 break;
@@ -1148,6 +1178,182 @@ mod tests {
         ds.report_chunks(h, d.id, 6);
         assert_eq!(ds.owners_of(d.id), vec![h]);
         assert_eq!(ds.sync(h, &[d.id], 2 * SEC).keep, vec![d.id]);
+    }
+
+    /// Everything the two planes of a differential run must agree on after
+    /// an operation: Θ membership, Ω and the partial-holder records of
+    /// every pool datum, and the hosts believed alive.
+    #[allow(clippy::type_complexity)]
+    fn observable(
+        ds: &ShardedScheduler,
+        pool: &[Data],
+    ) -> (
+        usize,
+        Vec<HostUid>,
+        Vec<(bool, Vec<HostUid>, Vec<(HostUid, Vec<u32>)>)>,
+    ) {
+        (
+            ds.managed_count(),
+            ds.known_hosts(),
+            pool.iter()
+                .map(|d| {
+                    (
+                        ds.is_managed(d.id),
+                        ds.owners_of(d.id),
+                        ds.partial_chunk_sets(d.id),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// Drive the indexed plane and the whole-Θ oracle plane through one
+    /// seeded operation sequence, holding them to equal replies (contents
+    /// and order), equal work profiles and equal observable state after
+    /// every operation, and the indexed plane's indexes to their
+    /// definitions.
+    fn run_differential(seed: u64, shards: usize) {
+        use rand::Rng;
+        const POOL: usize = 12;
+        const HOSTS: usize = 4;
+        const OPS: usize = 160;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cap = rng.gen_range(1usize..6);
+        let indexed = ShardedScheduler::new(nz(shards), 3 * SEC, cap);
+        let oracle = ShardedScheduler::new_oracle(nz(shards), 3 * SEC, cap);
+        let pool: Vec<Data> = (0..POOL)
+            .map(|i| Data::slot(Auid::generate(1, &mut rng), format!("p{i}"), 64))
+            .collect();
+        let hosts: Vec<HostUid> = (0..HOSTS).map(|_| Auid::generate(2, &mut rng)).collect();
+        let mut caches: Vec<BTreeSet<DataId>> = vec![BTreeSet::new(); HOSTS];
+        let mut now = 0u64;
+
+        for step in 0..OPS {
+            now += rng.gen_range(0..SEC);
+            let d = pool[rng.gen_range(0..POOL)].clone();
+            let other = pool[rng.gen_range(0..POOL)].id;
+            let h = rng.gen_range(0..HOSTS);
+            let host = hosts[h];
+            let op = rng.gen_range(0u32..20);
+            let what = match op {
+                0..=4 => {
+                    let mut attrs = DataAttributes::default()
+                        .with_replica(rng.gen_range(-1i64..4))
+                        .with_fault_tolerance(rng.gen());
+                    // Affinity chains, in both id orders and onto unmanaged
+                    // or self targets.
+                    if rng.gen_range(0..3) == 0 {
+                        attrs = attrs.with_affinity(other);
+                    }
+                    attrs = match rng.gen_range(0..6) {
+                        0 => {
+                            attrs.with_lifetime(Lifetime::Absolute(now + rng.gen_range(0..4 * SEC)))
+                        }
+                        1 => attrs
+                            .with_lifetime(Lifetime::RelativeTo(pool[rng.gen_range(0..POOL)].id)),
+                        _ => attrs,
+                    };
+                    indexed.schedule(d.clone(), attrs.clone());
+                    oracle.schedule(d.clone(), attrs.clone());
+                    format!("schedule {} {attrs:?}", d.name)
+                }
+                5 => {
+                    indexed.pin(d.id, host);
+                    oracle.pin(d.id, host);
+                    format!("pin {} on host {h}", d.name)
+                }
+                6 => {
+                    indexed.delete_data(d.id);
+                    oracle.delete_data(d.id);
+                    format!("delete {}", d.name)
+                }
+                7 => {
+                    let total = rng.gen_range(1u32..4);
+                    indexed.set_chunk_total(d.id, total);
+                    oracle.set_chunk_total(d.id, total);
+                    format!("chunk total {} = {total}", d.name)
+                }
+                8 | 9 => {
+                    let held: Vec<u32> = (0..3).filter(|_| rng.gen()).collect();
+                    indexed.report_chunk_set(host, d.id, &held);
+                    oracle.report_chunk_set(host, d.id, &held);
+                    format!("host {h} reports chunks {held:?} of {}", d.name)
+                }
+                10 => {
+                    let (a, b) = (
+                        indexed.announce_owner(host, d.id),
+                        oracle.announce_owner(host, d.id),
+                    );
+                    assert_eq!(a, b, "seed {seed} step {step}: announce_owner");
+                    format!("host {h} announces {}", d.name)
+                }
+                11 => {
+                    let (a, b) = (
+                        indexed.drop_host_holding(host, d.id),
+                        oracle.drop_host_holding(host, d.id),
+                    );
+                    assert_eq!(a, b, "seed {seed} step {step}: drop_host_holding");
+                    format!("host {h}'s claim on {} lapses", d.name)
+                }
+                12 => {
+                    now += rng.gen_range(0..3 * SEC);
+                    let (a, b) = (indexed.detect_failures(now), oracle.detect_failures(now));
+                    assert_eq!(a, b, "seed {seed} step {step}: detect_failures");
+                    format!("detect failures → {} dead", a.len())
+                }
+                _ => {
+                    // The host presents its model cache, perturbed: some
+                    // entries purged, some it was never sent (possibly
+                    // unmanaged, possibly repeated).
+                    let mut delta: Vec<DataId> = caches[h]
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.gen_range(0..5) != 0)
+                        .collect();
+                    for _ in 0..rng.gen_range(0..3) {
+                        delta.push(pool[rng.gen_range(0..POOL)].id);
+                    }
+                    let role = if rng.gen_range(0..4) == 0 {
+                        SyncRole::Client
+                    } else {
+                        SyncRole::Reservoir
+                    };
+                    let a = indexed.sync_profiled(host, &delta, now, role);
+                    let b = oracle.sync_profiled(host, &delta, now, role);
+                    assert_eq!(
+                        a, b,
+                        "seed {seed} step {step}: sync of host {h}, Δk {delta:?}"
+                    );
+                    let reply = a.0;
+                    caches[h] = reply
+                        .keep
+                        .iter()
+                        .copied()
+                        .chain(reply.download.iter().map(|(d, _)| d.id))
+                        .chain(reply.repair.iter().map(|(d, _)| d.id))
+                        .collect();
+                    format!("sync host {h} as {role:?}")
+                }
+            };
+            assert_eq!(
+                observable(&indexed, &pool),
+                observable(&oracle, &pool),
+                "seed {seed} step {step}: state after `{what}`"
+            );
+            for shard in &indexed.shards {
+                if let Err(e) = shard.lock().check_indexes() {
+                    panic!("seed {seed} step {step}: after `{what}`: {e}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn indexed_sync_matches_the_whole_theta_oracle(seed in any::<u64>()) {
+            run_differential(seed, 1);
+            run_differential(seed, 4);
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! nothing to defer in virtual time.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::num::NonZeroUsize;
 use std::rc::Rc;
 use std::time::Duration;
@@ -238,7 +238,8 @@ struct DriverState {
     manifests: HashMap<DataId, ChunkManifest>,
     /// Partial holdings (host, datum) → exact held chunk set, for the
     /// chunk-level repair loop and the compute plane's locality checks.
-    partials: HashMap<(HostUid, DataId), BTreeSet<u32>>,
+    /// Ordered, so one host's holdings are a key range.
+    partials: BTreeMap<(HostUid, DataId), BTreeSet<u32>>,
     /// Version chains of mutated chunked data: the `dc_version` rows
     /// (versions ≥ 2), ascending. A manifest-backed datum with no rows is
     /// at version 1; unchunked data have no versions at all.
@@ -284,6 +285,28 @@ impl DriverState {
             .and_then(|rows| rows.last())
             .map(|row| row.version)
             .unwrap_or(1)
+    }
+
+    /// Where a chunked fetch of `data` towards `dest` pulls from: the
+    /// service host, then every other live node caching a complete replica
+    /// (partial holders are repairing, not serving) in `HostId` order. The
+    /// order decides which source pulls which chunk, so it must not depend
+    /// on `nodes`' iteration order.
+    fn chunk_sources(&self, service_host: HostId, dest: HostId, data: DataId) -> Vec<HostId> {
+        let mut peers: Vec<HostId> = self
+            .nodes
+            .iter()
+            .filter(|(uid, n)| {
+                n.alive
+                    && n.host != dest
+                    && n.cache.contains(&data)
+                    && !self.partials.contains_key(&(**uid, data))
+            })
+            .map(|(_, n)| n.host)
+            .collect();
+        peers.sort_unstable();
+        peers.insert(0, service_host);
+        peers
     }
 
     /// Walk the datum's version chain up to `version` (see
@@ -351,7 +374,7 @@ impl SimBitdew {
                 shard_busy: vec![SimTime::ZERO; shards.get()],
                 syncs_served: 0,
                 manifests: HashMap::new(),
-                partials: HashMap::new(),
+                partials: BTreeMap::new(),
                 version_rows: HashMap::new(),
                 preserved: HashMap::new(),
                 pins: PinRegistry::default(),
@@ -950,8 +973,7 @@ impl SimBitdew {
             // scheduler's partial-holder tracking here.
             let partial_sets: Vec<(DataId, Vec<u32>)> = st
                 .partials
-                .iter()
-                .filter(|((h, _), _)| *h == uid)
+                .range((uid, Auid(0))..=(uid, Auid(u128::MAX)))
                 .map(|((_, d), s)| (*d, s.iter().copied().collect()))
                 .collect();
             for (d, held) in partial_sets {
@@ -1185,20 +1207,9 @@ impl SimBitdew {
             .unwrap_or(manifest.chunk_count())
             .min(manifest.chunk_count());
         let repair = only.is_some();
-        let mut sources = vec![self.service_host];
-        {
+        let sources = {
             let mut st = self.state.borrow_mut();
-            for n in st.nodes.values() {
-                if n.alive && n.host != dest && n.cache.contains(&data.id) {
-                    // Partial holders don't serve (they're repairing).
-                    let held_partial = st.partials.keys().any(|(h, d)| {
-                        *d == data.id && st.nodes.get(h).map(|x| x.host) == Some(n.host)
-                    });
-                    if !held_partial {
-                        sources.push(n.host);
-                    }
-                }
-            }
+            let sources = st.chunk_sources(self.service_host, dest, data.id);
             // With the announce plane up, peer discovery is one scrape
             // exchange instead of a catalog locator query.
             let n_sources = sources.len() as u64;
@@ -1212,7 +1223,8 @@ impl SimBitdew {
                         + SIM_SCRAPE_HOST_WIRE * n_sources;
                 }
             }
-        }
+            sources
+        };
         let lens: Vec<f64> = manifest
             .chunks
             .iter()
@@ -2406,6 +2418,41 @@ mod tests {
             .filter(|r| matches!(r.event, TraceEvent::TransferCompleted { .. }))
             .count();
         assert_eq!(completions, 3);
+    }
+
+    #[test]
+    fn chunk_sources_are_the_service_host_then_peers_by_host_id() {
+        let topo = topology::gdx_cluster(16);
+        let mut sim = Sim::new(7);
+        let bd = SimBitdew::new(
+            topo.net.clone(),
+            topo.service,
+            SimDuration::from_secs(1),
+            Trace::new(),
+        );
+        let content = vec![5u8; 4096];
+        let data = Data::from_bytes(Auid(77), "blob", &content);
+        bd.put_manifest(&ChunkManifest::describe(data.id, 1024, &content));
+        let uids: Vec<HostUid> = topo
+            .workers
+            .iter()
+            .map(|&w| bd.add_node(&mut sim, w, SimTime::ZERO))
+            .collect();
+        // Workers 1.. hold the blob; 2 only partially, and 3 is dead.
+        for &uid in &uids[1..] {
+            bd.pin(data.id, uid);
+        }
+        bd.pin_partial(data.id, uids[2], 2);
+        bd.kill_host(&mut sim, topo.workers[3]);
+        let sources = bd
+            .state
+            .borrow()
+            .chunk_sources(topo.service, topo.workers[4], data.id);
+        let mut peers: Vec<HostId> = topo.workers[5..].to_vec();
+        peers.push(topo.workers[1]);
+        peers.sort_unstable();
+        assert_eq!(sources[0], topo.service);
+        assert_eq!(sources[1..], peers[..]);
     }
 
     #[test]
