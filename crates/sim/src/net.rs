@@ -34,17 +34,47 @@
 //! shared links, modelling a local copy through the NIC-less path at
 //! `min(up, down)`.
 //!
-//! Determinism: flows live in a `BTreeMap` and links in a `Vec`, and
-//! progressive filling iterates both in id order, so identical seeds give
-//! bit-identical virtual-time results on every run and platform (pinned by a
-//! digest regression test below). Same-instant arrivals and departures are
-//! batched: mutations mark the allocation dirty and a single settle event per
-//! virtual instant recomputes once, so a 10k-flow arrival wave costs one
-//! progressive filling, not 10k.
+//! Determinism: identical seeds give bit-identical virtual-time results on
+//! every run and platform (pinned by a digest regression test below), and a
+//! settle pays for the flows it freezes, not for rebuilding who shares what.
+//! Flows live in a slab (a stable slot per flow, vacated slots reused) and
+//! **membership is state**, maintained where a flow is attached or detached:
+//!
+//! * a flow's hops (the links of its route) sit in one row of a hop table,
+//!   every link lists the hops that cross it, and each hop records its
+//!   position in that list (`links[hops[h].link].members[hops[h].pos] == h`),
+//!   so leaving a link is a `swap_remove` and one repointed hop;
+//! * `used` holds exactly the links whose list is non-empty, each knowing
+//!   its position there, updated on the 0 ↔ 1 transitions;
+//! * `index` maps flow id → slot for exactly the live flows, the free list
+//!   holds every other slot, and a vacant slot has no callback.
+//!
+//! `check_members` recomputes all of it from the slab; debug builds run it
+//! after every attach and detach on small states. Member lists and `used`
+//! are in arbitrary order, and progressive filling does not care. The
+//! bottleneck of a filling round is the link with the smallest
+//! `cap / active`, ties to the lowest link id, whichever way the links are
+//! scanned. Every flow frozen in one round subtracts the *same* `share` from
+//! each other link it crosses, so what such a link has left depends on how
+//! many of its members froze in the round and not on their order — no f64
+//! changes. The earliest completion comes out of the same pass: flows frozen
+//! together share a rate, so the first to finish is the one with the fewest
+//! bytes left, and the division is done once per round.
+//!
+//! Two things *are* order-sensitive and stay in flow-id order. Terminal
+//! callbacks schedule events, so the finished flows of one pump (found by a
+//! walk of `index`) and the victims of one host going down (its two access
+//! links' members, sorted) are delivered by ascending id. `bytes_delivered`
+//! is a running f64 sum, so progress is accrued by the same walk of `index`
+//! ([`FlowNet::link_load`] sorts before it sums for the same reason).
+//!
+//! Same-instant arrivals and departures are batched: mutations mark the
+//! allocation dirty and a single settle event per virtual instant recomputes
+//! once, so a 10k-flow arrival wave costs one progressive filling, not 10k.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::iter::once;
 use std::rc::Rc;
 
 use crate::engine::{EventToken, Sim};
@@ -98,6 +128,9 @@ pub struct LinkTopology {
     zones: u32,
     /// Row-major `(src_zone, dst_zone)` → shared-link indices.
     paths: Vec<Vec<u32>>,
+    /// Shared links on the longest of `paths`, noted while they are built:
+    /// there are zones² of them to rescan.
+    longest: usize,
     default_zone: u32,
 }
 
@@ -109,6 +142,7 @@ impl LinkTopology {
             shared: Vec::new(),
             zones: 1,
             paths: vec![Vec::new()],
+            longest: 0,
             default_zone: 0,
         }
     }
@@ -162,6 +196,7 @@ impl LinkTopology {
     ) -> LinkTopology {
         let zones = zones.max(1) as u32;
         let mut paths = Vec::with_capacity((zones * zones) as usize);
+        let mut longest = 0;
         for s in 0..zones {
             for d in 0..zones {
                 let p = route(s, d);
@@ -172,6 +207,7 @@ impl LinkTopology {
                         shared.len()
                     );
                 }
+                longest = longest.max(p.len());
                 paths.push(p);
             }
         }
@@ -179,6 +215,7 @@ impl LinkTopology {
             shared,
             zones,
             paths,
+            longest,
             default_zone: 0,
         }
     }
@@ -232,13 +269,43 @@ pub enum FlowFailure {
 /// freely start new flows.
 pub type FlowCallback = Box<dyn FnOnce(&mut Sim, FlowOutcome)>;
 
+/// `LinkState::used_pos` of a link no flow crosses.
+const IDLE: u32 = u32::MAX;
+
+/// Debug builds re-derive the membership state after every attach and
+/// detach while the link and slot tables are both at most this long.
+#[cfg(debug_assertions)]
+const DEBUG_CHECK_MAX: usize = 64;
+
 struct LinkState {
     spec: Link,
     reserved: f64,
     enabled: bool,
+    /// The hops (indices into `Inner::hops`) that cross this link, in
+    /// arbitrary order; a route that names the link twice has two.
+    /// Unallocated until used.
+    members: Vec<u32>,
+    /// Position in `Inner::used` while `members` is non-empty, else `IDLE`.
+    used_pos: u32,
+    /// Progressive-filling scratch, meaningful only inside `recompute`:
+    /// unfrozen members and the capacity left for them.
+    active: u32,
+    cap: f64,
 }
 
 impl LinkState {
+    fn new(spec: Link) -> LinkState {
+        LinkState {
+            spec,
+            reserved: 0.0,
+            enabled: true,
+            members: Vec::new(),
+            used_pos: IDLE,
+            active: 0,
+            cap: 0.0,
+        }
+    }
+
     fn effective(&self) -> f64 {
         if self.enabled {
             (self.spec.capacity - self.reserved).max(0.0)
@@ -249,22 +316,64 @@ impl LinkState {
 }
 
 /// A host's two access-link ports and zone assignment.
+#[derive(Clone, Copy)]
 struct HostPorts {
     up: u32,
     down: u32,
     zone: u32,
 }
 
+/// Who is where: host ports and zones, and the shared links between zones.
+/// Static once a host is registered, so a flow's route never changes.
+struct Routing {
+    /// Host ports indexed by `HostId::index()`.
+    hosts: Vec<Option<HostPorts>>,
+    zones: u32,
+    /// `(src_zone * zones + dst_zone)` → shared-link indices.
+    zone_paths: Vec<Vec<u32>>,
+    default_zone: u32,
+}
+
+impl Routing {
+    fn ports(&self, host: HostId) -> Option<HostPorts> {
+        *self.hosts.get(host.index())?
+    }
+
+    /// The links a flow from `src` to `dst` crosses, in path order: access
+    /// links plus the zone pair's shared links. Loopback skips the shared
+    /// links (a local copy does not cross the backbone).
+    fn route(&self, src: HostId, dst: HostId) -> Option<impl Iterator<Item = u32> + '_> {
+        let s = self.ports(src)?;
+        let d = self.ports(dst)?;
+        let shared: &[u32] = if src == dst {
+            &[]
+        } else {
+            &self.zone_paths[s.zone as usize * self.zones as usize + d.zone as usize]
+        };
+        Some(once(s.up).chain(shared.iter().copied()).chain(once(d.down)))
+    }
+}
+
+/// One link of a flow's route and where the flow sits in that link's list.
+#[derive(Clone, Copy, Default)]
+struct Hop {
+    link: u32,
+    pos: u32,
+}
+
 struct Flow {
+    id: u64,
     src: HostId,
-    dst: HostId,
-    /// Link ids crossed: `[src.up, shared…, dst.down]`. Computed at insert;
-    /// the topology is static, so it never changes mid-flow.
-    path: Vec<u32>,
+    /// Links crossed: the first `hops` entries of this slot's row of
+    /// `Inner::hops`, `[src.up, shared…, dst.down]`.
+    hops: u32,
     bytes: f64,
     remaining: f64,
     rate: f64,
     started: SimTime,
+    /// The settle (`Inner::epoch`) that last froze `rate`.
+    frozen: u64,
+    /// `None` marks a vacant slot.
     callback: Option<FlowCallback>,
 }
 
@@ -272,15 +381,21 @@ struct Inner {
     /// All links: shared topology links first, then per-host access links.
     links: Vec<LinkState>,
     n_shared: u32,
-    /// Host ports indexed by `HostId::index()`.
-    hosts: Vec<Option<HostPorts>>,
-    zones: u32,
-    /// `(src_zone * zones + dst_zone)` → shared-link indices.
-    zone_paths: Vec<Vec<u32>>,
-    default_zone: u32,
-    /// Active flows in id order — ordered storage is what makes progressive
-    /// filling bit-deterministic across runs.
-    flows: BTreeMap<u64, Flow>,
+    routing: Routing,
+    /// The flow slab: a flow keeps its slot for life, `free` lists the
+    /// vacant ones.
+    flows: Vec<Flow>,
+    free: Vec<u32>,
+    /// Row `slot` (`1 << row_shift` entries, enough for the longest route)
+    /// holds that flow's hops, so hop `h` belongs to slot `h >> row_shift`.
+    hops: Vec<Hop>,
+    row_shift: u32,
+    /// Live flows by id — the order callbacks and byte accounting follow.
+    index: BTreeMap<u64, u32>,
+    /// Links with at least one member, in arbitrary order.
+    used: Vec<u32>,
+    /// Settles so far; a flow is frozen in this one iff `frozen == epoch`.
+    epoch: u64,
     next_flow: u64,
     last_update: SimTime,
     pump_token: Option<EventToken>,
@@ -290,6 +405,9 @@ struct Inner {
     dirty: bool,
     /// Completed-bytes accounting for utilization reports.
     bytes_delivered: f64,
+    /// Settle with the whole-table reference allocator (differential tests).
+    #[cfg(test)]
+    reference: bool,
 }
 
 /// Handle to the shared flow network. Clone freely; all clones refer to the
@@ -313,71 +431,75 @@ impl FlowNet {
 
     /// Empty network routed over `topo`'s shared links.
     pub fn with_topology(topo: LinkTopology) -> FlowNet {
-        let links = topo
-            .shared
-            .iter()
-            .map(|&spec| LinkState {
-                spec,
-                reserved: 0.0,
-                enabled: true,
-            })
-            .collect::<Vec<_>>();
+        let links: Vec<LinkState> = topo.shared.iter().map(|&s| LinkState::new(s)).collect();
+        // A route is the two access links and at most `longest` shared ones.
+        let row = (2 + topo.longest).next_power_of_two();
         FlowNet {
             inner: Rc::new(RefCell::new(Inner {
                 n_shared: links.len() as u32,
                 links,
-                hosts: Vec::new(),
-                zones: topo.zones,
-                zone_paths: topo.paths,
-                default_zone: topo.default_zone,
-                flows: BTreeMap::new(),
+                routing: Routing {
+                    hosts: Vec::new(),
+                    zones: topo.zones,
+                    zone_paths: topo.paths,
+                    default_zone: topo.default_zone,
+                },
+                flows: Vec::new(),
+                free: Vec::new(),
+                hops: Vec::new(),
+                row_shift: row.trailing_zeros(),
+                index: BTreeMap::new(),
+                used: Vec::new(),
+                epoch: 0,
                 next_flow: 0,
                 last_update: SimTime::ZERO,
                 pump_token: None,
                 settle_pending: false,
                 dirty: false,
                 bytes_delivered: 0.0,
+                #[cfg(test)]
+                reference: false,
             })),
         }
     }
 
     /// Register a host with its access-link capacities (bytes/second) in the
-    /// topology's default zone. Re-registering updates the capacities in
-    /// place.
+    /// topology's default zone. See [`FlowNet::add_host_in_zone`] for
+    /// registering a host twice.
     pub fn add_host(&self, host: HostId, up: f64, down: f64) {
-        let zone = self.inner.borrow().default_zone;
+        let zone = self.inner.borrow().routing.default_zone;
         self.add_host_in_zone(host, up, down, zone);
     }
 
     /// [`FlowNet::add_host`] with an explicit zone (rack, site, homes…).
+    ///
+    /// Registering a host again updates its capacities in place (its zone
+    /// stays) and is allowed only while no flow crosses either of its access
+    /// links: nothing here can settle the allocation, so a flow in flight
+    /// would keep a rate computed from the old capacity. Panics otherwise.
     pub fn add_host_in_zone(&self, host: HostId, up: f64, down: f64, zone: u32) {
         let mut inner = self.inner.borrow_mut();
-        assert!(zone < inner.zones, "zone {zone} out of range");
+        assert!(zone < inner.routing.zones, "zone {zone} out of range");
         let idx = host.index();
-        if inner.hosts.len() <= idx {
-            inner.hosts.resize_with(idx + 1, || None);
+        if inner.routing.hosts.len() <= idx {
+            inner.routing.hosts.resize_with(idx + 1, || None);
         }
-        if let Some(ports) = &inner.hosts[idx] {
+        if let Some(ports) = inner.routing.hosts[idx] {
             let (u, d) = (ports.up as usize, ports.down as usize);
+            assert!(
+                inner.links[u].members.is_empty() && inner.links[d].members.is_empty(),
+                "host {host} re-registered while flows cross its access links"
+            );
             inner.links[u].spec.capacity = up;
             inner.links[d].spec.capacity = down;
             return;
         }
         let up_id = inner.links.len() as u32;
-        inner.links.push(LinkState {
-            spec: Link::new(up),
-            reserved: 0.0,
-            enabled: true,
-        });
-        let down_id = inner.links.len() as u32;
-        inner.links.push(LinkState {
-            spec: Link::new(down),
-            reserved: 0.0,
-            enabled: true,
-        });
-        inner.hosts[idx] = Some(HostPorts {
+        inner.links.push(LinkState::new(Link::new(up)));
+        inner.links.push(LinkState::new(Link::new(down)));
+        inner.routing.hosts[idx] = Some(HostPorts {
             up: up_id,
-            down: down_id,
+            down: up_id + 1,
             zone,
         });
     }
@@ -385,9 +507,9 @@ impl FlowNet {
     /// Reserve uplink bandwidth on a host (e.g. for protocol control
     /// traffic); pass 0 to clear. Reservation is clamped to the capacity.
     pub fn reserve_up(&self, sim: &mut Sim, host: HostId, bytes_per_sec: f64) {
-        let link = self.inner.borrow().port_of(host, true);
-        if let Some(l) = link {
-            self.reserve_link(sim, l, bytes_per_sec);
+        let ports = self.inner.borrow().routing.ports(host);
+        if let Some(p) = ports {
+            self.reserve_link(sim, LinkId(p.up), bytes_per_sec);
         }
     }
 
@@ -395,9 +517,9 @@ impl FlowNet {
     /// host — server-side control traffic (monitor ACKs, sync requests,
     /// announce datagrams) consumes the downlink too.
     pub fn reserve_down(&self, sim: &mut Sim, host: HostId, bytes_per_sec: f64) {
-        let link = self.inner.borrow().port_of(host, false);
-        if let Some(l) = link {
-            self.reserve_link(sim, l, bytes_per_sec);
+        let ports = self.inner.borrow().routing.ports(host);
+        if let Some(p) = ports {
+            self.reserve_link(sim, LinkId(p.down), bytes_per_sec);
         }
     }
 
@@ -406,7 +528,7 @@ impl FlowNet {
     pub fn reserve_link(&self, sim: &mut Sim, link: LinkId, bytes_per_sec: f64) {
         {
             let mut inner = self.inner.borrow_mut();
-            inner.advance(sim.now());
+            inner.advance(sim.now(), None);
             let ls = &mut inner.links[link.0 as usize];
             ls.reserved = bytes_per_sec.clamp(0.0, ls.spec.capacity);
             inner.dirty = true;
@@ -426,27 +548,30 @@ impl FlowNet {
         latency: SimDuration,
         callback: FlowCallback,
     ) -> FlowId {
-        let (id, path, total) = {
+        let (id, total) = {
             let mut inner = self.inner.borrow_mut();
             let id = inner.next_flow;
             inner.next_flow += 1;
-            match inner.path_of(src, dst) {
-                Some((path, plat)) => (id, Some(path), latency + plat),
-                None => (id, None, latency),
-            }
+            // A host registered only after this call still routes at insert,
+            // without its path's latency.
+            let propagation = inner.routing.route(src, dst).map(|route| {
+                route.fold(0u64, |lat, l| {
+                    lat.saturating_add(inner.links[l as usize].spec.latency.as_nanos())
+                })
+            });
+            (id, latency + SimDuration(propagation.unwrap_or(0)))
         };
         if total > SimDuration::ZERO {
             let net = self.clone();
             sim.schedule_in(total, move |sim| {
-                net.insert_flow(sim, id, src, dst, bytes, path, callback);
+                net.insert_flow(sim, id, src, dst, bytes, callback);
             });
         } else {
-            self.insert_flow(sim, id, src, dst, bytes, path, callback);
+            self.insert_flow(sim, id, src, dst, bytes, callback);
         }
         FlowId(id)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn insert_flow(
         &self,
         sim: &mut Sim,
@@ -454,87 +579,60 @@ impl FlowNet {
         src: HostId,
         dst: HostId,
         bytes: f64,
-        path: Option<Vec<u32>>,
         callback: FlowCallback,
     ) {
         let now = sim.now();
-        let mut immediate: Option<(FlowCallback, FlowOutcome)> = None;
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.advance(now);
-            // A host registered between start and insert still routes.
-            let path = path.or_else(|| inner.path_of(src, dst).map(|(p, _)| p));
-            let src_up = inner.host_enabled(src);
-            let dst_up = inner.host_enabled(dst);
-            match path {
-                Some(path) if src_up && dst_up => {
-                    if bytes <= 0.0 {
-                        immediate = Some((
-                            callback,
-                            FlowOutcome::Completed {
-                                finished_at: now,
-                                bytes: 0.0,
-                                duration: SimDuration::ZERO,
-                                avg_rate: 0.0,
-                            },
-                        ));
-                    } else {
-                        inner.flows.insert(
-                            id,
-                            Flow {
-                                src,
-                                dst,
-                                path,
-                                bytes,
-                                remaining: bytes,
-                                rate: 0.0,
-                                started: now,
-                                callback: Some(callback),
-                            },
-                        );
-                        inner.dirty = true;
-                    }
-                }
-                _ => {
-                    let reason = if !src_up {
-                        FlowFailure::SourceDown
-                    } else {
-                        FlowFailure::DestinationDown
-                    };
-                    immediate = Some((
-                        callback,
-                        FlowOutcome::Failed {
-                            reason,
-                            bytes_done: 0.0,
-                        },
-                    ));
-                }
-            }
-        }
-        if let Some((cb, outcome)) = immediate {
-            cb(sim, outcome);
+        let mut inner = self.inner.borrow_mut();
+        inner.advance(now, None);
+        // An unregistered host counts as down.
+        let src_up = inner.host_enabled(src);
+        let dst_up = inner.host_enabled(dst);
+        let immediate = if !(src_up && dst_up) {
+            let reason = if !src_up {
+                FlowFailure::SourceDown
+            } else {
+                FlowFailure::DestinationDown
+            };
+            Some(FlowOutcome::Failed {
+                reason,
+                bytes_done: 0.0,
+            })
+        } else if bytes <= 0.0 {
+            Some(FlowOutcome::Completed {
+                finished_at: now,
+                bytes: 0.0,
+                duration: SimDuration::ZERO,
+                avg_rate: 0.0,
+            })
         } else {
-            self.touch(sim);
+            None
+        };
+        match immediate {
+            Some(outcome) => {
+                drop(inner);
+                callback(sim, outcome);
+            }
+            None => {
+                inner.attach(id, src, dst, bytes, now, callback);
+                drop(inner);
+                self.touch(sim);
+            }
         }
     }
 
     /// Abort a flow. No-op if it already finished.
     pub fn cancel_flow(&self, sim: &mut Sim, flow: FlowId) {
-        let cb = {
+        let cancelled = {
             let mut inner = self.inner.borrow_mut();
-            inner.advance(sim.now());
-            let removed = inner.flows.remove(&flow.0);
-            if removed.is_some() {
-                inner.dirty = true;
-            }
-            removed.map(|mut f| {
-                (
-                    f.callback.take().expect("callback present"),
-                    f.bytes - f.remaining,
-                )
+            inner.advance(sim.now(), None);
+            let slot = inner.index.get(&flow.0).copied();
+            slot.map(|slot| {
+                let f = &inner.flows[slot as usize];
+                let done = f.bytes - f.remaining;
+                (inner.detach(slot), done)
             })
         };
-        if let Some((cb, done)) = cb {
+        if let Some((cb, done)) = cancelled {
             cb(
                 sim,
                 FlowOutcome::Failed {
@@ -554,32 +652,27 @@ impl FlowNet {
         let mut fired: Vec<(FlowCallback, FlowOutcome)> = Vec::new();
         {
             let mut inner = self.inner.borrow_mut();
-            inner.advance(sim.now());
-            if let Some((u, d)) = inner.ports_pair(host) {
-                inner.links[u as usize].enabled = enabled;
-                inner.links[d as usize].enabled = enabled;
-            }
-            if !enabled {
-                let dead: Vec<u64> = inner
-                    .flows
-                    .iter()
-                    .filter(|(_, f)| f.src == host || f.dst == host)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in dead {
-                    let mut f = inner.flows.remove(&id).expect("listed");
-                    let reason = if f.src == host {
-                        FlowFailure::SourceDown
-                    } else {
-                        FlowFailure::DestinationDown
-                    };
-                    fired.push((
-                        f.callback.take().expect("callback present"),
-                        FlowOutcome::Failed {
-                            reason,
-                            bytes_done: f.bytes - f.remaining,
-                        },
-                    ));
+            inner.advance(sim.now(), None);
+            if let Some(p) = inner.routing.ports(host) {
+                let (u, d) = (p.up as usize, p.down as usize);
+                inner.links[u].enabled = enabled;
+                inner.links[d].enabled = enabled;
+                if !enabled {
+                    // Every flow from the host is on its uplink's list, every
+                    // flow to it on its downlink's, a loopback on both.
+                    for slot in inner.slots_on(&[u, d]) {
+                        let f = &inner.flows[slot as usize];
+                        let reason = if f.src == host {
+                            FlowFailure::SourceDown
+                        } else {
+                            FlowFailure::DestinationDown
+                        };
+                        let bytes_done = f.bytes - f.remaining;
+                        fired.push((
+                            inner.detach(slot),
+                            FlowOutcome::Failed { reason, bytes_done },
+                        ));
+                    }
                 }
             }
             inner.dirty = true;
@@ -594,21 +687,20 @@ impl FlowNet {
     pub fn flow_rate(&self, flow: FlowId) -> Option<f64> {
         let mut inner = self.inner.borrow_mut();
         inner.settle();
-        inner.flows.get(&flow.0).map(|f| f.rate)
+        let slot = *inner.index.get(&flow.0)?;
+        Some(inner.flows[slot as usize].rate)
     }
 
     /// The link ids a flow's bytes cross (None once finished).
     pub fn flow_path(&self, flow: FlowId) -> Option<Vec<LinkId>> {
-        self.inner
-            .borrow()
-            .flows
-            .get(&flow.0)
-            .map(|f| f.path.iter().map(|&l| LinkId(l)).collect())
+        let inner = self.inner.borrow();
+        let slot = *inner.index.get(&flow.0)?;
+        Some(inner.hops_of(slot).iter().map(|h| LinkId(h.link)).collect())
     }
 
     /// Number of in-flight flows.
     pub fn active_flows(&self) -> usize {
-        self.inner.borrow().flows.len()
+        self.inner.borrow().index.len()
     }
 
     /// Total bytes delivered by completed or partial flows so far.
@@ -618,10 +710,8 @@ impl FlowNet {
 
     /// A host's `(uplink, downlink)` ids, if registered.
     pub fn host_links(&self, host: HostId) -> Option<(LinkId, LinkId)> {
-        self.inner
-            .borrow()
-            .ports_pair(host)
-            .map(|(u, d)| (LinkId(u), LinkId(d)))
+        let ports = self.inner.borrow().routing.ports(host)?;
+        Some((LinkId(ports.up), LinkId(ports.down)))
     }
 
     /// The topology's shared links, in declaration order.
@@ -650,12 +740,9 @@ impl FlowNet {
     pub fn link_load(&self, link: LinkId) -> f64 {
         let mut inner = self.inner.borrow_mut();
         inner.settle();
-        inner
-            .flows
-            .values()
-            .filter(|f| f.path.contains(&link.0))
-            .map(|f| f.rate)
-            .sum()
+        // An f64 sum: flow-id order keeps it what a walk of all flows gave.
+        let slots = inner.slots_on(&[link.0 as usize]);
+        slots.iter().map(|&s| inner.flows[s as usize].rate).sum()
     }
 
     /// Queue one settle event for the current instant (idempotent): it
@@ -684,9 +771,12 @@ impl FlowNet {
     fn reschedule(&self, sim: &mut Sim) {
         let (token, next) = {
             let mut inner = self.inner.borrow_mut();
-            inner.settle();
-            let token = inner.pump_token.take();
-            (token, inner.next_completion())
+            let next = if inner.dirty {
+                inner.fill()
+            } else {
+                inner.next_completion()
+            };
+            (inner.pump_token.take(), next)
         };
         if let Some(tok) = token {
             sim.cancel(tok);
@@ -705,34 +795,26 @@ impl FlowNet {
             let mut inner = self.inner.borrow_mut();
             inner.pump_token = None;
             let now = sim.now();
-            inner.advance(now);
-            let finished: Vec<u64> = inner
-                .flows
-                .iter()
-                .filter(|(_, f)| f.remaining <= 1e-6)
-                .map(|(id, _)| *id)
-                .collect();
-            for id in finished {
-                let mut f = inner.flows.remove(&id).expect("listed");
-                let duration = now - f.started;
+            let mut finished = Vec::new();
+            inner.advance(now, Some(&mut finished));
+            for slot in finished {
+                let f = &inner.flows[slot as usize];
+                let (bytes, duration) = (f.bytes, now - f.started);
                 let secs = duration.as_secs_f64();
-                let avg = if secs > 0.0 {
-                    f.bytes / secs
+                let avg_rate = if secs > 0.0 {
+                    bytes / secs
                 } else {
                     f64::INFINITY
                 };
                 done.push((
-                    f.callback.take().expect("callback present"),
+                    inner.detach(slot),
                     FlowOutcome::Completed {
                         finished_at: now,
-                        bytes: f.bytes,
+                        bytes,
                         duration,
-                        avg_rate: avg,
+                        avg_rate,
                     },
                 ));
-            }
-            if !done.is_empty() {
-                inner.dirty = true;
             }
         }
         for (cb, outcome) in done {
@@ -742,63 +824,239 @@ impl FlowNet {
     }
 }
 
+/// When a flow with `remaining` bytes at `rate > 0` completes, seen from
+/// `from`. At least 1 ns ahead: a sub-nanosecond residue must still move the
+/// clock, or the pump would re-fire at the same instant forever.
+fn completion(from: SimTime, remaining: f64, rate: f64) -> SimTime {
+    let d = SimDuration::from_secs_f64(remaining / rate);
+    from + SimDuration(d.0.max(1))
+}
+
 impl Inner {
-    /// One access-link id of `host` (`up = true` for the uplink).
-    fn port_of(&self, host: HostId, up: bool) -> Option<LinkId> {
-        self.hosts
-            .get(host.index())
-            .and_then(|p| p.as_ref().map(|p| LinkId(if up { p.up } else { p.down })))
-    }
-
-    fn ports_pair(&self, host: HostId) -> Option<(u32, u32)> {
-        self.hosts
-            .get(host.index())
-            .and_then(|p| p.as_ref().map(|p| (p.up, p.down)))
-    }
-
     fn host_enabled(&self, host: HostId) -> bool {
-        self.ports_pair(host)
-            .map(|(u, _)| self.links[u as usize].enabled)
-            .unwrap_or(false)
+        self.routing
+            .ports(host)
+            .is_some_and(|p| self.links[p.up as usize].enabled)
     }
 
-    /// Route `(src, dst)`: access links plus the zone pair's shared links,
-    /// and the summed propagation latency. Loopback skips the shared links
-    /// (a local copy does not cross the backbone).
-    fn path_of(&self, src: HostId, dst: HostId) -> Option<(Vec<u32>, SimDuration)> {
-        let s = self.hosts.get(src.index())?.as_ref()?;
-        let d = self.hosts.get(dst.index())?.as_ref()?;
-        let mut path = Vec::with_capacity(4);
-        path.push(s.up);
-        if src != dst {
-            let key = (s.zone as usize) * self.zones as usize + d.zone as usize;
-            path.extend_from_slice(&self.zone_paths[key]);
-        }
-        path.push(d.down);
-        let mut lat = 0u64;
-        for &l in &path {
-            lat = lat.saturating_add(self.links[l as usize].spec.latency.as_nanos());
-        }
-        Some((path, SimDuration(lat)))
+    fn hops_of(&self, slot: u32) -> &[Hop] {
+        let row = (slot as usize) << self.row_shift;
+        &self.hops[row..row + self.flows[slot as usize].hops as usize]
     }
 
-    /// Accrue `rate × dt` progress on every flow.
-    fn advance(&mut self, now: SimTime) {
+    /// The slots of the flows that cross any of `links`, each once, by
+    /// ascending flow id.
+    fn slots_on(&self, links: &[usize]) -> Vec<u32> {
+        let hops = links.iter().flat_map(|&l| &self.links[l].members);
+        let mut slots: Vec<u32> = hops.map(|&h| h >> self.row_shift).collect();
+        slots.sort_unstable_by_key(|&slot| self.flows[slot as usize].id);
+        slots.dedup();
+        slots
+    }
+
+    /// Give a new flow a slot and enter it on every link of its route (both
+    /// hosts are registered).
+    fn attach(
+        &mut self,
+        id: u64,
+        src: HostId,
+        dst: HostId,
+        bytes: f64,
+        now: SimTime,
+        callback: FlowCallback,
+    ) {
+        let flow = Flow {
+            id,
+            src,
+            hops: 0,
+            bytes,
+            remaining: bytes,
+            rate: 0.0,
+            started: now,
+            frozen: 0,
+            callback: Some(callback),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.flows[slot as usize] = flow;
+                slot
+            }
+            None => {
+                self.flows.push(flow);
+                let rows = self.flows.len() << self.row_shift;
+                assert!(rows <= u32::MAX as usize, "hop table outgrew u32 indices");
+                self.hops.resize(rows, Hop::default());
+                (self.flows.len() - 1) as u32
+            }
+        };
+        let row = slot << self.row_shift;
+        let route = self.routing.route(src, dst).expect("both hosts registered");
+        let mut h = row;
+        for link in route {
+            let ls = &mut self.links[link as usize];
+            if ls.members.is_empty() {
+                ls.used_pos = self.used.len() as u32;
+                self.used.push(link);
+            }
+            self.hops[h as usize] = Hop {
+                link,
+                pos: ls.members.len() as u32,
+            };
+            ls.members.push(h);
+            h += 1;
+        }
+        self.flows[slot as usize].hops = h - row;
+        self.index.insert(id, slot);
+        self.dirty = true;
+        self.debug_check();
+    }
+
+    /// Take a live flow off every link of its route and vacate its slot; its
+    /// other fields stay readable until the slot is reused.
+    fn detach(&mut self, slot: u32) -> FlowCallback {
+        let row = slot << self.row_shift;
+        for h in row..row + self.flows[slot as usize].hops {
+            let Hop { link, pos } = self.hops[h as usize];
+            let ls = &mut self.links[link as usize];
+            ls.members.swap_remove(pos as usize);
+            if let Some(&moved) = ls.members.get(pos as usize) {
+                // The list's former tail sits at `pos` now.
+                self.hops[moved as usize].pos = pos;
+            }
+            if ls.members.is_empty() {
+                let at = std::mem::replace(&mut ls.used_pos, IDLE) as usize;
+                self.used.swap_remove(at);
+                if let Some(&moved) = self.used.get(at) {
+                    self.links[moved as usize].used_pos = at as u32;
+                }
+            }
+        }
+        let f = &mut self.flows[slot as usize];
+        let callback = f.callback.take().expect("detached flow was live");
+        self.index.remove(&f.id);
+        self.free.push(slot);
+        self.dirty = true;
+        self.debug_check();
+        callback
+    }
+
+    fn debug_check(&self) {
+        #[cfg(debug_assertions)]
+        if self.links.len() <= DEBUG_CHECK_MAX && self.flows.len() <= DEBUG_CHECK_MAX {
+            if let Err(e) = self.check_members() {
+                panic!("flow membership out of step: {e}");
+            }
+        }
+    }
+
+    /// Recompute the membership state from the slab — each link's members,
+    /// the in-use set, every stored position, the free list — and compare it
+    /// with the maintained one (see the module docs' *Determinism*).
+    #[cfg(any(test, debug_assertions))]
+    fn check_members(&self) -> Result<(), String> {
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); self.links.len()];
+        let mut seen = vec![false; self.flows.len()];
+        // A flow's destination is whoever owns its last hop's downlink.
+        let mut down_of = vec![None; self.links.len()];
+        for (host, ports) in self.routing.hosts.iter().enumerate() {
+            if let Some(ports) = ports {
+                down_of[ports.down as usize] = Some(HostId(host as u32));
+            }
+        }
+        for (&id, &slot) in &self.index {
+            let f = self
+                .flows
+                .get(slot as usize)
+                .ok_or_else(|| format!("flow {id} indexed at missing slot {slot}"))?;
+            if f.id != id
+                || f.callback.is_none()
+                || std::mem::replace(&mut seen[slot as usize], true)
+            {
+                return Err(format!("flow {id} indexed at slot {slot} of flow {}", f.id));
+            }
+            let hops = self.hops_of(slot);
+            let route = hops
+                .last()
+                .and_then(|last| down_of[last.link as usize])
+                .and_then(|dst| self.routing.route(f.src, dst))
+                .ok_or_else(|| format!("flow {id} ends at nobody's downlink"))?;
+            if !hops.iter().map(|h| h.link).eq(route) {
+                return Err(format!("flow {id} hops differ from its route"));
+            }
+            for (h, hop) in (slot << self.row_shift..).zip(hops) {
+                if self.links[hop.link as usize].members.get(hop.pos as usize) != Some(&h) {
+                    return Err(format!("flow {id} not at {} of link {}", hop.pos, hop.link));
+                }
+                members[hop.link as usize].push(h);
+            }
+        }
+        for &slot in &self.free {
+            let live = self.flows[slot as usize].callback.is_some();
+            if live || std::mem::replace(&mut seen[slot as usize], true) {
+                return Err(format!(
+                    "slot {slot} on the free list is live or listed twice"
+                ));
+            }
+        }
+        if let Some(slot) = seen.iter().position(|&s| !s) {
+            return Err(format!("vacant slot {slot} missing from the free list"));
+        }
+        let mut used = Vec::new();
+        for (l, (ls, want)) in self.links.iter().zip(&mut members).enumerate() {
+            let mut have = ls.members.clone();
+            have.sort_unstable();
+            want.sort_unstable();
+            if have != *want {
+                return Err(format!("link {l} lists hops {have:?}, on it are {want:?}"));
+            }
+            if want.is_empty() {
+                if ls.used_pos != IDLE {
+                    return Err(format!("idle link {l} has used_pos {}", ls.used_pos));
+                }
+            } else {
+                if self.used.get(ls.used_pos as usize) != Some(&(l as u32)) {
+                    return Err(format!("link {l} not at {} of `used`", ls.used_pos));
+                }
+                used.push(l as u32);
+            }
+        }
+        if used.len() != self.used.len() {
+            return Err(format!("`used` is {:?}, in use are {used:?}", self.used));
+        }
+        Ok(())
+    }
+
+    /// Accrue `rate × dt` progress on every flow, in flow-id order
+    /// (`bytes_delivered` is a running sum). With `finished`, also list the
+    /// slots of the flows that have nothing left, even when `dt` is zero.
+    fn advance(&mut self, now: SimTime, mut finished: Option<&mut Vec<u32>>) {
         let dt = (now - self.last_update).as_secs_f64();
         self.last_update = now;
-        if dt <= 0.0 {
+        if dt <= 0.0 && finished.is_none() {
             return;
         }
-        debug_assert!(!self.dirty, "advanced virtual time over stale rates");
-        for f in self.flows.values_mut() {
-            let moved = (f.rate * dt).min(f.remaining);
-            f.remaining -= moved;
-            self.bytes_delivered += moved;
-            // Completion epsilon scales with the flow size: f64 accumulation
-            // error on a multi-gigabyte flow dwarfs an absolute 1e-6.
-            if f.remaining < (f.bytes * 1e-9).max(1e-6) {
-                self.bytes_delivered += f.remaining;
-                f.remaining = 0.0;
+        debug_assert!(
+            dt <= 0.0 || !self.dirty,
+            "advanced virtual time over stale rates"
+        );
+        for &slot in self.index.values() {
+            let f = &mut self.flows[slot as usize];
+            if dt > 0.0 {
+                let moved = (f.rate * dt).min(f.remaining);
+                f.remaining -= moved;
+                self.bytes_delivered += moved;
+                // Completion epsilon scales with the flow size: f64
+                // accumulation error on a multi-gigabyte flow dwarfs an
+                // absolute 1e-6.
+                if f.remaining < (f.bytes * 1e-9).max(1e-6) {
+                    self.bytes_delivered += f.remaining;
+                    f.remaining = 0.0;
+                }
+            }
+            if let Some(finished) = finished.as_deref_mut() {
+                if f.remaining <= 1e-6 {
+                    finished.push(slot);
+                }
             }
         }
     }
@@ -806,89 +1064,95 @@ impl Inner {
     /// Recompute rates if any mutation happened since the last filling.
     fn settle(&mut self) {
         if self.dirty {
-            self.recompute();
+            self.fill();
         }
+    }
+
+    /// Recompute rates; returns the earliest completion.
+    fn fill(&mut self) -> Option<SimTime> {
+        #[cfg(test)]
+        if self.reference {
+            self.recompute_reference();
+            return self.next_completion();
+        }
+        self.recompute()
     }
 
     /// Max-min fair allocation via progressive filling over *links*: find
     /// the link with the smallest fair share, freeze its flows at that
     /// share, subtract their rates from every other link on their paths,
-    /// repeat. Links and flows are iterated in id order, so the allocation
-    /// (including f64 rounding) is identical on every run.
-    fn recompute(&mut self) {
+    /// repeat. Walks the maintained member lists and nothing else: no
+    /// allocation, no lookup by id. Returns the earliest completion.
+    fn recompute(&mut self) -> Option<SimTime> {
         self.dirty = false;
-        if self.flows.is_empty() {
-            return;
+        self.epoch += 1;
+        let (epoch, row_shift) = (self.epoch, self.row_shift);
+        for &l in &self.used {
+            let ls = &mut self.links[l as usize];
+            ls.cap = ls.effective();
+            ls.active = ls.members.len() as u32;
         }
-        let nl = self.links.len();
-        let mut cap = vec![0.0f64; nl];
-        let mut active = vec![0u32; nl];
-        let mut members: Vec<Vec<u64>> = vec![Vec::new(); nl];
-        let mut touched: Vec<u32> = Vec::new();
-        for (&id, f) in &self.flows {
-            for &l in &f.path {
-                if active[l as usize] == 0 {
-                    touched.push(l);
-                    cap[l as usize] = self.links[l as usize].effective();
-                }
-                active[l as usize] += 1;
-                members[l as usize].push(id);
-            }
-        }
-        touched.sort_unstable();
-
-        let mut frozen: HashMap<u64, f64> = HashMap::with_capacity(self.flows.len());
-        let mut remaining = self.flows.len();
-        while remaining > 0 {
+        let mut unfrozen = self.index.len();
+        let mut next: Option<SimTime> = None;
+        while unfrozen > 0 {
             // Bottleneck: the link with the smallest fair share; ties go to
-            // the lowest link id (strict `<` keeps the first seen).
+            // the lowest link id.
             let mut best: Option<(u32, f64)> = None;
-            for &l in &touched {
-                let a = active[l as usize];
-                if a == 0 {
+            for &l in &self.used {
+                let ls = &self.links[l as usize];
+                if ls.active == 0 {
                     continue;
                 }
-                let share = cap[l as usize] / a as f64;
-                if best.is_none_or(|(_, s)| share < s) {
+                let share = ls.cap / ls.active as f64;
+                if best.is_none_or(|(b, s)| share < s || (share == s && l < b)) {
                     best = Some((l, share));
                 }
             }
-            let Some((bl, share)) = best else { break };
-            for fid in members[bl as usize].clone() {
-                if frozen.contains_key(&fid) {
+            let (bl, share) = best.expect("an unfrozen flow keeps every link of its route active");
+            let members = std::mem::take(&mut self.links[bl as usize].members);
+            let mut least = f64::INFINITY;
+            for &h in &members {
+                let slot = (h >> row_shift) as usize;
+                let f = &mut self.flows[slot];
+                if f.frozen == epoch {
                     continue;
                 }
-                frozen.insert(fid, share);
-                remaining -= 1;
-                let path = self.flows[&fid].path.clone();
-                for other in path {
-                    if other == bl {
+                f.frozen = epoch;
+                f.rate = share;
+                least = least.min(f.remaining);
+                unfrozen -= 1;
+                let row = slot << row_shift;
+                for hop in &self.hops[row..row + f.hops as usize] {
+                    if hop.link == bl {
                         continue;
                     }
-                    cap[other as usize] = (cap[other as usize] - share).max(0.0);
-                    active[other as usize] = active[other as usize].saturating_sub(1);
+                    let other = &mut self.links[hop.link as usize];
+                    other.cap = (other.cap - share).max(0.0);
+                    other.active = other.active.saturating_sub(1);
                 }
             }
-            cap[bl as usize] = 0.0;
-            active[bl as usize] = 0;
+            let ls = &mut self.links[bl as usize];
+            ls.members = members;
+            ls.cap = 0.0;
+            ls.active = 0;
+            // Flows frozen together finish in order of bytes left, and
+            // `completion` is monotone in them: one division per round.
+            if share > 0.0 {
+                let at = completion(self.last_update, least, share);
+                next = Some(next.map_or(at, |n| n.min(at)));
+            }
         }
-
-        for (id, f) in self.flows.iter_mut() {
-            f.rate = frozen.get(id).copied().unwrap_or(0.0);
-        }
+        next
     }
 
-    /// Earliest completion time across flows with positive rate. Clamped to
-    /// at least 1 ns in the future: a sub-nanosecond residue must still move
-    /// the clock, or the pump would re-fire at the same instant forever.
+    /// Earliest completion time across flows with positive rate, for when
+    /// progress moved but rates did not.
     fn next_completion(&self) -> Option<SimTime> {
-        self.flows
+        self.index
             .values()
+            .map(|&slot| &self.flows[slot as usize])
             .filter(|f| f.rate > 0.0)
-            .map(|f| {
-                let d = SimDuration::from_secs_f64(f.remaining / f.rate);
-                self.last_update + SimDuration(d.0.max(1))
-            })
+            .map(|f| completion(self.last_update, f.remaining, f.rate))
             .min()
     }
 }
@@ -1412,9 +1676,9 @@ mod tests {
 
     #[test]
     fn allocation_is_pinned_across_runs() {
-        // Determinism regression pin (the satellite fix): the flows/links
-        // tables are ordered storage, so progressive filling visits
-        // resources in id order and the full completion sequence — instants
+        // Determinism regression pin: the allocation does not depend on the
+        // order member lists happen to be in, and callbacks run in flow-id
+        // order (module docs), so the full completion sequence — instants
         // and exact f64 byte counts — is IDENTICAL on every run, build and
         // platform. The sequence is folded into an FNV-1a digest and
         // compared against a recorded constant, like `ChurnPlan::random`'s
@@ -1477,4 +1741,379 @@ mod tests {
     /// Recorded by running `allocation_is_pinned_across_runs` once; see the
     /// test for the re-pinning policy.
     const PINNED_ALLOCATION_DIGEST: u64 = 2_102_658_964_153_548_870;
+
+    // ---- membership state and the differential oracle -------------------
+
+    #[test]
+    fn idle_host_may_be_registered_again() {
+        let mut sim = Sim::new(0);
+        let net = FlowNet::new();
+        let (a, b) = (HostId(0), HostId(1));
+        net.add_host(a, 100.0, 100.0);
+        net.add_host(b, 1000.0, 1000.0);
+        let (log, mk) = collect();
+        net.start_flow(&mut sim, a, b, 100.0, SimDuration::ZERO, mk());
+        sim.run();
+        // Nothing crosses a's links any more: the new capacity applies to
+        // the next flow, and the port ids stay.
+        let ports = net.host_links(a);
+        net.add_host(a, 50.0, 100.0);
+        assert_eq!(net.host_links(a), ports);
+        let f = net.start_flow(&mut sim, a, b, 100.0, SimDuration::ZERO, mk());
+        assert_eq!(net.flow_rate(f), Some(50.0));
+        sim.run();
+        assert!((finish_time(&log.borrow()[1]) - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "host h0 re-registered while flows cross its access links")]
+    fn registering_a_host_again_under_a_flow_panics() {
+        let mut sim = Sim::new(0);
+        let net = FlowNet::new();
+        net.add_host(HostId(0), 100.0, 100.0);
+        net.add_host(HostId(1), 1000.0, 1000.0);
+        let (_log, mk) = collect();
+        net.start_flow(&mut sim, HostId(1), HostId(0), 1e6, SimDuration::ZERO, mk());
+        // The flow would keep its 100 B/s share of the old downlink.
+        net.add_host(HostId(0), 100.0, 10.0);
+    }
+
+    impl Inner {
+        /// The allocator as it was while membership was rebuilt per settle,
+        /// kept as the differential oracle: member lists, `cap`, `active`
+        /// and the frozen map are made from the whole flow table on every
+        /// call and flows fill in id order.
+        pub(super) fn recompute_reference(&mut self) {
+            use std::collections::HashMap;
+            self.dirty = false;
+            let paths: BTreeMap<u64, Vec<u32>> = self
+                .index
+                .iter()
+                .map(|(&id, &slot)| (id, self.hops_of(slot).iter().map(|h| h.link).collect()))
+                .collect();
+            if paths.is_empty() {
+                return;
+            }
+            let nl = self.links.len();
+            let mut cap = vec![0.0f64; nl];
+            let mut active = vec![0u32; nl];
+            let mut members: Vec<Vec<u64>> = vec![Vec::new(); nl];
+            let mut touched: Vec<u32> = Vec::new();
+            for (&id, path) in &paths {
+                for &l in path {
+                    if active[l as usize] == 0 {
+                        touched.push(l);
+                        cap[l as usize] = self.links[l as usize].effective();
+                    }
+                    active[l as usize] += 1;
+                    members[l as usize].push(id);
+                }
+            }
+            touched.sort_unstable();
+
+            let mut frozen: HashMap<u64, f64> = HashMap::with_capacity(paths.len());
+            let mut remaining = paths.len();
+            while remaining > 0 {
+                let mut best: Option<(u32, f64)> = None;
+                for &l in &touched {
+                    let a = active[l as usize];
+                    if a == 0 {
+                        continue;
+                    }
+                    let share = cap[l as usize] / a as f64;
+                    if best.is_none_or(|(_, s)| share < s) {
+                        best = Some((l, share));
+                    }
+                }
+                let Some((bl, share)) = best else { break };
+                for fid in members[bl as usize].clone() {
+                    if frozen.contains_key(&fid) {
+                        continue;
+                    }
+                    frozen.insert(fid, share);
+                    remaining -= 1;
+                    for &other in &paths[&fid] {
+                        if other == bl {
+                            continue;
+                        }
+                        cap[other as usize] = (cap[other as usize] - share).max(0.0);
+                        active[other as usize] = active[other as usize].saturating_sub(1);
+                    }
+                }
+                cap[bl as usize] = 0.0;
+                active[bl as usize] = 0;
+            }
+            for (id, &slot) in &self.index {
+                self.flows[slot as usize].rate = frozen.get(id).copied().unwrap_or(0.0);
+            }
+        }
+    }
+
+    /// What every terminal callback of one side of a [`Pair`] logs: (flow
+    /// tag, instant, outcome bits).
+    type OutcomeLog = Rc<RefCell<Vec<(u64, u64, u64)>>>;
+
+    /// Two nets over the same topology driven in lockstep: `new` settles
+    /// with the maintained membership, `old` with `recompute_reference`.
+    struct Pair {
+        new: (Sim, FlowNet),
+        old: (Sim, FlowNet),
+        logs: [OutcomeLog; 2],
+        /// Flow ids in start order (the same on both sides).
+        started: Vec<FlowId>,
+    }
+
+    impl Pair {
+        fn new(build: impl Fn() -> FlowNet) -> Pair {
+            let old = build();
+            old.inner.borrow_mut().reference = true;
+            Pair {
+                new: (Sim::new(5), build()),
+                old: (Sim::new(5), old),
+                logs: Default::default(),
+                started: Vec::new(),
+            }
+        }
+
+        /// Apply one mutation to both sides.
+        fn both(&mut self, op: impl Fn(&mut Sim, &FlowNet)) {
+            op(&mut self.new.0, &self.new.1);
+            op(&mut self.old.0, &self.old.1);
+        }
+
+        fn start(&mut self, src: HostId, dst: HostId, bytes: f64, latency: SimDuration) {
+            let tag = self.started.len() as u64;
+            let mut ids = [FlowId(0); 2];
+            for (side, (sim, net)) in [&mut self.new, &mut self.old].into_iter().enumerate() {
+                let log = Rc::clone(&self.logs[side]);
+                ids[side] = net.start_flow(
+                    sim,
+                    src,
+                    dst,
+                    bytes,
+                    latency,
+                    Box::new(move |sim, out| {
+                        let bits = match out {
+                            FlowOutcome::Completed { bytes, .. } => bytes.to_bits(),
+                            FlowOutcome::Failed { bytes_done, .. } => !bytes_done.to_bits(),
+                        };
+                        log.borrow_mut().push((tag, sim.now().as_nanos(), bits));
+                    }),
+                );
+            }
+            assert_eq!(ids[0], ids[1]);
+            self.started.push(ids[0]);
+        }
+
+        fn run_until(&mut self, at: SimTime) {
+            self.new.0.run_until(at);
+            self.old.0.run_until(at);
+        }
+
+        /// The maintained membership is what the slab implies.
+        fn check(&self) {
+            if let Err(e) = self.new.1.inner.borrow().check_members() {
+                panic!("membership out of step: {e}");
+            }
+        }
+
+        /// Every rate, bit for bit, and everything delivered so far, is the
+        /// reference's.
+        fn assert_same(&self, when: &str) {
+            self.check();
+            for &f in &self.started {
+                let (a, b) = (self.new.1.flow_rate(f), self.old.1.flow_rate(f));
+                assert_eq!(
+                    a.map(f64::to_bits),
+                    b.map(f64::to_bits),
+                    "{when}: rate of {f:?} is {a:?}, the reference says {b:?}"
+                );
+            }
+            assert_eq!(*self.logs[0].borrow(), *self.logs[1].borrow(), "{when}");
+            assert_eq!(
+                self.new.1.bytes_delivered().to_bits(),
+                self.old.1.bytes_delivered().to_bits(),
+                "{when}: bytes_delivered"
+            );
+            assert_eq!(self.new.0.now(), self.old.0.now(), "{when}");
+            assert_eq!(
+                self.new.0.events_executed(),
+                self.old.0.events_executed(),
+                "{when}"
+            );
+        }
+    }
+
+    /// Hosts of the generated schedules, with unequal access links.
+    const HOSTS: u32 = 8;
+
+    fn register_hosts(net: &FlowNet, zone_of: impl Fn(u32) -> u32) {
+        for h in 0..HOSTS {
+            let down = 8_000.0 + 3_000.0 * h as f64;
+            net.add_host_in_zone(HostId(h), down / 2.0, down, zone_of(h));
+        }
+    }
+
+    /// The four shapes of the differential test: flat star, two racks of
+    /// four behind 16:1 aggregation links, the volunteer WAN, and one zone
+    /// whose every flow crosses the same pipe three times (so that a
+    /// flow's own hops chase each other through one member list).
+    fn shape(kind: u8) -> FlowNet {
+        let pipe = Link::new(6_000.0);
+        match kind {
+            0 => {
+                let net = FlowNet::new();
+                register_hosts(&net, |_| 0);
+                net
+            }
+            1 => {
+                let agg = Link::new(4.0 * 8_000.0 / 16.0).with_latency(SimDuration::from_millis(3));
+                let net = FlowNet::with_topology(LinkTopology::datacenter(2, agg));
+                register_hosts(&net, |h| h / 4);
+                net
+            }
+            2 => {
+                let net = FlowNet::with_topology(LinkTopology::volunteer_wan(pipe, pipe));
+                register_hosts(&net, |h| u32::from(h != 0));
+                net
+            }
+            _ => {
+                let net = FlowNet::with_topology(LinkTopology::custom(1, vec![pipe], |_, _| {
+                    vec![0, 0, 0]
+                }));
+                register_hosts(&net, |_| 0);
+                net
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn maintained_membership_matches_the_whole_table_reference(
+            kind in 0..4u8,
+            // ((op, a, b, c), ms since the previous op, read rates right after)
+            ops in proptest::collection::vec(
+                (
+                    (0..12u8, 0..HOSTS, 0..HOSTS, 0..400_000u64),
+                    0..900u64,
+                    proptest::bool::ANY,
+                ),
+                1..60,
+            ),
+        ) {
+            let mut pair = Pair::new(|| shape(kind));
+            let mut clock = SimTime::ZERO;
+            for &((op, a, b, c), gap_ms, probe) in &ops {
+                // Three ops in ten land on the instant of the one before.
+                clock += SimDuration::from_millis(if gap_ms < 270 { 0 } else { gap_ms });
+                pair.run_until(clock);
+                // Rates the settle events left behind…
+                pair.assert_same("between ops");
+                let (ha, hb) = (HostId(a), HostId(b));
+                match op {
+                    // Flows: loopback when a == b, one in eight empty, one
+                    // in four after a start-up latency.
+                    0..=5 => {
+                        let bytes = if c % 8 == 0 { 0.0 } else { c as f64 };
+                        let latency_ms = if c % 4 == 1 { c % 700 } else { 0 };
+                        pair.start(ha, hb, bytes, SimDuration::from_millis(latency_ms));
+                    }
+                    6 => {
+                        if !pair.started.is_empty() {
+                            let f = pair.started[c as usize % pair.started.len()];
+                            pair.both(|sim, net| net.cancel_flow(sim, f));
+                        }
+                    }
+                    7 => pair.both(|sim, net| net.set_host_enabled(sim, ha, false)),
+                    8 => pair.both(|sim, net| net.set_host_enabled(sim, ha, true)),
+                    // Reservations of 0, 1/4, 1/2 and all of the capacity:
+                    // the last leaves the link's flows at rate zero.
+                    9 | 10 => pair.both(|sim, net| {
+                        let (up, down) = net.host_links(ha).expect("registered");
+                        let l = if op == 9 { up } else { down };
+                        let rate = net.link_spec(l).capacity * (c % 4) as f64 / 4.0;
+                        if op == 9 {
+                            net.reserve_up(sim, ha, rate);
+                        } else {
+                            net.reserve_down(sim, ha, rate);
+                        }
+                    }),
+                    _ => pair.both(|sim, net| {
+                        if let Some(&l) = net.shared_links().get(b as usize % 4) {
+                            let rate = net.link_spec(l).capacity * (c % 4) as f64 / 4.0;
+                            net.reserve_link(sim, l, rate);
+                        }
+                    }),
+                }
+                pair.check();
+                // …and, on some ops, rates read before the settle event runs.
+                if probe {
+                    pair.assert_same("after an op");
+                }
+            }
+            // Drain: with every host up and nothing reserved, every flow ends.
+            pair.both(|sim, net| {
+                for h in 0..HOSTS {
+                    net.set_host_enabled(sim, HostId(h), true);
+                    net.reserve_up(sim, HostId(h), 0.0);
+                    net.reserve_down(sim, HostId(h), 0.0);
+                }
+                for l in net.shared_links() {
+                    net.reserve_link(sim, l, 0.0);
+                }
+            });
+            pair.run_until(SimTime::INFINITY);
+            pair.assert_same("at drain");
+            proptest::prop_assert_eq!(pair.new.1.active_flows(), 0);
+            proptest::prop_assert_eq!(pair.logs[0].borrow().len(), pair.started.len());
+        }
+    }
+
+    #[test]
+    fn ten_thousand_flows_on_an_oversubscribed_fabric_match_the_reference() {
+        // Hundreds of members per link: 25 racks of 16 behind 16:1
+        // aggregation links, 10 000 flows between random hosts.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const RACKS: u32 = 25;
+        const PER_RACK: u32 = 16;
+        const GBE: f64 = 125.0e6;
+        let mut pair = Pair::new(|| {
+            let net = FlowNet::with_topology(LinkTopology::datacenter(
+                RACKS as usize,
+                Link::new(PER_RACK as f64 * GBE / 16.0),
+            ));
+            for h in 0..RACKS * PER_RACK {
+                net.add_host_in_zone(HostId(h), GBE, GBE, h / PER_RACK);
+            }
+            net
+        });
+        let mut rng = SmallRng::seed_from_u64(13);
+        let mut host = move || HostId(rng.gen_range(0..RACKS * PER_RACK));
+        let mut sizes = SmallRng::seed_from_u64(14);
+        for _ in 0..10_000 {
+            let bytes = sizes.gen_range(1.0e3..4.0e7);
+            pair.start(host(), host(), bytes, SimDuration::ZERO);
+        }
+        pair.assert_same("after the arrival wave");
+        let mut clock = SimTime::ZERO;
+        for round in 0..12u32 {
+            // Some completions, then one mutation of each kind.
+            clock += SimDuration::from_millis(10);
+            pair.run_until(clock);
+            pair.assert_same("between ops");
+            let (h, f) = (host(), pair.started[round as usize * 797]);
+            match round % 4 {
+                0 => pair.both(|sim, net| net.set_host_enabled(sim, h, false)),
+                1 => pair.both(|sim, net| net.cancel_flow(sim, f)),
+                2 => pair.both(|sim, net| net.reserve_link(sim, LinkId(round), GBE / 3.0)),
+                _ => pair.start(h, host(), 1.0e6, SimDuration::from_millis(1)),
+            }
+            pair.assert_same("after an op");
+        }
+        assert!(pair.logs[0].borrow().len() > 50, "the case saw completions");
+        assert!(pair.new.1.active_flows() > 5_000, "and stayed dense");
+    }
 }
