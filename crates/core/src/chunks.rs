@@ -50,7 +50,7 @@ use bitdew_transport::ftp::FtpRangeClient;
 use bitdew_transport::oob::{
     OobTransfer, TransferStatus, TransferVerdict, TransportError, TransportResult,
 };
-use bitdew_transport::{Fabric, FileStore, ProtocolId, StoreError};
+use bitdew_transport::{Fabric, FileStore, ProtocolId};
 use bitdew_util::Auid;
 
 use crate::api::{BitdewError, Result};
@@ -133,42 +133,6 @@ impl ChunkManifest {
             total: content.len() as u64,
             chunks,
         }
-    }
-
-    /// Describe an object already in a [`FileStore`] without loading it
-    /// whole: chunks are read and hashed one at a time.
-    pub fn describe_store(
-        data: DataId,
-        chunk_size: u64,
-        store: &dyn FileStore,
-        object: &str,
-    ) -> std::result::Result<ChunkManifest, StoreError> {
-        let chunk_size = if chunk_size == 0 {
-            DEFAULT_CHUNK_SIZE
-        } else {
-            chunk_size
-        };
-        let total = store.size(object)?;
-        let mut chunks = Vec::with_capacity(total.div_ceil(chunk_size) as usize);
-        let mut off = 0u64;
-        let mut index = 0u32;
-        while off < total {
-            let want = chunk_size.min(total - off) as usize;
-            let bytes = store.read_at(object, off, want)?;
-            chunks.push(ChunkDescriptor {
-                index,
-                len: bytes.len() as u32,
-                crc32: crc32(&bytes),
-            });
-            off += bytes.len() as u64;
-            index += 1;
-        }
-        Ok(ChunkManifest {
-            data,
-            chunk_size,
-            total,
-            chunks,
-        })
     }
 
     /// Number of chunks.
@@ -849,11 +813,6 @@ mod tests {
         }
         assert!(!m.verify(0, &content[1..257]));
         assert!(!m.verify(9, &content[..256]));
-        // Store-side description matches the in-memory one.
-        let store = MemStore::new();
-        store.put("obj", &content);
-        let m2 = ChunkManifest::describe_store(id, 256, store.as_ref(), "obj").unwrap();
-        assert_eq!(m, m2);
     }
 
     #[test]

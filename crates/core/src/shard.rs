@@ -86,8 +86,12 @@ impl ShardRouter {
         ((self.ring_pos(id).0 as u128 * self.shards as u128) >> 64) as usize
     }
 
-    /// Split a batch of ids into per-shard slices in one routing pass.
+    /// Split a batch of ids into per-shard slices in one routing pass. A
+    /// one-shard plane has one slice and hashes nothing to find it.
     pub fn split(&self, ids: &[DataId]) -> Vec<Vec<DataId>> {
+        if self.shards == 1 {
+            return vec![ids.to_vec()];
+        }
         let mut slices: Vec<Vec<DataId>> = vec![Vec::new(); self.shards];
         for &id in ids {
             slices[self.shard_of(id)].push(id);
@@ -867,6 +871,8 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(router.shard_of(f.id()), 0);
         }
+        let ids: Vec<DataId> = (0..10).map(|_| f.id()).collect();
+        assert_eq!(router.split(&ids), vec![ids]);
     }
 
     #[test]

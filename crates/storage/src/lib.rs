@@ -15,7 +15,9 @@
 //!   [`engine::NetworkedDriver`] (MySQL analog: a server thread, one real
 //!   round trip per op, 3-round-trip connection handshake).
 //! * [`pool::ConnectionPool`] — the DBCP analog.
-//! * [`wal`], [`crc32`] — durability internals.
+//! * [`wal`] — durability internals.
+//! * [`crc32`] — the record digest of the WAL and, above this crate, the
+//!   per-chunk digest of the chunked data plane (slice-by-16).
 //!
 //! Table 2's four-way comparison (engine × pooling) is regenerated by
 //! `bitdew-bench --bin table2` directly on top of these types.

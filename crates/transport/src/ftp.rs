@@ -17,15 +17,16 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use bitdew_util::md5::Md5Digest;
+
 use crate::fabric::{Duplex, Fabric, FabricError};
 use crate::oob::{
     DaemonConnector, NonBlockingOobTransfer, OobTransfer, TransferSpec, TransferStatus,
     TransferVerdict, TransportError, TransportResult,
 };
 use crate::store::FileStore;
-
-/// Payload chunk size (64 KiB, a typical FTP data-socket buffer).
-pub const CHUNK: usize = 64 * 1024;
+pub use crate::stream::CHUNK;
+use crate::stream::{recv_hashed, send_hashed};
 
 // ---------------------------------------------------------------------------
 // Server
@@ -95,11 +96,7 @@ impl FtpServer {
         }
     }
 
-    fn serve_conn(
-        conn: Duplex,
-        store: Arc<dyn FileStore>,
-        drop_after: u64,
-    ) -> Result<(), FabricError> {
+    fn serve_conn(conn: Duplex, store: Arc<dyn FileStore>, drop_after: u64) -> TransportResult<()> {
         let mut sent_payload = 0u64;
         loop {
             let cmd = match conn.recv() {
@@ -123,24 +120,15 @@ impl FtpServer {
                         }
                     };
                     conn.send(Bytes::from(format!("SIZE {size}")))?;
-                    let mut pos = offset.min(size);
-                    while pos < size {
-                        let chunk = store
-                            .read_at(name, pos, CHUNK)
-                            .map_err(|_| FabricError::Disconnected)?;
-                        if chunk.is_empty() {
-                            break;
-                        }
-                        pos += chunk.len() as u64;
-                        sent_payload += chunk.len() as u64;
-                        conn.send(chunk)?;
+                    let digest = send_hashed(store.as_ref(), name, offset, size, |frame, _| {
+                        sent_payload += frame.len() as u64;
+                        conn.send(frame)?;
                         if sent_payload >= drop_after {
-                            return Ok(()); // injected fault: vanish mid-stream
+                            // Injected fault: vanish mid-stream.
+                            return Err(FabricError::Disconnected.into());
                         }
-                    }
-                    let digest = store
-                        .checksum(name)
-                        .map_err(|_| FabricError::Disconnected)?;
+                        Ok(())
+                    })?;
                     conn.send(Bytes::from(format!("END {}", digest.to_hex())))?;
                 }
                 Some("STOR") => {
@@ -150,22 +138,12 @@ impl FtpServer {
                         conn.send(Bytes::from_static(b"ERR malformed"))?;
                         continue;
                     };
-                    let mut offset: u64 = off.parse().unwrap_or(0);
+                    let offset: u64 = off.parse().unwrap_or(0);
                     let total: u64 = len.parse().unwrap_or(0);
                     conn.send(Bytes::from_static(b"OK"))?;
-                    let mut received = 0u64;
-                    let name = name.to_string();
-                    while received < total {
-                        let chunk = conn.recv()?;
-                        store
-                            .write_at(&name, offset, &chunk)
-                            .map_err(|_| FabricError::Disconnected)?;
-                        offset += chunk.len() as u64;
-                        received += chunk.len() as u64;
-                    }
-                    let digest = store
-                        .checksum(&name)
-                        .map_err(|_| FabricError::Disconnected)?;
+                    let end = offset.saturating_add(total);
+                    let (_, digest) =
+                        recv_hashed(store.as_ref(), name, offset, end, &conn, |_| {})?;
                     conn.send(Bytes::from(format!("DONE {}", digest.to_hex())))?;
                 }
                 Some("RANGE") => {
@@ -301,14 +279,12 @@ fn download(
     let conn = fabric
         .connect(&spec.remote)
         .map_err(|e| TransportError::ConnectFailed(e.to_string()))?;
-    // Resume from whatever partial content we already verified on disk.
+    // Resume from whatever partial content is already on disk; its bytes
+    // are hashed from the store, the rest as they arrive.
     let offset = local.size(&spec.name).unwrap_or(0).min(spec.bytes);
     shared.bytes_done.store(offset, Ordering::Relaxed);
-    conn.send(Bytes::from(format!("RETR {} {}", spec.name, offset)))
-        .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-    let head = conn
-        .recv()
-        .map_err(|e| TransportError::Interrupted(e.to_string()))?;
+    conn.send(Bytes::from(format!("RETR {} {}", spec.name, offset)))?;
+    let head = conn.recv()?;
     let head = String::from_utf8_lossy(&head).to_string();
     let total = match head.strip_prefix("SIZE ") {
         Some(s) => s
@@ -317,36 +293,20 @@ fn download(
             .map_err(|_| TransportError::Protocol(format!("bad SIZE reply: {head}")))?,
         None => return Err(TransportError::NoSuchObject(spec.name.clone())),
     };
-    let mut pos = offset;
-    let server_digest;
-    loop {
-        let frame = conn
-            .recv()
-            .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-        // Terminal frame is "END <md5hex>"; data frames are raw bytes. A raw
-        // chunk that happens to start with "END " is impossible here because
-        // the server only sends END as the final line after `total` bytes.
-        if pos >= total {
-            let line = String::from_utf8_lossy(&frame).to_string();
-            match line.strip_prefix("END ") {
-                Some(hex) => {
-                    server_digest = bitdew_util::md5::Md5Digest::from_hex(hex.trim());
-                    break;
-                }
-                None => return Err(TransportError::Protocol("expected END".into())),
-            }
-        }
-        local.write_at(&spec.name, pos, &frame)?;
-        pos += frame.len() as u64;
-        shared.bytes_done.store(pos, Ordering::Relaxed);
-    }
+    let (pos, local_digest) = recv_hashed(local, &spec.name, offset, total, &conn, |pos| {
+        shared.bytes_done.store(pos, Ordering::Relaxed)
+    })?;
+    // The frame after the last payload byte is the "END <md5hex>" trailer.
+    let trailer = conn.recv()?;
+    let Some(hex) = trailer.strip_prefix(b"END ") else {
+        return Err(TransportError::Protocol("expected END".into()));
+    };
+    let server_digest = Md5Digest::from_hex(String::from_utf8_lossy(hex).trim());
     // Receiver-driven verification (§3.4.2): size + MD5.
     if pos != total {
         return Ok(TransferVerdict::Interrupted);
     }
-    let local_digest = local.checksum(&spec.name)?;
-    let expect = spec.checksum.or(server_digest);
-    match expect {
+    match spec.checksum.or(server_digest) {
         Some(d) if d != local_digest => Ok(TransferVerdict::CorruptPayload),
         _ => Ok(TransferVerdict::Complete),
     }
@@ -362,33 +322,19 @@ fn upload(
         .connect(&spec.remote)
         .map_err(|e| TransportError::ConnectFailed(e.to_string()))?;
     let size = local.size(&spec.name)?;
-    conn.send(Bytes::from(format!("STOR {} 0 {}", spec.name, size)))
-        .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-    let ok = conn
-        .recv()
-        .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-    if &ok[..] != b"OK" {
+    conn.send(Bytes::from(format!("STOR {} 0 {}", spec.name, size)))?;
+    if &conn.recv()?[..] != b"OK" {
         return Err(TransportError::Protocol("expected OK".into()));
     }
-    let mut pos = 0u64;
-    while pos < size {
-        let chunk = local.read_at(&spec.name, pos, CHUNK)?;
-        if chunk.is_empty() {
-            break;
-        }
-        pos += chunk.len() as u64;
-        conn.send(chunk)
-            .map_err(|e| TransportError::Interrupted(e.to_string()))?;
+    let local_digest = send_hashed(local, &spec.name, 0, size, |frame, pos| {
+        conn.send(frame)?;
         shared.bytes_done.store(pos, Ordering::Relaxed);
-    }
-    let done = conn
-        .recv()
-        .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-    let line = String::from_utf8_lossy(&done).to_string();
-    let remote_digest = line
+        Ok(())
+    })?;
+    let done = conn.recv()?;
+    let remote_digest = String::from_utf8_lossy(&done)
         .strip_prefix("DONE ")
-        .and_then(|h| bitdew_util::md5::Md5Digest::from_hex(h.trim()));
-    let local_digest = local.checksum(&spec.name)?;
+        .and_then(|h| Md5Digest::from_hex(h.trim()));
     match remote_digest {
         Some(d) if d == local_digest => Ok(TransferVerdict::Complete),
         Some(_) => Ok(TransferVerdict::CorruptPayload),
@@ -417,18 +363,15 @@ impl FtpRangeClient {
 
     /// Queue a range request (non-blocking; replies arrive in order).
     pub fn request(&self, object: &str, offset: u64, len: u32) -> TransportResult<()> {
-        self.conn
-            .send(Bytes::from(format!("RANGE {object} {offset} {len}")))
-            .map_err(|e| TransportError::Interrupted(e.to_string()))
+        Ok(self
+            .conn
+            .send(Bytes::from(format!("RANGE {object} {offset} {len}")))?)
     }
 
     /// Read the next pipelined reply: the requested bytes (short only at
     /// EOF, empty when the range starts at or past it).
     pub fn read_reply(&self) -> TransportResult<Bytes> {
-        let head = self
-            .conn
-            .recv()
-            .map_err(|e| TransportError::Interrupted(e.to_string()))?;
+        let head = self.conn.recv()?;
         let line = String::from_utf8_lossy(&head).to_string();
         if let Some(n) = line.strip_prefix("DATA ") {
             let n: usize = n
@@ -438,10 +381,7 @@ impl FtpRangeClient {
             if n == 0 {
                 return Ok(Bytes::new());
             }
-            let payload = self
-                .conn
-                .recv()
-                .map_err(|e| TransportError::Interrupted(e.to_string()))?;
+            let payload = self.conn.recv()?;
             if payload.len() != n {
                 return Err(TransportError::Protocol(format!(
                     "range payload length {} != declared {n}",
@@ -704,6 +644,23 @@ mod tests {
             client.read_reply(),
             Err(TransportError::NoSuchObject(_))
         ));
+    }
+
+    #[test]
+    fn range_with_a_huge_length_is_a_short_read_on_a_live_session() {
+        let (fabric, _server, _) = setup(&[("f", b"abc")]);
+        // `offset + len` used to overflow in the store and kill the session
+        // thread; the client API caps `len` at u32, so speak the wire.
+        let conn = fabric.connect("ftp").unwrap();
+        conn.send(Bytes::from(format!("RANGE f 1 {}", u64::MAX)))
+            .unwrap();
+        assert_eq!(&conn.recv().unwrap()[..], b"DATA 2");
+        assert_eq!(&conn.recv().unwrap()[..], b"bc");
+        conn.send(Bytes::from_static(b"SIZE f")).unwrap();
+        assert_eq!(&conn.recv().unwrap()[..], b"SIZE 3");
+        let client = FtpRangeClient::connect(&fabric, "ftp").unwrap();
+        client.request("f", 1, u32::MAX).unwrap();
+        assert_eq!(&client.read_reply().unwrap()[..], b"bc");
     }
 
     #[test]

@@ -14,15 +14,16 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use bitdew_util::md5::Md5Digest;
+
 use crate::fabric::{Duplex, Fabric, FabricError};
 use crate::oob::{
     NonBlockingOobTransfer, OobTransfer, TransferSpec, TransferStatus, TransferVerdict,
     TransportError, TransportResult,
 };
 use crate::store::FileStore;
-
-/// Payload chunk size.
-pub const CHUNK: usize = 64 * 1024;
+pub use crate::stream::CHUNK;
+use crate::stream::{recv_hashed, send_hashed};
 
 /// Handle to a running HTTP-like server.
 pub struct HttpServer {
@@ -77,7 +78,7 @@ impl HttpServer {
     }
 
     /// One request per connection.
-    fn serve_one(conn: Duplex, store: Arc<dyn FileStore>) -> Result<(), FabricError> {
+    fn serve_one(conn: Duplex, store: Arc<dyn FileStore>) -> TransportResult<()> {
         let req = conn.recv()?;
         let text = String::from_utf8_lossy(&req).to_string();
         let mut lines = text.lines();
@@ -118,9 +119,9 @@ impl HttpServer {
                         end.saturating_sub(pos)
                     )))?,
                     None => {
-                        let digest = store
-                            .checksum(name)
-                            .map_err(|_| FabricError::Disconnected)?;
+                        // The header precedes the body, so the ETag is the
+                        // one digest that cannot be computed in flight.
+                        let digest = store.checksum(name)?;
                         conn.send(Bytes::from(format!(
                             "200 OK\nContent-Length: {size}\nETag: {}",
                             digest.to_hex()
@@ -128,9 +129,7 @@ impl HttpServer {
                     }
                 }
                 while pos < end {
-                    let chunk = store
-                        .read_at(name, pos, CHUNK.min((end - pos) as usize))
-                        .map_err(|_| FabricError::Disconnected)?;
+                    let chunk = store.read_at(name, pos, CHUNK.min((end - pos) as usize))?;
                     if chunk.is_empty() {
                         break;
                     }
@@ -139,19 +138,10 @@ impl HttpServer {
                 }
             }
             (Some("PUT"), Some(path)) => {
-                let name = path.trim_start_matches('/').to_string();
+                let name = path.trim_start_matches('/');
                 conn.send(Bytes::from_static(b"100 Continue"))?;
-                let mut received = 0u64;
-                while received < content_length {
-                    let chunk = conn.recv()?;
-                    store
-                        .write_at(&name, received, &chunk)
-                        .map_err(|_| FabricError::Disconnected)?;
-                    received += chunk.len() as u64;
-                }
-                let digest = store
-                    .checksum(&name)
-                    .map_err(|_| FabricError::Disconnected)?;
+                let (_, digest) =
+                    recv_hashed(store.as_ref(), name, 0, content_length, &conn, |_| {})?;
                 conn.send(Bytes::from(format!(
                     "201 Created\nETag: {}",
                     digest.to_hex()
@@ -244,11 +234,8 @@ fn get(
     conn.send(Bytes::from(format!(
         "GET /{}\nRange: bytes={}-",
         spec.name, offset
-    )))
-    .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-    let head = conn
-        .recv()
-        .map_err(|e| TransportError::Interrupted(e.to_string()))?;
+    )))?;
+    let head = conn.recv()?;
     let head = String::from_utf8_lossy(&head).to_string();
     if !head.starts_with("200") {
         return Err(TransportError::NoSuchObject(spec.name.clone()));
@@ -260,21 +247,13 @@ fn get(
             total = v.parse().unwrap_or(total);
         }
         if let Some(v) = line.strip_prefix("ETag: ") {
-            etag = bitdew_util::md5::Md5Digest::from_hex(v.trim());
+            etag = Md5Digest::from_hex(v.trim());
         }
     }
-    let mut pos = offset;
-    while pos < total {
-        let chunk = conn
-            .recv()
-            .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-        local.write_at(&spec.name, pos, &chunk)?;
-        pos += chunk.len() as u64;
-        shared.bytes_done.store(pos, Ordering::Relaxed);
-    }
-    let digest = local.checksum(&spec.name)?;
-    let expect = spec.checksum.or(etag);
-    Ok(match expect {
+    let (_, digest) = recv_hashed(local, &spec.name, offset, total, &conn, |pos| {
+        shared.bytes_done.store(pos, Ordering::Relaxed)
+    })?;
+    Ok(match spec.checksum.or(etag) {
         Some(d) if d != digest => TransferVerdict::CorruptPayload,
         _ => TransferVerdict::Complete,
     })
@@ -293,28 +272,16 @@ fn put(
     conn.send(Bytes::from(format!(
         "PUT /{}\nContent-Length: {size}",
         spec.name
-    )))
-    .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-    let cont = conn
-        .recv()
-        .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-    if !cont.starts_with(b"100") {
+    )))?;
+    if !conn.recv()?.starts_with(b"100") {
         return Err(TransportError::Protocol("expected 100 Continue".into()));
     }
-    let mut pos = 0u64;
-    while pos < size {
-        let chunk = local.read_at(&spec.name, pos, CHUNK)?;
-        if chunk.is_empty() {
-            break;
-        }
-        pos += chunk.len() as u64;
-        conn.send(chunk)
-            .map_err(|e| TransportError::Interrupted(e.to_string()))?;
+    let local_digest = send_hashed(local, &spec.name, 0, size, |frame, pos| {
+        conn.send(frame)?;
         shared.bytes_done.store(pos, Ordering::Relaxed);
-    }
-    let created = conn
-        .recv()
-        .map_err(|e| TransportError::Interrupted(e.to_string()))?;
+        Ok(())
+    })?;
+    let created = conn.recv()?;
     let text = String::from_utf8_lossy(&created).to_string();
     if !text.starts_with("201") {
         return Err(TransportError::Protocol("expected 201 Created".into()));
@@ -322,8 +289,7 @@ fn put(
     let remote = text
         .lines()
         .find_map(|l| l.strip_prefix("ETag: "))
-        .and_then(|h| bitdew_util::md5::Md5Digest::from_hex(h.trim()));
-    let local_digest = local.checksum(&spec.name)?;
+        .and_then(|h| Md5Digest::from_hex(h.trim()));
     Ok(match remote {
         Some(d) if d != local_digest => TransferVerdict::CorruptPayload,
         _ => TransferVerdict::Complete,
@@ -395,11 +361,8 @@ pub fn fetch_range(
     let last = offset + len as u64 - 1; // inclusive end
     conn.send(Bytes::from(format!(
         "GET /{object}\nRange: bytes={offset}-{last}"
-    )))
-    .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-    let head = conn
-        .recv()
-        .map_err(|e| TransportError::Interrupted(e.to_string()))?;
+    )))?;
+    let head = conn.recv()?;
     let head = String::from_utf8_lossy(&head).to_string();
     if !head.starts_with("206") {
         return Err(TransportError::NoSuchObject(object.to_string()));
@@ -411,10 +374,7 @@ pub fn fetch_range(
         .ok_or_else(|| TransportError::Protocol("206 without Content-Length".into()))?;
     let mut buf = Vec::with_capacity(total as usize);
     while (buf.len() as u64) < total {
-        let chunk = conn
-            .recv()
-            .map_err(|e| TransportError::Interrupted(e.to_string()))?;
-        buf.extend_from_slice(&chunk);
+        buf.extend_from_slice(&conn.recv()?);
     }
     Ok(Bytes::from(buf))
 }

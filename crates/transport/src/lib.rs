@@ -21,7 +21,8 @@
 //! * [`store`] — content stores ([`MemStore`], [`DiskStore`]) with
 //!   offset-addressed I/O, the basis of transfer *resume*.
 //! * [`ftp`] / [`http`] — client/server protocols with chunked streaming,
-//!   offset resume, MD5 verification and fault injection.
+//!   offset resume, MD5 verification (computed while the frames move, one
+//!   shared loop per direction) and fault injection.
 //! * [`bittorrent`] — a tracker + swarm with rarest-first piece selection,
 //!   per-piece hashing and upload-slot choking.
 //! * [`protocol`] — the pluggable-protocol registry behind the `transfer
@@ -39,6 +40,7 @@ pub mod oob;
 pub mod protocol;
 pub mod simproto;
 pub mod store;
+mod stream;
 pub mod udp;
 
 pub use fabric::{Duplex, Fabric, FabricError, Listener};

@@ -93,6 +93,15 @@ impl From<crate::store::StoreError> for TransportError {
     }
 }
 
+/// A fabric failure on an established connection interrupts the transfer
+/// (resumable); connecting is the one call whose failure means something
+/// else, and its callers map that themselves.
+impl From<crate::fabric::FabricError> for TransportError {
+    fn from(e: crate::fabric::FabricError) -> Self {
+        TransportError::Interrupted(e.to_string())
+    }
+}
+
 impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -67,21 +67,33 @@ pub trait FileStore: Send + Sync {
     /// MD5 of the whole object — the integrity check of receiver-driven
     /// transfer (§3.4.2).
     fn checksum(&self, name: &str) -> Result<Md5Digest, StoreError> {
-        let size = self.size(name)?;
         let mut hasher = Md5::new();
-        let mut off = 0u64;
-        while off < size {
-            let chunk = self.read_at(name, off, 256 * 1024)?;
-            if chunk.is_empty() {
-                break;
-            }
-            hasher.update(&chunk);
-            off += chunk.len() as u64;
-        }
+        hash_range(self, name, 0, self.size(name)?, &mut hasher)?;
         Ok(hasher.finalize())
     }
     /// Names of all stored objects.
     fn list(&self) -> Vec<String>;
+}
+
+/// Feed `name[from, to)` to `hasher`, reading 256 KiB at a time. An object
+/// that ends before `to` is [`StoreError::OutOfRange`], not a short digest.
+pub(crate) fn hash_range<S: FileStore + ?Sized>(
+    store: &S,
+    name: &str,
+    from: u64,
+    to: u64,
+    hasher: &mut Md5,
+) -> Result<(), StoreError> {
+    let mut off = from;
+    while off < to {
+        let chunk = store.read_at(name, off, (to - off).min(256 * 1024) as usize)?;
+        if chunk.is_empty() {
+            return Err(StoreError::OutOfRange);
+        }
+        hasher.update(&chunk);
+        off += chunk.len() as u64;
+    }
+    Ok(())
 }
 
 /// In-memory store.
@@ -114,7 +126,8 @@ impl FileStore for MemStore {
         if off > data.len() {
             return Err(StoreError::OutOfRange);
         }
-        let end = (off + len).min(data.len());
+        // `len` can come straight off the wire (`RANGE <name> 1 <usize::MAX>`).
+        let end = off.saturating_add(len).min(data.len());
         Ok(Bytes::copy_from_slice(&data[off..end]))
     }
 
@@ -320,6 +333,17 @@ mod tests {
         ));
         // Reading exactly at EOF yields empty.
         assert_eq!(store.read_at("f", 3, 10).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn huge_read_length_is_a_short_read_not_an_overflow() {
+        let store = MemStore::new();
+        store.put("f", b"abc");
+        assert_eq!(&store.read_at("f", 1, usize::MAX).unwrap()[..], b"bc");
+        let dir = TempDir::new("diskstore-huge-len");
+        let disk = DiskStore::new(dir.path()).unwrap();
+        disk.write_at("f", 0, b"abc").unwrap();
+        assert_eq!(&disk.read_at("f", 1, usize::MAX).unwrap()[..], b"bc");
     }
 
     #[test]
