@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over four design choices:
 //!
 //! 1. **`MaxDataSchedule`** — Algorithm 1's per-sync download cap trades
 //!    per-heartbeat burst size against convergence rounds.

@@ -15,8 +15,8 @@
 //! | `ablations` | design choices | MaxDataSchedule, DHT arity, pool size, BT efficiency |
 //!
 //! Criterion microbenches live in `benches/`. Absolute numbers differ from
-//! the paper (different hardware, simulated network); EXPERIMENTS.md tracks
-//! the shape comparisons that are expected to hold.
+//! the paper (different hardware, simulated network); only the shapes of
+//! the comparisons are expected to hold.
 
 #![warn(missing_docs)]
 

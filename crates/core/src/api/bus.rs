@@ -17,9 +17,7 @@
 //! [`BitdewNode`](crate::BitdewNode) publishes from its synchronization
 //! loop (subscribers on other threads wake through the condvar), the
 //! simulator's [`SimNode`](crate::simdriver::SimNode) publishes as virtual
-//! time advances (subscribers drain between pumps). The legacy
-//! `poll_events` surface is a compatibility shim over a capped any-filter
-//! subscription.
+//! time advances (subscribers drain between pumps).
 //!
 //! ## Backpressure
 //!
@@ -30,9 +28,7 @@
 //! heartbeat slows down rather than losing an event), or shed the newest
 //! event once `cap` are buffered (`DropNewest(cap)`). Shedding and
 //! blocking are observable per subscription via [`EventSub::dropped`] and
-//! [`EventSub::blocked`] — nothing is silent. (The legacy poll queue keeps
-//! its internal drop-*oldest* cap until the first poll proves a consumer
-//! exists.)
+//! [`EventSub::blocked`] — nothing is silent.
 //!
 //! Blocking is a *publisher's choice*, not only the subscriber's: a
 //! direct [`EventBus::publish`] honors `Block(cap)` by parking, but the
@@ -71,8 +67,7 @@ use crate::events::ActiveDataEventHandler;
 
 /// Which life-cycle events a subscription or handler wants. All criteria
 /// are conjunctive; an unset criterion matches everything, so
-/// [`EventFilter::any`] is the match-all filter of the legacy polling
-/// surface.
+/// [`EventFilter::any`] matches every event.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventFilter {
     data: Option<DataId>,
@@ -187,20 +182,10 @@ pub enum Backpressure {
     DropNewest(usize),
 }
 
-/// Internal queue policy: the public [`Backpressure`] modes plus the
-/// legacy poll queue's drop-*oldest* cap (lifted on first poll).
-#[derive(Debug, Clone, Copy)]
-enum QueueMode {
-    Lossless,
-    DropOldest(usize),
-    DropNewest(usize),
-    Block(usize),
-}
-
 /// Queue state of one subscription.
 struct SubState {
     queue: VecDeque<DataEvent>,
-    mode: QueueMode,
+    mode: Backpressure,
     /// Events shed to honor the mode's cap.
     dropped: u64,
     /// Publishes that had to block for queue space (`Block` mode only).
@@ -375,8 +360,7 @@ impl EventSub {
         }
     }
 
-    /// Events shed because the queue overflowed its [`Backpressure`] cap
-    /// (or the legacy poll queue's pre-consumer cap).
+    /// Events shed because the queue overflowed its [`Backpressure`] cap.
     pub fn dropped(&self) -> u64 {
         self.shared.state.lock().dropped
     }
@@ -405,13 +389,6 @@ impl EventSub {
     /// `stream.next().await` resolves as matching events are published.
     pub fn stream(self) -> EventStream {
         EventStream { sub: self }
-    }
-
-    /// Lift the queue bound: from now on every event is retained until
-    /// drained. Called by the legacy `poll_events` shim on first poll,
-    /// when a consumer has proven to exist.
-    pub(crate) fn uncap(&self) {
-        self.shared.state.lock().mode = QueueMode::Lossless;
     }
 }
 
@@ -506,29 +483,11 @@ impl EventBus {
     /// Open a subscription with an explicit [`Backpressure`] mode for
     /// events matching `filter`.
     pub fn subscribe_with(&self, filter: EventFilter, backpressure: Backpressure) -> EventSub {
-        self.subscribe_mode(
-            filter,
-            match backpressure {
-                Backpressure::Lossless => QueueMode::Lossless,
-                Backpressure::Block(cap) => QueueMode::Block(cap.max(1)),
-                Backpressure::DropNewest(cap) => QueueMode::DropNewest(cap.max(1)),
-            },
-        )
-    }
-
-    /// Subscription whose queue drops its oldest event beyond `cap` — the
-    /// legacy polling shim uses this until the first poll proves a consumer
-    /// exists.
-    pub(crate) fn subscribe_capped(&self, filter: EventFilter, cap: usize) -> EventSub {
-        let mode = if cap == usize::MAX {
-            QueueMode::Lossless
-        } else {
-            QueueMode::DropOldest(cap)
+        let mode = match backpressure {
+            Backpressure::Lossless => Backpressure::Lossless,
+            Backpressure::Block(cap) => Backpressure::Block(cap.max(1)),
+            Backpressure::DropNewest(cap) => Backpressure::DropNewest(cap.max(1)),
         };
-        self.subscribe_mode(filter, mode)
-    }
-
-    fn subscribe_mode(&self, filter: EventFilter, mode: QueueMode) -> EventSub {
         let shared = Arc::new(SubShared {
             state: Mutex::new(SubState {
                 queue: VecDeque::new(),
@@ -634,11 +593,9 @@ impl EventBus {
         let mut moved = 0u64;
         for shared in targets {
             let mut state = shared.state.lock();
-            let cap = match state.mode {
-                QueueMode::Block(cap) => cap,
-                // The mode changed (e.g. uncapped): nothing defers any
-                // more, so flush the backlog entirely.
-                _ => usize::MAX,
+            // Only `Block` subscriptions ever defer.
+            let Backpressure::Block(cap) = state.mode else {
+                continue;
             };
             let mut n = 0u64;
             while !state.deferred_q.is_empty() && state.queue.len() < cap {
@@ -712,7 +669,7 @@ impl EventBus {
     /// order is never inverted.
     fn deliver_deferring(&self, shared: &Arc<SubShared>, event: &DataEvent) {
         let mut state = shared.state.lock();
-        if let QueueMode::Block(cap) = state.mode {
+        if let Backpressure::Block(cap) = state.mode {
             if !state.deferred_q.is_empty() || state.queue.len() >= cap {
                 state.deferred_q.push_back(event.clone());
                 state.deferred += 1;
@@ -742,20 +699,14 @@ impl EventBus {
     fn deliver(shared: &Arc<SubShared>, event: &DataEvent) {
         let mut state = shared.state.lock();
         match state.mode {
-            QueueMode::Lossless => {}
-            QueueMode::DropOldest(cap) => {
-                if state.queue.len() >= cap {
-                    state.queue.pop_front();
-                    state.dropped += 1;
-                }
-            }
-            QueueMode::DropNewest(cap) => {
+            Backpressure::Lossless => {}
+            Backpressure::DropNewest(cap) => {
                 if state.queue.len() >= cap {
                     state.dropped += 1;
                     return; // shed this event; nothing to wake
                 }
             }
-            QueueMode::Block(cap) => {
+            Backpressure::Block(cap) => {
                 if state.queue.len() >= cap {
                     // Park only when a consumer on *another* thread has
                     // identified itself by receiving at least once. A sole
@@ -853,23 +804,6 @@ mod tests {
         drop(sub);
         bus.publish(&ev(DataEventKind::Create, "x", 1));
         assert_eq!(bus.subs.lock().len(), 0);
-    }
-
-    #[test]
-    fn capped_queue_drops_oldest_until_uncapped() {
-        let bus = EventBus::new();
-        let sub = bus.subscribe_capped(EventFilter::any(), 2);
-        for i in 0..4 {
-            bus.publish(&ev(DataEventKind::Create, &format!("d{i}"), i as u128 + 1));
-        }
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.dropped(), 2);
-        assert_eq!(sub.try_recv().unwrap().data.name, "d2");
-        sub.uncap();
-        for i in 0..4 {
-            bus.publish(&ev(DataEventKind::Create, &format!("e{i}"), i as u128 + 10));
-        }
-        assert_eq!(sub.len(), 5, "uncapped queue retains everything");
     }
 
     #[test]

@@ -45,10 +45,9 @@
 //!   [`ActiveDataEventHandler`](crate::events::ActiveDataEventHandler)
 //!   callbacks, and explicit [`Backpressure`] modes (block the publisher,
 //!   shed the newest, queue unboundedly) with per-subscription
-//!   `dropped()`/`blocked()`/`deferred()` accounting. The old
-//!   `poll_events` drain survives as a compatibility shim over an
-//!   any-filter subscription. Node-side publishes (the heartbeat's
-//!   synchronization round) never park on a full `Block` subscriber: the
+//!   `dropped()`/`blocked()`/`deferred()` accounting. Node-side publishes
+//!   (the heartbeat's synchronization round) never park on a full `Block`
+//!   subscriber: the
 //!   event goes to that subscriber's deferral queue and is retried on the
 //!   next round, so one slow consumer cannot stall the sync plane.
 //!
@@ -315,8 +314,7 @@ impl From<AttrError> for BitdewError {
 pub type Result<T> = std::result::Result<T, BitdewError>;
 
 /// A data life-cycle event observed on a node, as delivered through the
-/// subscription bus ([`ActiveData::subscribe`]) and the legacy
-/// [`ActiveData::poll_events`] shim.
+/// subscription bus ([`ActiveData::subscribe`], [`ActiveData::add_handler`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataEvent {
     /// Which life-cycle transition happened.
@@ -529,14 +527,6 @@ pub trait ActiveData {
     /// per-datum callbacks don't accumulate on a long-running node.
     fn remove_handler(&self, id: HandlerId);
 
-    /// Drain the life-cycle events observed since the last poll, oldest
-    /// first.
-    ///
-    /// **Compatibility shim**: this is an any-filter subscription drained
-    /// in place; new code should [`subscribe`](ActiveData::subscribe) with
-    /// a filter instead and react per datum/name/kind.
-    fn poll_events(&self) -> Vec<DataEvent>;
-
     /// This node's identity in the scheduler's host space.
     fn host_uid(&self) -> HostUid;
 }
@@ -552,9 +542,13 @@ pub trait TransferManager {
     fn try_wait(&self, id: TransferId) -> Result<Option<TransferState>>;
 
     /// Wait for every listed transfer; returns the terminal states in the
-    /// same order. Drives all of them concurrently (total wait is the
-    /// slowest transfer, not the sum).
-    fn wait_all(&self, ids: &[TransferId]) -> Result<Vec<TransferState>>;
+    /// same order. Transfers progress concurrently while the caller waits
+    /// on each in turn (threads on the threaded runtime, one virtual clock
+    /// under the simulator), so the total wait is the slowest transfer,
+    /// not the sum.
+    fn wait_all(&self, ids: &[TransferId]) -> Result<Vec<TransferState>> {
+        ids.iter().map(|&id| self.wait_for(id)).collect()
+    }
 
     /// Block until every pending scheduled download on this node finished,
     /// running synchronization rounds while waiting. Errors with
@@ -582,45 +576,70 @@ pub trait TransferManager {
     fn has_cached(&self, id: DataId) -> bool;
 }
 
-/// Delegate the three API traits through a smart-pointer or reference type.
+/// Implement the three API traits for a type by forwarding every method
+/// to an existing implementation — the crate's one forwarding layer:
+///
+/// * `delegate_api!(deref for W)` — a reference or smart pointer `W` over
+///   some `N: ?Sized` forwards through `**self`;
+/// * `delegate_api!(inherent for T)` — a concrete type forwards to its own
+///   inherent methods of the same names. `<T>::name(self, ..)` prefers an
+///   inherent method over the trait's, so were one missing or renamed the
+///   call would resolve to the trait method being defined and recurse; the
+///   crate's `#![deny(unconditional_recursion)]` makes that a build error.
+///
+/// Of the provided methods only `is_driven` is forwarded (its answer is
+/// the backend's); `wait_all` keeps its one default body, which runs over
+/// the forwarded `wait_for`.
 macro_rules! delegate_api {
-    ($wrapper:ty) => {
-        impl<N: BitDewApi + ?Sized> BitDewApi for $wrapper {
+    (deref for $wrapper:ty) => {
+        delegate_api!(@impls [N] $wrapper, (deref));
+    };
+    (inherent for $ty:ty) => {
+        delegate_api!(@impls [] $ty, (inherent $ty));
+    };
+    (@call (deref), $s:ident.$m:ident($($a:ident),*)) => {
+        (**$s).$m($($a),*)
+    };
+    (@call (inherent $ty:ty), $s:ident.$m:ident($($a:ident),*)) => {
+        <$ty>::$m($s $(, $a)*)
+    };
+    (@impls [$($n:ident)?] $ty:ty, $via:tt) => {
+        impl<$($n: BitDewApi + ?Sized)?> BitDewApi for $ty {
             fn create_data(&self, name: &str, content: &[u8]) -> Result<Data> {
-                (**self).create_data(name, content)
+                delegate_api!(@call $via, self.create_data(name, content))
             }
             fn create_slot(&self, name: &str, size: u64) -> Result<Data> {
-                (**self).create_slot(name, size)
+                delegate_api!(@call $via, self.create_slot(name, size))
             }
             fn create_many(&self, items: &[(&str, &[u8])]) -> Result<Vec<Data>> {
-                (**self).create_many(items)
+                delegate_api!(@call $via, self.create_many(items))
             }
             fn put(&self, data: &Data, content: &[u8]) -> Result<()> {
-                (**self).put(data, content)
+                delegate_api!(@call $via, self.put(data, content))
             }
             fn put_many(&self, items: &[(Data, &[u8])]) -> Result<()> {
-                (**self).put_many(items)
+                delegate_api!(@call $via, self.put_many(items))
             }
             fn get(&self, data: &Data) -> Result<TransferId> {
-                (**self).get(data)
+                delegate_api!(@call $via, self.get(data))
             }
             fn search(&self, name: &str) -> Result<Vec<Data>> {
-                (**self).search(name)
+                delegate_api!(@call $via, self.search(name))
             }
             fn delete(&self, data: &Data) -> Result<()> {
-                (**self).delete(data)
+                delegate_api!(@call $via, self.delete(data))
             }
             fn create_attribute(&self, src: &str) -> Result<DataAttributes> {
-                (**self).create_attribute(src)
+                delegate_api!(@call $via, self.create_attribute(src))
             }
             fn read_local(&self, data: &Data) -> Result<Vec<u8>> {
-                (**self).read_local(data)
+                delegate_api!(@call $via, self.read_local(data))
             }
             fn put_range(&self, data: &Data, offset: u64, content: &[u8]) -> Result<()> {
-                (**self).put_range(data, offset, content)
+                delegate_api!(@call $via, self.put_range(data, offset, content))
             }
             fn get_range(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
-                (**self).get_range(data, offset, len)
+                delegate_api!(@call $via, self.get_range(data, offset, len))
             }
             fn put_chunked(
                 &self,
@@ -628,32 +647,32 @@ macro_rules! delegate_api {
                 content: &[u8],
                 chunk_size: u64,
             ) -> Result<ChunkManifest> {
-                (**self).put_chunked(data, content, chunk_size)
+                delegate_api!(@call $via, self.put_chunked(data, content, chunk_size))
             }
             fn chunk_manifest(&self, id: DataId) -> Result<Option<ChunkManifest>> {
-                (**self).chunk_manifest(id)
+                delegate_api!(@call $via, self.chunk_manifest(id))
             }
             fn held_chunks(&self, data: &Data) -> Result<Vec<u32>> {
-                (**self).held_chunks(data)
+                delegate_api!(@call $via, self.held_chunks(data))
             }
             fn fetch_chunks(&self, data: &Data, chunks: &[u32]) -> Result<u64> {
-                (**self).fetch_chunks(data, chunks)
+                delegate_api!(@call $via, self.fetch_chunks(data, chunks))
             }
             fn chunk_holdings(&self, id: DataId) -> Result<ChunkHoldings> {
-                (**self).chunk_holdings(id)
+                delegate_api!(@call $via, self.chunk_holdings(id))
             }
             fn get_range_local(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
-                (**self).get_range_local(data, offset, len)
+                delegate_api!(@call $via, self.get_range_local(data, offset, len))
             }
             fn version_head(&self, id: DataId) -> Result<u64> {
-                (**self).version_head(id)
+                delegate_api!(@call $via, self.version_head(id))
             }
             fn version_manifest(
                 &self,
                 id: DataId,
                 version: u64,
             ) -> Result<Option<VersionedManifest>> {
-                (**self).version_manifest(id, version)
+                delegate_api!(@call $via, self.version_manifest(id, version))
             }
             fn commit_update(
                 &self,
@@ -661,10 +680,10 @@ macro_rules! delegate_api {
                 base: u64,
                 writes: &[(u64, Vec<u8>)],
             ) -> Result<u64> {
-                (**self).commit_update(data, base, writes)
+                delegate_api!(@call $via, self.commit_update(data, base, writes))
             }
             fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
-                (**self).open_snapshot(data)
+                delegate_api!(@call $via, self.open_snapshot(data))
             }
             fn get_range_at(
                 &self,
@@ -673,83 +692,76 @@ macro_rules! delegate_api {
                 offset: u64,
                 len: usize,
             ) -> Result<Vec<u8>> {
-                (**self).get_range_at(data, snap, offset, len)
+                delegate_api!(@call $via, self.get_range_at(data, snap, offset, len))
             }
             fn gc_versions(&self, data: &Data) -> Result<GcReport> {
-                (**self).gc_versions(data)
+                delegate_api!(@call $via, self.gc_versions(data))
             }
         }
 
-        impl<N: ActiveData + ?Sized> ActiveData for $wrapper {
+        impl<$($n: ActiveData + ?Sized)?> ActiveData for $ty {
             fn schedule(&self, data: &Data, attrs: DataAttributes) -> Result<()> {
-                (**self).schedule(data, attrs)
+                delegate_api!(@call $via, self.schedule(data, attrs))
             }
             fn schedule_many(&self, items: &[(Data, DataAttributes)]) -> Result<()> {
-                (**self).schedule_many(items)
+                delegate_api!(@call $via, self.schedule_many(items))
             }
             fn pin(&self, data: &Data, attrs: DataAttributes) -> Result<()> {
-                (**self).pin(data, attrs)
+                delegate_api!(@call $via, self.pin(data, attrs))
             }
             fn pin_chunks(&self, data: &Data, attrs: DataAttributes, held: &[u32]) -> Result<()> {
-                (**self).pin_chunks(data, attrs, held)
+                delegate_api!(@call $via, self.pin_chunks(data, attrs, held))
             }
             fn subscribe(&self, filter: EventFilter) -> EventSub {
-                (**self).subscribe(filter)
+                delegate_api!(@call $via, self.subscribe(filter))
             }
             fn subscribe_with(&self, filter: EventFilter, backpressure: Backpressure) -> EventSub {
-                (**self).subscribe_with(filter, backpressure)
+                delegate_api!(@call $via, self.subscribe_with(filter, backpressure))
             }
             fn add_handler(
                 &self,
                 filter: EventFilter,
                 handler: Box<dyn crate::events::ActiveDataEventHandler>,
             ) -> HandlerId {
-                (**self).add_handler(filter, handler)
+                delegate_api!(@call $via, self.add_handler(filter, handler))
             }
             fn remove_handler(&self, id: HandlerId) {
-                (**self).remove_handler(id)
-            }
-            fn poll_events(&self) -> Vec<DataEvent> {
-                (**self).poll_events()
+                delegate_api!(@call $via, self.remove_handler(id))
             }
             fn host_uid(&self) -> HostUid {
-                (**self).host_uid()
+                delegate_api!(@call $via, self.host_uid())
             }
         }
 
-        impl<N: TransferManager + ?Sized> TransferManager for $wrapper {
+        impl<$($n: TransferManager + ?Sized)?> TransferManager for $ty {
             fn wait_for(&self, id: TransferId) -> Result<TransferState> {
-                (**self).wait_for(id)
+                delegate_api!(@call $via, self.wait_for(id))
             }
             fn try_wait(&self, id: TransferId) -> Result<Option<TransferState>> {
-                (**self).try_wait(id)
-            }
-            fn wait_all(&self, ids: &[TransferId]) -> Result<Vec<TransferState>> {
-                (**self).wait_all(ids)
+                delegate_api!(@call $via, self.try_wait(id))
             }
             fn barrier(&self, timeout: Duration) -> Result<()> {
-                (**self).barrier(timeout)
+                delegate_api!(@call $via, self.barrier(timeout))
             }
             fn pump(&self) -> Result<()> {
-                (**self).pump()
+                delegate_api!(@call $via, self.pump())
             }
             fn is_driven(&self) -> bool {
-                (**self).is_driven()
+                delegate_api!(@call $via, self.is_driven())
             }
             fn cached(&self) -> Vec<DataId> {
-                (**self).cached()
+                delegate_api!(@call $via, self.cached())
             }
             fn has_cached(&self, id: DataId) -> bool {
-                (**self).has_cached(id)
+                delegate_api!(@call $via, self.has_cached(id))
             }
         }
     };
 }
 
-delegate_api!(&N);
-delegate_api!(std::sync::Arc<N>);
-delegate_api!(std::rc::Rc<N>);
-delegate_api!(Box<N>);
+delegate_api!(deref for &N);
+delegate_api!(deref for std::sync::Arc<N>);
+delegate_api!(inherent for crate::runtime::BitdewNode);
 
 #[cfg(test)]
 mod tests {
@@ -763,6 +775,13 @@ mod tests {
         fn _takes_active(_: &dyn ActiveData) {}
         fn _takes_transfer(_: &dyn TransferManager) {}
         fn _boxed(_: Box<dyn BitDewApi>, _: Box<dyn ActiveData>, _: Box<dyn TransferManager>) {}
+        // Both backends, and the wrappers applications hold them through,
+        // carry all three traits.
+        fn _all_three<N: BitDewApi + ActiveData + TransferManager>() {}
+        _all_three::<crate::runtime::BitdewNode>();
+        _all_three::<&crate::runtime::BitdewNode>();
+        _all_three::<std::sync::Arc<crate::runtime::BitdewNode>>();
+        _all_three::<crate::simdriver::SimNode>();
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! Handlers attach to a node through the subscription event bus
 //! ([`ActiveData::add_handler`](crate::api::ActiveData::add_handler) with
-//! an [`EventFilter`](crate::api::EventFilter), or the any-filter
-//! `BitdewNode::add_callback` shim) and are invoked synchronously as
-//! matching events are published on either deployment.
+//! an [`EventFilter`](crate::api::EventFilter);
+//! [`EventFilter::any`](crate::api::EventFilter::any) for every event) and
+//! are invoked synchronously as matching events are published on either
+//! deployment.
 
 use crate::api::{DataEvent, DataEventKind};
 use crate::attr::DataAttributes;

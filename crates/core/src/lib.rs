@@ -21,11 +21,15 @@
 //! * [`ActiveData`] — attribute-driven scheduling: `schedule`/
 //!   `schedule_many`, `pin`, and the data life-cycle events, consumed
 //!   through filtered [`subscribe`](ActiveData::subscribe) subscriptions
-//!   and [`add_handler`](ActiveData::add_handler) callbacks (the legacy
-//!   global `poll_events` drain survives as a compatibility shim).
+//!   and [`add_handler`](ActiveData::add_handler) callbacks.
 //! * [`TransferManager`] — transfer control: `wait_for`, non-blocking
 //!   `try_wait`, batched `wait_all`, `barrier`, and `pump` — waits park on
 //!   condvars and wake on completion instead of spin-polling.
+//!
+//! Each trait method has one definition per backend: `SimNode` implements
+//! the traits directly, while `BitdewNode`'s methods are inherent and
+//! `api`'s forwarding macro generates its trait impls along with those of
+//! `&N` and `Arc<N>`.
 //!
 //! On top of the traits sits the **reactive session surface** of [`api`]:
 //! [`Session`] queues every mutating op and drains in batches (one catalog
@@ -100,22 +104,6 @@
 //! is charged on parallel shard queues, making the plane's horizontal
 //! scaling measurable in virtual time (the `shard_scale` bench).
 //!
-//! ## The chunked multi-source data plane
-//!
-//! Between the attribute/scheduler plane and the transport protocols sits
-//! [`chunks`]: every datum can publish a [`ChunkManifest`] (fixed-size
-//! chunk descriptors with CRC32 digests, stored in the catalog beside the
-//! locators), nodes store content through a chunk-granular [`ChunkStore`],
-//! and downloads run as a [`MultiSourceFetcher`] that work-steals chunk
-//! ranges across the repository *and* every announced peer replica, with
-//! per-source pipelining, per-chunk digest verification, and re-queue of
-//! chunks from sources that die mid-transfer. The Data Scheduler is
-//! chunk-aware: a host joins Ω(d) only once it holds every chunk, and a
-//! partially lost replica receives a *repair* order that moves only the
-//! missing chunks. The simulator models the same plane as per-chunk flows
-//! (the `chunk_scale` bench pins multi-source scaling against
-//! single-source FTP and the BitTorrent fluid model).
-//!
 //! ## The five planes
 //!
 //! The crate stacks **five planes**, each with its own contract and its
@@ -135,7 +123,9 @@
 //!    from sources that die mid-transfer. The Data Scheduler is
 //!    chunk-aware: a host joins Ω(d) only once it holds every chunk, and a
 //!    partially lost replica receives a *repair* order that moves only the
-//!    missing chunks (the `chunk_scale` bench pins multi-source scaling).
+//!    missing chunks. The simulator models the same plane as per-chunk
+//!    flows (the `chunk_scale` bench pins multi-source scaling against
+//!    single-source FTP and the BitTorrent fluid model).
 //! 3. **Compute plane** ([`compute`]) — brings the computation to wherever
 //!    the first two planes already put the bytes. A [`MapOp`] — a named
 //!    UDF over chunk ranges, registered with [`compute::register`] — is
@@ -179,6 +169,10 @@
 //!    throughput against serialized whole-blob republish).
 
 #![warn(missing_docs)]
+// `delegate_api!(inherent for ..)` resolves `<T>::name(self, ..)` to the trait
+// method itself when the inherent method is missing; make that recursion a
+// build error rather than a stack overflow at run time.
+#![deny(unconditional_recursion)]
 
 pub mod announce;
 pub mod api;

@@ -14,12 +14,13 @@
 //!   ([`BitdewNode::sync_once`] / [`BitdewNode::start_heartbeat`]).
 //!
 //! [`BitdewNode`] implements the three API traits of [`crate::api`] —
-//! [`BitDewApi`] (`create_data`/`put`/`get`/`search`/`delete`/
-//! `create_attribute`), [`ActiveData`] (`schedule`/`pin`/events) and
-//! [`TransferManager`] (`wait_for`/`try_wait`/`wait_all`/`barrier`) — so
-//! application code generic over those traits runs on this threaded
-//! deployment or on the simulator adapter unchanged. Every operation
-//! returns [`crate::Result`].
+//! [`BitDewApi`](crate::api::BitDewApi) (`create_data`/`put`/`get`/
+//! `search`/`delete`/`create_attribute`),
+//! [`ActiveData`](crate::api::ActiveData) (`schedule`/`pin`/events) and
+//! [`TransferManager`](crate::api::TransferManager) (`wait_for`/`try_wait`/
+//! `wait_all`/`barrier`) — so application code generic over those traits
+//! runs on this threaded deployment or on the simulator adapter unchanged.
+//! Every operation returns [`crate::Result`].
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -44,8 +45,8 @@ use crate::announce::{
     LIVENESS_PING,
 };
 use crate::api::{
-    ActiveData, Backpressure, BitDewApi, BitdewError, DataEvent, DataEventKind, EventBus,
-    EventFilter, EventSub, HandlerId, Result, Session, TransferManager,
+    Backpressure, BitdewError, DataEvent, DataEventKind, EventBus, EventFilter, EventSub,
+    HandlerId, Result, Session,
 };
 use crate::attr::DataAttributes;
 use crate::attrparse;
@@ -390,15 +391,6 @@ pub struct SyncSummary {
     pub deleted: Vec<DataId>,
 }
 
-/// Cap on the legacy poll queue while NO consumer has ever polled — a
-/// node using only subscriptions and callbacks must not leak memory
-/// recording events nobody reads. Once `poll_events` has been called the
-/// queue is uncapped instead: for a polling consumer every Copy event is
-/// load-bearing and dropping one would stall the workload permanently.
-/// (Explicit [`EventSub`] subscriptions are always lossless — their
-/// consumer provably exists.)
-pub(crate) const EVENT_QUEUE_CAP: usize = 4096;
-
 /// A volatile node (client or reservoir host).
 pub struct BitdewNode {
     /// This node's identity.
@@ -423,11 +415,6 @@ pub struct BitdewNode {
     /// observes is published here, routed to filtered subscriptions and
     /// handler callbacks.
     bus: EventBus,
-    /// The legacy `poll_events` queue: an any-filter subscription, capped
-    /// until the first poll proves a consumer exists.
-    legacy: EventSub,
-    /// Whether `poll_events` has ever been called (see [`EVENT_QUEUE_CAP`]).
-    polled: AtomicBool,
     /// Signaled when a synchronization round leaves no pending downloads
     /// (barrier waiters park on this instead of spinning).
     idle: Condvar,
@@ -495,8 +482,6 @@ impl BitdewNode {
         local: Arc<dyn FileStore>,
         role: SyncRole,
     ) -> Arc<BitdewNode> {
-        let bus = EventBus::new();
-        let legacy = bus.subscribe_capped(EventFilter::any(), EVENT_QUEUE_CAP);
         Arc::new(BitdewNode {
             uid: Auid::random(),
             container,
@@ -507,9 +492,7 @@ impl BitdewNode {
             repairing: Mutex::new(HashMap::new()),
             manifests: Mutex::new(HashMap::new()),
             peer_server: Mutex::new(None),
-            bus,
-            legacy,
-            polled: AtomicBool::new(false),
+            bus: EventBus::new(),
             idle: Condvar::new(),
             role,
             stop: AtomicBool::new(false),
@@ -685,7 +668,7 @@ impl BitdewNode {
     /// materialized instead, so repair, announce and compute always key on
     /// the head's per-chunk digests — a holder whose bytes predate the
     /// head fails digest verification and becomes a repair target.
-    pub fn manifest_for(&self, id: DataId) -> Result<Option<ChunkManifest>> {
+    pub fn chunk_manifest(&self, id: DataId) -> Result<Option<ChunkManifest>> {
         if self.container.plane.version_head(id)? > 1 {
             return self.container.plane.materialized_manifest(id);
         }
@@ -705,7 +688,7 @@ impl BitdewNode {
     /// so a full cache reports every chunk. Data without a published
     /// manifest report empty — they are not chunk-tracked.
     pub fn held_chunks(&self, data: &Data) -> Result<Vec<u32>> {
-        let Some(manifest) = self.manifest_for(data.id)? else {
+        let Some(manifest) = self.chunk_manifest(data.id)? else {
             return Ok(Vec::new());
         };
         let object = data.object_name();
@@ -721,7 +704,7 @@ impl BitdewNode {
     /// verified locally; returns the bytes that actually moved.
     pub fn fetch_chunks(&self, data: &Data, chunks: &[u32]) -> Result<u64> {
         let manifest = self
-            .manifest_for(data.id)?
+            .chunk_manifest(data.id)?
             .ok_or_else(|| BitdewError::CatalogMiss {
                 what: format!("chunk manifest for `{}`", data.name),
             })?;
@@ -893,7 +876,7 @@ impl BitdewNode {
     /// call performs chunk-level repair of a partially lost replica.
     pub fn get_multi(&self, data: &Data) -> Result<TransferId> {
         let manifest = self
-            .manifest_for(data.id)?
+            .chunk_manifest(data.id)?
             .ok_or_else(|| BitdewError::CatalogMiss {
                 what: format!("chunk manifest for `{}`", data.name),
             })?;
@@ -1203,7 +1186,7 @@ impl BitdewNode {
     /// repair order and only the missing chunks move.
     pub fn pin_chunks(&self, data: &Data, attrs: DataAttributes, held: &[u32]) -> Result<()> {
         let manifest = self
-            .manifest_for(data.id)?
+            .chunk_manifest(data.id)?
             .ok_or_else(|| BitdewError::CatalogMiss {
                 what: format!("chunk manifest for `{}`", data.name),
             })?;
@@ -1283,12 +1266,6 @@ impl BitdewNode {
         Ok(())
     }
 
-    /// Install an unfiltered life-cycle event handler (compatibility
-    /// shim for [`BitdewNode::add_handler`] with [`EventFilter::any`]).
-    pub fn add_callback(&self, handler: impl ActiveDataEventHandler + 'static) -> HandlerId {
-        self.bus.attach(EventFilter::any(), Box::new(handler))
-    }
-
     /// Install a life-cycle handler invoked for events matching `filter`;
     /// detach it again with [`BitdewNode::remove_handler`].
     pub fn add_handler(
@@ -1299,8 +1276,7 @@ impl BitdewNode {
         self.bus.attach(filter, handler)
     }
 
-    /// Detach a handler installed by [`BitdewNode::add_handler`] or
-    /// [`BitdewNode::add_callback`].
+    /// Detach a handler installed by [`BitdewNode::add_handler`].
     pub fn remove_handler(&self, id: HandlerId) {
         self.bus.detach(id);
     }
@@ -1317,15 +1293,9 @@ impl BitdewNode {
         &self.bus
     }
 
-    /// Drain buffered life-cycle events (oldest first). Compatibility
-    /// shim over an any-filter subscription — new code should
-    /// [`BitdewNode::subscribe`] with a filter instead.
-    pub fn poll_events(&self) -> Vec<DataEvent> {
-        if !self.polled.swap(true, Ordering::Relaxed) {
-            // A consumer exists: stop dropping oldest events.
-            self.legacy.uncap();
-        }
-        self.legacy.drain()
+    /// This node's identity in the scheduler's host space.
+    pub fn host_uid(&self) -> HostUid {
+        self.uid
     }
 
     // --- TransferManager API ----------------------------------------------
@@ -1343,40 +1313,12 @@ impl BitdewNode {
     /// Non-blocking probe of a transfer's state (`None` while active).
     pub fn try_wait(&self, id: TransferId) -> Result<Option<TransferState>> {
         self.container.transfer.tick();
-        self.probe(id)
-    }
-
-    /// [`BitdewNode::try_wait`] without the monitor tick — for callers that
-    /// already ticked this round.
-    fn probe(&self, id: TransferId) -> Result<Option<TransferState>> {
         match self.container.transfer.report(id) {
             Some(r) if r.state == TransferState::Active => Ok(None),
             Some(r) => Ok(Some(r.state)),
             None => Err(BitdewError::CatalogMiss {
                 what: format!("transfer {id:?}"),
             }),
-        }
-    }
-
-    /// Wait for every listed transfer; total wait is the slowest one.
-    pub fn wait_all(&self, ids: &[TransferId]) -> Result<Vec<TransferState>> {
-        let mut states = vec![None; ids.len()];
-        loop {
-            // One monitor tick per round, shared by every probe.
-            self.container.transfer.tick();
-            for (slot, &id) in states.iter_mut().zip(ids) {
-                if slot.is_none() {
-                    *slot = self.probe(id)?;
-                }
-            }
-            if states.iter().all(Option::is_some) {
-                return Ok(states.into_iter().flatten().collect());
-            }
-            // Park on the DT completion condvar: wakes the instant another
-            // thread's tick finishes a transfer, self-ticks on timeout.
-            self.container
-                .transfer
-                .park_progress(Duration::from_millis(2));
         }
     }
 
@@ -1403,6 +1345,12 @@ impl BitdewNode {
                 self.idle.wait_for(&mut pending, Duration::from_millis(2));
             }
         }
+    }
+
+    /// Run one synchronization round ([`BitdewNode::sync_once`]).
+    pub fn pump(&self) -> Result<()> {
+        self.sync_once();
+        Ok(())
     }
 
     /// Ids currently in the local cache.
@@ -1613,7 +1561,7 @@ impl BitdewNode {
                     Some(TransferState::Complete) => {
                         repairing.remove(&id);
                         self.container.transfer.reap(tid);
-                        if let Ok(Some(m)) = self.manifest_for(id) {
+                        if let Ok(Some(m)) = self.chunk_manifest(id) {
                             self.container.plane.scheduler().report_chunks(
                                 self.uid,
                                 id,
@@ -1791,7 +1739,7 @@ impl BitdewNode {
         if attrs.protocol == ProtocolId::bittorrent() {
             return None;
         }
-        let manifest = self.manifest_for(data.id).ok()??;
+        let manifest = self.chunk_manifest(data.id).ok()??;
         let sources = self.range_sources(data.id).ok()?;
         if sources.len() < 2 {
             return None;
@@ -1861,13 +1809,14 @@ impl BitdewNode {
     }
 
     /// Whether a heartbeat thread currently drives this node's
-    /// synchronization (see [`TransferManager::is_driven`]).
+    /// synchronization (see
+    /// [`TransferManager::is_driven`](crate::api::TransferManager::is_driven)).
     pub fn is_driven(&self) -> bool {
         self.drivers.load(Ordering::Acquire) > 0
     }
 
     /// Open a subscription with an explicit [`Backpressure`] mode — see
-    /// [`ActiveData::subscribe_with`].
+    /// [`ActiveData::subscribe_with`](crate::api::ActiveData::subscribe_with).
     pub fn subscribe_with(&self, filter: EventFilter, backpressure: Backpressure) -> EventSub {
         self.bus.subscribe_with(filter, backpressure)
     }
@@ -1884,8 +1833,8 @@ impl BitdewNode {
     }
 
     fn fire(&self, kind: DataEventKind, data: &Data, attrs: &DataAttributes) {
-        // One publish reaches every consumer: filtered subscriptions (the
-        // legacy poll queue among them), then handler callbacks — the bus
+        // One publish reaches every consumer: filtered subscriptions, then
+        // handler callbacks — the bus
         // runs handlers with its lock released, so a handler calling back
         // into this node (a worker's onDataCopy schedules its result,
         // which fires onDataCreate) cannot deadlock. The *deferring*
@@ -1901,10 +1850,10 @@ impl BitdewNode {
     }
 }
 
-// The trait impls delegate to the inherent methods above, so `Arc<BitdewNode>`
-// (via the blanket smart-pointer impls in `api`) satisfies
-// `BitDewApi + ActiveData + TransferManager` and generic application code
-// runs on the threaded deployment.
+// The three API trait impls are generated by `delegate_api!(inherent for ..)` in
+// `crate::api`, each method forwarding to the inherent method of the same
+// name above; `Arc<BitdewNode>` and `&BitdewNode` get theirs from the same
+// macro's smart-pointer arm.
 
 /// Apply ±10% deterministic jitter to a period: the factor is a
 /// splitmix64 draw over `(seed, round)`, so a node's sequence is
@@ -1943,152 +1892,6 @@ pub(crate) fn validate_attrs(data: &Data, attrs: &DataAttributes) -> Result<()> 
         });
     }
     Ok(())
-}
-
-impl BitDewApi for BitdewNode {
-    fn create_data(&self, name: &str, content: &[u8]) -> Result<Data> {
-        BitdewNode::create_data(self, name, content)
-    }
-    fn create_slot(&self, name: &str, size: u64) -> Result<Data> {
-        BitdewNode::create_slot(self, name, size)
-    }
-    fn create_many(&self, items: &[(&str, &[u8])]) -> Result<Vec<Data>> {
-        BitdewNode::create_many(self, items)
-    }
-    fn put(&self, data: &Data, content: &[u8]) -> Result<()> {
-        BitdewNode::put(self, data, content)
-    }
-    fn put_many(&self, items: &[(Data, &[u8])]) -> Result<()> {
-        BitdewNode::put_many(self, items)
-    }
-    fn get(&self, data: &Data) -> Result<TransferId> {
-        BitdewNode::get(self, data)
-    }
-    fn search(&self, name: &str) -> Result<Vec<Data>> {
-        BitdewNode::search(self, name)
-    }
-    fn delete(&self, data: &Data) -> Result<()> {
-        BitdewNode::delete(self, data)
-    }
-    fn create_attribute(&self, src: &str) -> Result<DataAttributes> {
-        BitdewNode::create_attribute(self, src)
-    }
-    fn read_local(&self, data: &Data) -> Result<Vec<u8>> {
-        BitdewNode::read_local(self, data)
-    }
-    fn put_range(&self, data: &Data, offset: u64, content: &[u8]) -> Result<()> {
-        BitdewNode::put_range(self, data, offset, content)
-    }
-    fn get_range(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
-        BitdewNode::get_range(self, data, offset, len)
-    }
-    fn put_chunked(&self, data: &Data, content: &[u8], chunk_size: u64) -> Result<ChunkManifest> {
-        BitdewNode::put_chunked(self, data, content, chunk_size)
-    }
-    fn chunk_manifest(&self, id: DataId) -> Result<Option<ChunkManifest>> {
-        BitdewNode::manifest_for(self, id)
-    }
-    fn held_chunks(&self, data: &Data) -> Result<Vec<u32>> {
-        BitdewNode::held_chunks(self, data)
-    }
-    fn fetch_chunks(&self, data: &Data, chunks: &[u32]) -> Result<u64> {
-        BitdewNode::fetch_chunks(self, data, chunks)
-    }
-    fn chunk_holdings(&self, id: DataId) -> Result<ChunkHoldings> {
-        BitdewNode::chunk_holdings(self, id)
-    }
-    fn get_range_local(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
-        BitdewNode::get_range_local(self, data, offset, len)
-    }
-    fn version_head(&self, id: DataId) -> Result<u64> {
-        BitdewNode::version_head(self, id)
-    }
-    fn version_manifest(&self, id: DataId, version: u64) -> Result<Option<VersionedManifest>> {
-        BitdewNode::version_manifest(self, id, version)
-    }
-    fn commit_update(&self, data: &Data, base: u64, writes: &[(u64, Vec<u8>)]) -> Result<u64> {
-        BitdewNode::commit_update(self, data, base, writes)
-    }
-    fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
-        BitdewNode::open_snapshot(self, data)
-    }
-    fn get_range_at(
-        &self,
-        data: &Data,
-        snap: &Snapshot,
-        offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>> {
-        BitdewNode::get_range_at(self, data, snap, offset, len)
-    }
-    fn gc_versions(&self, data: &Data) -> Result<GcReport> {
-        BitdewNode::gc_versions(self, data)
-    }
-}
-
-impl ActiveData for BitdewNode {
-    fn schedule(&self, data: &Data, attrs: DataAttributes) -> Result<()> {
-        BitdewNode::schedule(self, data, attrs)
-    }
-    fn schedule_many(&self, items: &[(Data, DataAttributes)]) -> Result<()> {
-        BitdewNode::schedule_many(self, items)
-    }
-    fn pin(&self, data: &Data, attrs: DataAttributes) -> Result<()> {
-        BitdewNode::pin(self, data, attrs)
-    }
-    fn pin_chunks(&self, data: &Data, attrs: DataAttributes, held: &[u32]) -> Result<()> {
-        BitdewNode::pin_chunks(self, data, attrs, held)
-    }
-    fn subscribe(&self, filter: EventFilter) -> EventSub {
-        BitdewNode::subscribe(self, filter)
-    }
-    fn subscribe_with(&self, filter: EventFilter, backpressure: Backpressure) -> EventSub {
-        BitdewNode::subscribe_with(self, filter, backpressure)
-    }
-    fn add_handler(
-        &self,
-        filter: EventFilter,
-        handler: Box<dyn ActiveDataEventHandler>,
-    ) -> HandlerId {
-        BitdewNode::add_handler(self, filter, handler)
-    }
-    fn remove_handler(&self, id: HandlerId) {
-        BitdewNode::remove_handler(self, id)
-    }
-    fn poll_events(&self) -> Vec<DataEvent> {
-        BitdewNode::poll_events(self)
-    }
-    fn host_uid(&self) -> HostUid {
-        self.uid
-    }
-}
-
-impl TransferManager for BitdewNode {
-    fn wait_for(&self, id: TransferId) -> Result<TransferState> {
-        BitdewNode::wait_for(self, id)
-    }
-    fn try_wait(&self, id: TransferId) -> Result<Option<TransferState>> {
-        BitdewNode::try_wait(self, id)
-    }
-    fn wait_all(&self, ids: &[TransferId]) -> Result<Vec<TransferState>> {
-        BitdewNode::wait_all(self, ids)
-    }
-    fn barrier(&self, timeout: Duration) -> Result<()> {
-        BitdewNode::barrier(self, timeout)
-    }
-    fn pump(&self) -> Result<()> {
-        self.sync_once();
-        Ok(())
-    }
-    fn is_driven(&self) -> bool {
-        BitdewNode::is_driven(self)
-    }
-    fn cached(&self) -> Vec<DataId> {
-        BitdewNode::cached(self)
-    }
-    fn has_cached(&self, id: DataId) -> bool {
-        BitdewNode::has_cached(self, id)
-    }
 }
 
 /// Guard for a running reservoir heartbeat; stops the loop when dropped.
@@ -2225,14 +2028,17 @@ mod tests {
         let deletes = Arc::new(AtomicU32::new(0));
         let worker = BitdewNode::new(Arc::clone(&c));
         let (c2, d2) = (Arc::clone(&copies), Arc::clone(&deletes));
-        worker.add_callback(
-            crate::events::CallbackHandler::new()
-                .on_copy(move |_, _| {
-                    c2.fetch_add(1, Ordering::Relaxed);
-                })
-                .on_delete(move |_, _| {
-                    d2.fetch_add(1, Ordering::Relaxed);
-                }),
+        worker.add_handler(
+            EventFilter::any(),
+            Box::new(
+                crate::events::CallbackHandler::new()
+                    .on_copy(move |_, _| {
+                        c2.fetch_add(1, Ordering::Relaxed);
+                    })
+                    .on_delete(move |_, _| {
+                        d2.fetch_add(1, Ordering::Relaxed);
+                    }),
+            ),
         );
         client
             .schedule(&data, DataAttributes::default().with_replica(1))

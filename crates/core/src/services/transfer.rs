@@ -251,13 +251,6 @@ impl DataTransfer {
         }
     }
 
-    /// Park up to `timeout` for the next completion signal (used by
-    /// multi-transfer waiters between their own monitor steps).
-    pub fn park_progress(&self, timeout: Duration) {
-        let mut entries = self.entries.lock();
-        self.progress.wait_for(&mut entries, timeout);
-    }
-
     /// Remove a terminal transfer's record; returns its final state.
     pub fn reap(&self, id: TransferId) -> Option<TransferState> {
         let mut entries = self.entries.lock();

@@ -1515,11 +1515,6 @@ struct SimNodeShared {
     /// The subscription event bus; [`SimNode::refresh`] publishes into it
     /// as virtual time advances (virtual-time delivery).
     bus: EventBus,
-    /// The legacy `poll_events` queue: an any-filter subscription, capped
-    /// until the first poll proves a consumer exists (mirrors the
-    /// threaded node's `EVENT_QUEUE_CAP` semantics).
-    legacy: EventSub,
-    polled: std::cell::Cell<bool>,
     /// Direct (`get`) transfers: outcome slot plus the datum they carry.
     transfers: RefCell<HashMap<TransferId, (DataId, TransferSlot)>>,
     /// Data whose direct transfer completed (O(1) `read_local` checks).
@@ -1562,8 +1557,6 @@ impl SimNode {
         role: SyncRole,
     ) -> SimNode {
         let uid = driver.add_node_with_role(&mut sim.borrow_mut(), host, start_at, role);
-        let bus = EventBus::new();
-        let legacy = bus.subscribe_capped(EventFilter::any(), crate::runtime::EVENT_QUEUE_CAP);
         SimNode {
             sim: Rc::clone(sim),
             driver: driver.clone(),
@@ -1571,9 +1564,7 @@ impl SimNode {
             host,
             shared: Rc::new(SimNodeShared {
                 seen: RefCell::new(HashMap::new()),
-                bus,
-                legacy,
-                polled: std::cell::Cell::new(false),
+                bus: EventBus::new(),
                 transfers: RefCell::new(HashMap::new()),
                 arrived: RefCell::new(HashSet::new()),
                 unresolved: std::cell::Cell::new(0),
@@ -1650,6 +1641,13 @@ impl SimNode {
         }
     }
 
+    /// A fresh datum id drawn from the simulation's seeded RNG.
+    fn mint_id(&self) -> DataId {
+        let mut sim = self.sim.borrow_mut();
+        let entropy = sim.now().as_nanos().max(1);
+        Auid::generate(entropy, &mut sim.rng)
+    }
+
     fn virtual_deadline(&self, timeout: Duration) -> SimTime {
         self.sim
             .borrow()
@@ -1660,23 +1658,13 @@ impl SimNode {
 
 impl BitDewApi for SimNode {
     fn create_data(&self, name: &str, content: &[u8]) -> Result<Data> {
-        let id = {
-            let mut sim = self.sim.borrow_mut();
-            let entropy = sim.now().as_nanos().max(1);
-            Auid::generate(entropy, &mut sim.rng)
-        };
-        let data = Data::from_bytes(id, name, content);
+        let data = Data::from_bytes(self.mint_id(), name, content);
         self.driver.register_data(&data);
         Ok(data)
     }
 
     fn create_slot(&self, name: &str, size: u64) -> Result<Data> {
-        let id = {
-            let mut sim = self.sim.borrow_mut();
-            let entropy = sim.now().as_nanos().max(1);
-            Auid::generate(entropy, &mut sim.rng)
-        };
-        let data = Data::slot(id, name, size);
+        let data = Data::slot(self.mint_id(), name, size);
         self.driver.register_data(&data);
         Ok(data)
     }
@@ -1812,8 +1800,10 @@ impl BitDewApi for SimNode {
         // get_range agree); materialize that before patching, or the write
         // would silently truncate everything past it.
         let size = entry.data.size as usize;
+        let end = (offset as usize)
+            .checked_add(content.len())
+            .ok_or(bitdew_transport::StoreError::OutOfRange)?;
         let buf = entry.content.get_or_insert_with(|| vec![0u8; size]);
-        let end = offset as usize + content.len();
         if buf.len() < end {
             buf.resize(end, 0);
         }
@@ -1832,14 +1822,14 @@ impl BitDewApi for SimNode {
         match &entry.content {
             Some(buf) => {
                 let from = (offset as usize).min(buf.len());
-                let to = (from + len).min(buf.len());
+                let to = from.saturating_add(len).min(buf.len());
                 Ok(buf[from..to].to_vec())
             }
             // Metadata-only datum: the modeled bytes are zeros.
             None => {
                 let size = entry.data.size as usize;
                 let from = (offset as usize).min(size);
-                let to = (from + len).min(size);
+                let to = from.saturating_add(len).min(size);
                 Ok(vec![0u8; to - from])
             }
         }
@@ -1936,9 +1926,9 @@ impl BitDewApi for SimNode {
                     .held_chunk_set(self.uid, data.id)
                     .into_iter()
                     .collect();
-                let first = (offset / m.chunk_size) as u32;
-                let last = ((offset + len as u64 - 1) / m.chunk_size) as u32;
-                for i in first..=last.min(m.chunk_count() - 1) {
+                let first = offset / m.chunk_size;
+                let last = offset.saturating_add(len as u64 - 1) / m.chunk_size;
+                for i in first as u32..=last.min(m.chunk_count() as u64 - 1) as u32 {
                     if !held.contains(&i) {
                         return Err(BitdewError::CatalogMiss {
                             what: format!("local chunk {i} of `{}`", data.name),
@@ -2292,14 +2282,6 @@ impl ActiveData for SimNode {
         self.shared.bus.detach(id);
     }
 
-    fn poll_events(&self) -> Vec<DataEvent> {
-        self.refresh();
-        if !self.shared.polled.replace(true) {
-            self.shared.legacy.uncap();
-        }
-        self.shared.legacy.drain()
-    }
-
     fn host_uid(&self) -> HostUid {
         self.uid
     }
@@ -2338,13 +2320,6 @@ impl TransferManager for SimNode {
                 what: format!("transfer {id:?}"),
             }),
         }
-    }
-
-    fn wait_all(&self, ids: &[TransferId]) -> Result<Vec<TransferState>> {
-        // Sequential waits share one virtual clock, so the total is still
-        // the slowest transfer; wait_for supplies the drained-simulation
-        // guard a raw advance loop would lack.
-        ids.iter().map(|&id| self.wait_for(id)).collect()
     }
 
     fn barrier(&self, timeout: Duration) -> Result<()> {
@@ -2661,6 +2636,8 @@ mod tests {
     fn sim_node_schedule_barrier_and_events() {
         let (_sim, _bd, nodes) = harness(2, 21);
         let client = &nodes[0];
+        let client_events = client.subscribe(EventFilter::any());
+        let worker_events = nodes[1].subscribe(EventFilter::any());
         let content = vec![5u8; 1_000_000];
         let data = client.create_data("spread", &content).unwrap();
         client.put(&data, &content).unwrap();
@@ -2668,7 +2645,7 @@ mod tests {
             .schedule(&data, DataAttributes::default().with_replica(2))
             .unwrap();
         // The scheduling node sees a Create event immediately.
-        let kinds: Vec<DataEventKind> = client.poll_events().iter().map(|e| e.kind).collect();
+        let kinds: Vec<DataEventKind> = client_events.drain().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![DataEventKind::Create]);
 
         // Barrier advances virtual time until both replicas landed.
@@ -2676,7 +2653,7 @@ mod tests {
         nodes[1].barrier(Duration::from_secs(60)).unwrap();
         assert!(nodes.iter().all(|n| n.has_cached(data.id)));
         // Arrival surfaced as a Copy event with the real content readable.
-        let evs = nodes[1].poll_events();
+        let evs = worker_events.drain();
         assert!(evs
             .iter()
             .any(|e| e.kind == DataEventKind::Copy && e.data.id == data.id));
@@ -2688,8 +2665,8 @@ mod tests {
             nodes[1].pump().unwrap();
         }
         assert!(!nodes[1].has_cached(data.id));
-        assert!(nodes[1]
-            .poll_events()
+        assert!(worker_events
+            .drain()
             .iter()
             .any(|e| e.kind == DataEventKind::Delete && e.data.id == data.id));
     }

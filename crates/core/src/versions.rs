@@ -327,7 +327,7 @@ pub fn split_writes(
         if bytes.is_empty() {
             continue;
         }
-        let end = offset + bytes.len() as u64;
+        let end = offset.saturating_add(bytes.len() as u64);
         if end > total {
             return Err(BitdewError::CatalogMiss {
                 what: format!(

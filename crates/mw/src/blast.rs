@@ -15,7 +15,7 @@
 //! flow-level models in `bitdew-transport::simproto`; unzip and execution
 //! scale with each cluster's compute factor (Table 1's CPU mix).
 //!
-//! Calibration constants (documented in EXPERIMENTS.md): real BitTorrent
+//! Calibration constants (fields of [`BlastParams`]): real BitTorrent
 //! deployments move data far below NIC line rate — the paper's own Fig. 5
 //! shows ~2.68 GB delivered in ~1,000–2,000 s — so swarm peers are capped at
 //! [`BlastParams::bt_peer_cap`] (BTPD-era client throughput), while FTP runs

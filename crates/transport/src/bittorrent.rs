@@ -15,7 +15,7 @@
 //! * upload-slot limiting (choking): peers refuse requests beyond
 //!   `max_upload_slots`, the paper's observed BitTorrent politeness.
 //!
-//! Deliberate simplifications (documented in DESIGN.md): peer wire messages
+//! Deliberate simplifications: peer wire messages
 //! ride one fabric connection per request instead of a persistent stream,
 //! and optimistic-unchoke rotation is replaced by random peer choice among
 //! holders — neither affects the properties the evaluation measures.

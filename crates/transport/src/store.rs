@@ -132,10 +132,10 @@ impl FileStore for MemStore {
     }
 
     fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), StoreError> {
+        let off = offset as usize;
+        let needed = off.checked_add(data.len()).ok_or(StoreError::OutOfRange)?;
         let mut objects = self.objects.write();
         let obj = objects.entry(name.to_string()).or_default();
-        let off = offset as usize;
-        let needed = off + data.len();
         if obj.len() < needed {
             obj.resize(needed, 0);
         }

@@ -2,7 +2,7 @@
 //!
 //! The paper quotes file sizes in MB (decimal, as networking papers do) and
 //! durations in seconds; these helpers keep the harness output in the same
-//! units so EXPERIMENTS.md lines up with the original tables.
+//! units so printed tables line up with the paper's.
 
 /// Bytes per decimal megabyte, the unit used throughout the paper.
 pub const MB: u64 = 1_000_000;
@@ -66,7 +66,7 @@ pub fn rate(bytes_per_sec: f64) -> String {
 }
 
 /// Render a markdown-style table; used by every bench binary so table output
-/// can be pasted straight into EXPERIMENTS.md.
+/// pastes straight into markdown.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {

@@ -5,53 +5,63 @@
 //!
 //! ## Where to start: the three trait APIs
 //!
-//! Applications program against the paper's three interfaces, exposed as
-//! object-safe traits in [`core::api`]:
+//! Applications program against the paper's three interfaces (§3.3),
+//! exposed as object-safe traits in [`core::api`]:
 //!
 //! * `BitDewApi` — the data space: `create_data`/`create_slot`,
 //!   `put`/`put_many`, non-blocking `get`, `search`, `delete`,
-//!   `create_attribute`;
+//!   `create_attribute`, plus the chunk and version faces (`put_chunked`,
+//!   `get_range`, `commit_update`, `open_snapshot`, `gc_versions`);
 //! * `ActiveData` — attribute-driven scheduling: `schedule`/
-//!   `schedule_many`, `pin`, polled life-cycle events;
+//!   `schedule_many`, `pin`, and life-cycle events through filtered
+//!   `subscribe` subscriptions and `add_handler` callbacks;
 //! * `TransferManager` — transfer control: `wait_for`, `try_wait`,
 //!   `wait_all`, `barrier`, `pump`.
 //!
 //! Write code generic over `N: BitDewApi + ActiveData + TransferManager`
-//! and run it on either deployment:
+//! and run it on either backend:
 //!
 //! * [`core::runtime::BitdewNode`] — threads, wall-clock heartbeats, real
-//!   FTP/HTTP/BitTorrent transfers;
+//!   FTP/HTTP/BitTorrent transfers over an in-process fabric;
 //! * [`core::simdriver::SimNode`] — the discrete-event simulator, virtual
-//!   time, flow-level transfers.
+//!   time, flow-level transfers on link-contended topologies.
 //!
 //! Every operation returns `core::Result`, failing with the unified
-//! `core::BitdewError` (transport, storage, attribute-parse, catalog-miss,
-//! scheduler, timeout and transfer-failure variants).
+//! `core::BitdewError`. A pipelined `Session` / `DataHandle` layer sits on
+//! top of the traits for batched, future-returning submission.
 //!
-//! ## The sharded service plane
+//! ## Five planes behind the APIs
 //!
-//! Behind both deployments sits one service plane, and since PR 2 it is
-//! **horizontally partitioned**: `core::shard::ShardRouter` maps each datum
-//! onto one of N consistent-hash shards (equal arcs of the `dht` 2^64
-//! ring), and `core::shard::ShardedPlane` runs an independent
-//! `(DataCatalog, DataScheduler)` pair per shard — own database, own lock.
-//! Reservoir synchronization fans out per shard and merges under one global
-//! `MaxDataSchedule` budget, so any shard count converges to the paper's
-//! placements; `RuntimeConfig::shards` (default 1 = the paper's monolithic
-//! service node) selects the partition width, and the `shard_scale` bench
-//! in `bitdew-bench` measures the resulting sync/publish throughput
-//! scaling.
+//! The `bitdew-core` crate doc describes each:
 //!
-//! See the `examples/` directory for runnable walk-throughs — every one of
-//! them is written once against the three traits and executed on BOTH the
-//! threaded runtime and the simulator:
+//! 1. **command** — the catalog and Data Scheduler (Algorithm 1),
+//!    partitioned into consistent-hash shards (`core::shard`);
+//! 2. **data** — chunk manifests with CRC32 digests and multi-source,
+//!    work-stealing range fetches (`core::chunks`);
+//! 3. **compute** — map operations scheduled onto the hosts that already
+//!    hold their input chunks (`core::compute`);
+//! 4. **discovery** — datagram announce/scrape of replica holdings, with
+//!    the TCP sync as fallback (`core::announce`);
+//! 5. **version** — copy-on-write version chains, snapshots and GC over
+//!    chunked data (`core::versions`).
+//!
+//! ## Measuring it
+//!
+//! Performance is measured with `ledger`, a package of its own under
+//! `bench/`: five workloads (three threaded, two simulated), end-to-end
+//! and per-layer metrics in one JSON schema, `compare` with per-metric
+//! bounds. `bench/README.md` lists its verbs, e.g.
+//! `cargo run --release --offline --manifest-path bench/Cargo.toml -- run small_files`.
+//!
+//! See the `examples/` directory for runnable walk-throughs — each is
+//! written once against the three traits:
 //!
 //! * `quickstart` — create, tag, replicate a datum through a pipelined
 //!   `Session`/`DataHandle`, reacting via per-datum subscriptions;
 //! * `file_updater` — the paper's Listing 1/2 network-update program on
 //!   the subscription event bus (name-filtered acks, per-datum copies);
-//! * `blast_mw` — the §5 master/worker application (batched task
-//!   submission through op futures);
+//! * `blast_mw` — the §5 master/worker application on both backends,
+//!   asserting identical results;
 //! * `fault_tolerance` — an owner crash healed through the failure
 //!   detector (the Fig. 4 machinery), the heir reacting to its inherited
 //!   replica's Copy event.

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bitdew::core::api::{ActiveData, BitDewApi, BitdewError, TransferManager};
-use bitdew::core::services::transfer::TransferState;
+use bitdew::core::services::transfer::{TransferId, TransferState};
 use bitdew::core::simdriver::{SimBitdew, SimNode};
 use bitdew::core::{
     BitdewNode, Data, DataAttributes, Locator, RuntimeConfig, ServiceContainer, REPLICA_ALL,
@@ -142,6 +142,85 @@ fn wait_all_drives_batched_gets_to_completion() {
     for (d, content) in data.iter().zip(&contents) {
         assert_eq!(&fetcher.read_local(d).unwrap(), content);
     }
+}
+
+/// An API answer with the error kept as its display text, so two
+/// backends' answers compare whole.
+type Answer<T> = std::result::Result<T, String>;
+
+fn answer<T>(r: bitdew::core::Result<T>) -> Answer<T> {
+    r.map_err(|e| e.to_string())
+}
+
+/// What one backend answers for ranges whose end overflows.
+#[derive(Debug, PartialEq)]
+struct EdgeAnswers {
+    get_range: Answer<Vec<u8>>,
+    get_range_local: Answer<Vec<u8>>,
+    get_range_local_chunked: Answer<Vec<u8>>,
+    put_range: Answer<()>,
+    put_range_chunked: Answer<()>,
+}
+
+/// The contract's edges, written once for both backends: `wait_all`
+/// completes three concurrent gets and rejects an unknown id as a catalog
+/// miss; ranges whose end overflows read short or fail, never panic.
+fn edge_contract<N: BitDewApi + TransferManager>(node: &N, payload: &[u8]) -> EdgeAnswers {
+    let data: Vec<Data> = (0..3)
+        .map(|i| {
+            let d = node.create_data(&format!("edge.{i}"), payload).unwrap();
+            node.put(&d, payload).unwrap();
+            d
+        })
+        .collect();
+    let ids: Vec<TransferId> = data.iter().map(|d| node.get(d).unwrap()).collect();
+    assert_eq!(
+        node.wait_all(&ids).unwrap(),
+        vec![TransferState::Complete; 3]
+    );
+    match node.wait_all(&[TransferId(u64::MAX)]) {
+        Err(BitdewError::CatalogMiss { .. }) => {}
+        other => panic!("expected CatalogMiss, got {other:?}"),
+    }
+
+    let chunked = node.create_data("edge.chunked", payload).unwrap();
+    node.put_chunked(&chunked, payload, 4_096).unwrap();
+    node.fetch_chunks(&chunked, &[0, 1, 2]).unwrap();
+
+    let plain = &data[0];
+    EdgeAnswers {
+        get_range: answer(node.get_range(plain, 1, usize::MAX)),
+        get_range_local: answer(node.get_range_local(plain, 1, usize::MAX)),
+        get_range_local_chunked: answer(node.get_range_local(&chunked, 1, usize::MAX)),
+        put_range: answer(node.put_range(plain, u64::MAX - 1, b"xy")),
+        put_range_chunked: answer(node.put_range(&chunked, u64::MAX - 1, b"xy")),
+    }
+}
+
+#[test]
+fn both_backends_answer_the_contract_edges_identically() {
+    let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+
+    let c = ServiceContainer::start(RuntimeConfig::default());
+    let threaded = edge_contract(&BitdewNode::new(Arc::clone(&c)), &payload);
+
+    let topo = topology::gdx_cluster(1);
+    let sim = Rc::new(RefCell::new(Sim::new(17)));
+    let driver = SimBitdew::new(
+        topo.net.clone(),
+        topo.service,
+        SimDuration::from_secs(1),
+        Trace::new(),
+    );
+    let node = SimNode::attach(&sim, &driver, topo.workers[0], SimTime::ZERO);
+    let simulated = edge_contract(&node, &payload);
+
+    // Reads past the end are short: everything after offset 1.
+    assert_eq!(threaded.get_range, Ok(payload[1..].to_vec()));
+    assert_eq!(threaded.get_range_local, Ok(payload[1..].to_vec()));
+    assert_eq!(threaded.get_range_local_chunked, Ok(payload[1..].to_vec()));
+    assert!(threaded.put_range.is_err() && threaded.put_range_chunked.is_err());
+    assert_eq!(threaded, simulated);
 }
 
 #[test]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bitdew::core::{
-    BitdewNode, CallbackHandler, DataAttributes, Lifetime, RuntimeConfig, ServiceContainer,
-    REPLICA_ALL,
+    BitdewNode, CallbackHandler, DataAttributes, EventFilter, Lifetime, RuntimeConfig,
+    ServiceContainer, REPLICA_ALL,
 };
 use bitdew::mw::{ComputeFn, MwMaster, MwWorker};
 use bitdew::transport::ProtocolId;
@@ -172,16 +172,19 @@ fn events_follow_the_listing2_contract() {
     let w = BitdewNode::new(Arc::clone(&c));
     let l2 = Arc::clone(&log);
     let l3 = Arc::clone(&log);
-    w.add_callback(
-        CallbackHandler::new()
-            .on_copy(move |d, a| {
-                l2.lock()
-                    .unwrap()
-                    .push(format!("copy:{}:r{}", d.name, a.replica));
-            })
-            .on_delete(move |d, _| {
-                l3.lock().unwrap().push(format!("delete:{}", d.name));
-            }),
+    w.add_handler(
+        EventFilter::any(),
+        Box::new(
+            CallbackHandler::new()
+                .on_copy(move |d, a| {
+                    l2.lock()
+                        .unwrap()
+                        .push(format!("copy:{}:r{}", d.name, a.replica));
+                })
+                .on_delete(move |d, _| {
+                    l3.lock().unwrap().push(format!("delete:{}", d.name));
+                }),
+        ),
     );
     client
         .schedule(&data, DataAttributes::default().with_replica(2))
