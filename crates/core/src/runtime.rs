@@ -22,7 +22,7 @@
 //! runs on this threaded deployment or on the simulator adapter unchanged.
 //! Every operation returns [`crate::Result`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -102,8 +102,11 @@ pub struct RuntimeConfig {
     pub max_data_schedule: usize,
     /// DT retry budget per transfer.
     pub max_retries: u32,
-    /// Per-node concurrent download cap (the TransferManager "level of
-    /// transfers concurrency", §3.1).
+    /// Per-node cap on download *sessions* in flight (the TransferManager
+    /// "level of transfers concurrency", §3.1). A per-datum transfer is one
+    /// session; so is a batch — every whole-object FTP datum one
+    /// synchronization round assigns from one source, moved over one
+    /// pipelined connection — however many data it carries.
     pub max_concurrent_downloads: usize,
     /// Service-plane shards: the DC + DS are partitioned over this many
     /// consistent-hash shards, each with its own database and its own lock
@@ -288,16 +291,7 @@ impl ServiceContainer {
         let counter = Arc::new(AtomicU64::new(0));
         Arc::new(
             move |data: &Data, locator: &Locator, local: Arc<dyn FileStore>| {
-                let spec = TransferSpec {
-                    name: locator.object.clone(),
-                    bytes: data.size,
-                    checksum: if data.has_checksum() {
-                        Some(data.checksum)
-                    } else {
-                        None
-                    },
-                    remote: locator.remote.clone(),
-                };
+                let spec = transfer_spec(data, locator);
                 if locator.protocol == ProtocolId::ftp() {
                     Ok(Box::new(FtpTransfer::new(
                         fabric.clone(),
@@ -353,6 +347,16 @@ impl ServiceContainer {
     }
 }
 
+/// What a protocol transfer of `data` from `locator` moves.
+fn transfer_spec(data: &Data, locator: &Locator) -> TransferSpec {
+    TransferSpec {
+        name: locator.object.clone(),
+        bytes: data.size,
+        checksum: data.has_checksum().then_some(data.checksum),
+        remote: locator.remote.clone(),
+    }
+}
+
 /// Keeps the leecher's serving daemon alive for the duration of a BitTorrent
 /// transfer; delegates the OOB contract to the inner transfer. (The
 /// `OobTransfer` trait speaks the transport layer's result type; core's own
@@ -391,6 +395,16 @@ pub struct SyncSummary {
     pub deleted: Vec<DataId>,
 }
 
+/// A scheduled download in flight on a node.
+struct PendingFetch {
+    tid: TransferId,
+    /// The download session it travels in: a batch's first member's id,
+    /// or its own id when it moves alone.
+    session: TransferId,
+    data: Data,
+    attrs: DataAttributes,
+}
+
 /// A volatile node (client or reservoir host).
 pub struct BitdewNode {
     /// This node's identity.
@@ -401,7 +415,7 @@ pub struct BitdewNode {
     /// admission) — the node's face of the chunked data plane.
     chunk_store: Arc<ChunkStore>,
     cache: Mutex<HashMap<DataId, (Data, DataAttributes)>>,
-    pending: Mutex<HashMap<DataId, (TransferId, Data, DataAttributes)>>,
+    pending: Mutex<HashMap<DataId, PendingFetch>>,
     /// In-flight chunk-level repairs (datum stays cached while missing
     /// chunks are re-fetched).
     repairing: Mutex<HashMap<DataId, TransferId>>,
@@ -1518,21 +1532,29 @@ impl BitdewNode {
         self.bus.retry_deferred();
         let deferred_before = self.bus.deferred_events();
 
-        // 1. Reap finished transfers.
+        // 1. Reap finished transfers in admission order (ascending
+        // `TransferId`). A batch's members finish in order, but one DT
+        // monitor step can see member i+1's verdict before member i's, so
+        // a completed member also waits for every earlier member of its
+        // session still active: a batch's Copy events fire in the order
+        // its members were admitted.
         self.container.transfer.tick();
         let mut completed_data: Vec<Data> = Vec::new();
         {
             let mut pending = self.pending.lock();
-            let ids: Vec<(DataId, TransferId)> = pending
+            let mut order: Vec<(TransferId, TransferId, DataId)> = pending
                 .iter()
-                .map(|(&id, &(tid, _, _))| (id, tid))
+                .map(|(&id, p)| (p.tid, p.session, id))
                 .collect();
-            for (id, tid) in ids {
+            order.sort_unstable();
+            let mut held_back: Vec<TransferId> = Vec::new();
+            for (tid, session, id) in order {
                 match self.container.transfer.report(tid).map(|r| r.state) {
-                    Some(TransferState::Complete) => {
-                        // The entry is present: `ids` was snapshotted under
-                        // this same lock and nothing else removes entries.
-                        let Some((_, data, attrs)) = pending.remove(&id) else {
+                    Some(TransferState::Complete) if !held_back.contains(&session) => {
+                        // The entry is present: `order` was snapshotted
+                        // under this same lock and nothing else removes
+                        // entries.
+                        let Some(PendingFetch { data, attrs, .. }) = pending.remove(&id) else {
                             continue;
                         };
                         self.container.transfer.reap(tid);
@@ -1541,12 +1563,13 @@ impl BitdewNode {
                         completed_data.push(data.clone());
                         self.fire(DataEventKind::Copy, &data, &attrs);
                     }
+                    Some(TransferState::Complete) => {}
                     Some(TransferState::Failed) | None => {
                         // Next sync re-assigns if the data is still wanted.
                         pending.remove(&id);
                         self.container.transfer.reap(tid);
                     }
-                    Some(TransferState::Active) => {}
+                    Some(TransferState::Active) => held_back.push(session),
                 }
             }
         }
@@ -1619,12 +1642,19 @@ impl BitdewNode {
                 }
             }
         }
+        // Data whose download is in flight are reported as held: the host
+        // is committed to them. Left out, step 1 of the sync would take
+        // them out of Ω and step 2 put them back — and another host's
+        // synchronization running between the two (the sharded plane
+        // locks a shard per step) could be assigned them as well.
+        let mut held = cache_ids;
+        held.extend(self.pending.lock().keys().copied());
         let now = self.container.now_nanos();
         let (reply, mut profile) = self
             .container
             .plane
             .scheduler()
-            .sync_profiled(self.uid, &cache_ids, now, self.role);
+            .sync_profiled(self.uid, &held, now, self.role);
 
         // 3. Purge obsolete data — bytes, chunk presence marks AND the
         // cached manifest. Stale presence would make a later re-download
@@ -1639,49 +1669,90 @@ impl BitdewNode {
             }
         }
 
-        // 4. Launch newly assigned downloads (respecting the concurrency
-        // cap). Manifest-backed data with more than one range-capable
-        // source go through the multi-source chunk fetcher; everything
-        // else takes the single-locator protocol path.
+        // 4. Launch newly assigned downloads, at most
+        // `max_concurrent_downloads` sessions in flight. Whole-object FTP
+        // data move in one pipelined batch per source; manifest-backed data
+        // (the multi-source chunk fetcher when there are two range-capable
+        // sources), BitTorrent data and HTTP locators move one transfer
+        // each. Data without a locator yet (content not put) wait for a
+        // later round.
         let cap = self.container.config.max_concurrent_downloads;
-        for (data, attrs) in reply.download {
+        let mut markers: Vec<(Data, DataAttributes)> = Vec::new();
+        {
             let mut pending = self.pending.lock();
-            if pending.len() >= cap || pending.contains_key(&data.id) {
-                continue;
-            }
-            if self.cache.lock().contains_key(&data.id) {
-                continue;
-            }
-            // Zero-sized slots (pure markers like the Collector) need no
-            // transfer: cache them directly.
-            if data.size == 0 {
-                drop(pending);
-                self.cache
-                    .lock()
-                    .insert(data.id, (data.clone(), attrs.clone()));
-                summary.completed.push(data.id);
-                self.fire(DataEventKind::Copy, &data, &attrs);
-                continue;
-            }
-            let submitted = match self.try_multi_fetch(&data, &attrs) {
-                Some(tid) => Some(tid),
-                None => self
-                    .locator_for(&data, &attrs.protocol)
-                    .ok()
-                    .and_then(|locator| {
+            let mut sessions = pending
+                .values()
+                .map(|p| p.session)
+                .collect::<HashSet<_>>()
+                .len();
+            let mut batches: Vec<Vec<(Data, DataAttributes, Locator)>> = Vec::new();
+            for (data, attrs) in reply.download {
+                if pending.contains_key(&data.id) || self.cache.lock().contains_key(&data.id) {
+                    continue;
+                }
+                // Zero-sized slots (pure markers like the Collector) need
+                // no transfer: cache them directly, once the pending lock
+                // is released (a Copy handler may call back into this
+                // node).
+                if data.size == 0 {
+                    markers.push((data, attrs));
+                    continue;
+                }
+                if sessions >= cap && batches.is_empty() {
+                    continue; // nothing can start: spare the catalog lookups
+                }
+                let manifest = match attrs.protocol == ProtocolId::bittorrent() {
+                    true => None,
+                    false => self.chunk_manifest(data.id).ok().flatten(),
+                };
+                let Ok(locator) = self.locator_for(&data, &attrs.protocol) else {
+                    continue;
+                };
+                if manifest.is_none() && locator.protocol == ProtocolId::ftp() {
+                    match batches.iter_mut().find(|b| b[0].2.remote == locator.remote) {
+                        Some(batch) => batch.push((data, attrs, locator)),
+                        None if sessions < cap => {
+                            sessions += 1;
+                            batches.push(vec![(data, attrs, locator)]);
+                        }
+                        None => {}
+                    }
+                    continue;
+                }
+                if sessions >= cap {
+                    continue;
+                }
+                let tid = manifest
+                    .and_then(|m| self.try_multi_fetch(&data, m))
+                    .or_else(|| {
+                        let local = Arc::clone(&self.local);
                         self.container
                             .transfer
-                            .submit(data.clone(), locator, Arc::clone(&self.local))
+                            .submit(data.clone(), locator, local)
                             .ok()
-                    }),
-            };
-            match submitted {
-                Some(tid) => {
+                    });
+                if let Some(tid) = tid {
+                    sessions += 1;
                     summary.started.push(data.id);
-                    pending.insert(data.id, (tid, data, attrs));
+                    let fetch = PendingFetch {
+                        tid,
+                        session: tid,
+                        data,
+                        attrs,
+                    };
+                    pending.insert(fetch.data.id, fetch);
                 }
-                None => { /* no locator yet (content not put) — retry later */ }
             }
+            for batch in batches {
+                self.submit_batch(batch, &mut pending, &mut summary);
+            }
+        }
+        for (data, attrs) in markers {
+            self.cache
+                .lock()
+                .insert(data.id, (data.clone(), attrs.clone()));
+            summary.completed.push(data.id);
+            self.fire(DataEventKind::Copy, &data, &attrs);
         }
 
         // 5. Launch chunk-level repairs: the datum stays cached, only the
@@ -1730,21 +1801,52 @@ impl BitdewNode {
         self.last_profile.lock().clone()
     }
 
-    /// Submit a multi-source chunked fetch for a scheduled download when
-    /// the plane has a manifest and at least two range-capable sources;
-    /// `None` falls back to the single-source path. Data scheduled with an
-    /// explicit BitTorrent protocol keep their swarm (it is already
-    /// multi-source).
-    fn try_multi_fetch(&self, data: &Data, attrs: &DataAttributes) -> Option<TransferId> {
-        if attrs.protocol == ProtocolId::bittorrent() {
-            return None;
-        }
-        let manifest = self.chunk_manifest(data.id).ok()??;
+    /// Submit a multi-source chunked fetch for a scheduled manifest-backed
+    /// download when it has at least two range-capable sources; `None`
+    /// falls back to the single-locator path. (Data scheduled with an
+    /// explicit BitTorrent protocol keep their swarm, which is already
+    /// multi-source, and never get here.)
+    fn try_multi_fetch(&self, data: &Data, manifest: ChunkManifest) -> Option<TransferId> {
         let sources = self.range_sources(data.id).ok()?;
         if sources.len() < 2 {
             return None;
         }
         self.submit_multi_fetch(data, manifest, sources).ok()
+    }
+
+    /// Register a batch — whole-object FTP data from one source — as one
+    /// DT transfer per datum, every one a view on the same pipelined
+    /// session (see [`FtpTransfer::download_batch`]).
+    fn submit_batch(
+        &self,
+        batch: Vec<(Data, DataAttributes, Locator)>,
+        pending: &mut HashMap<DataId, PendingFetch>,
+        summary: &mut SyncSummary,
+    ) {
+        let specs = batch.iter().map(|(d, _, l)| transfer_spec(d, l)).collect();
+        let members = FtpTransfer::download_batch(
+            self.container.fabric.clone(),
+            specs,
+            Arc::clone(&self.local),
+        );
+        let mut session = None;
+        for (member, (data, attrs, locator)) in members.into_iter().zip(batch) {
+            let submitted = self.container.transfer.submit_built(
+                data.clone(),
+                locator,
+                Arc::clone(&self.local),
+                Box::new(member),
+            );
+            let Ok(tid) = submitted else { continue };
+            summary.started.push(data.id);
+            let fetch = PendingFetch {
+                tid,
+                session: *session.get_or_insert(tid),
+                data,
+                attrs,
+            };
+            pending.insert(fetch.data.id, fetch);
+        }
     }
 
     /// Spawn the heartbeat thread; returns a guard that stops it on drop.

@@ -32,7 +32,7 @@ pub struct DataRepository {
     http_endpoint: String,
     tracker_endpoint: String,
     seeder_endpoint: String,
-    _ftp: FtpServer,
+    ftp: FtpServer,
     _http: HttpServer,
     _tracker: Tracker,
     /// One seeder daemon per data served over BitTorrent.
@@ -57,7 +57,7 @@ impl DataRepository {
             http_endpoint,
             tracker_endpoint,
             seeder_endpoint,
-            _ftp: ftp,
+            ftp,
             _http: http,
             _tracker: tracker,
             seeders: Mutex::new(HashMap::new()),
@@ -67,6 +67,12 @@ impl DataRepository {
     /// The repository's backing store.
     pub fn store(&self) -> Arc<dyn FileStore> {
         Arc::clone(&self.store)
+    }
+
+    /// The FTP daemon serving the repository (session counts, fault
+    /// injection).
+    pub fn ftp_server(&self) -> &FtpServer {
+        &self.ftp
     }
 
     /// Copy `content` into the slot for `data`, verifying the declared

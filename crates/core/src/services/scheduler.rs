@@ -44,9 +44,11 @@
 //!   ascending. A host gets an entry when it first owns something — not
 //!   when it first synchronizes — and keeps it, possibly empty, until it
 //!   is declared dead owning nothing: a host whose download is in flight
-//!   leaves and re-enters Ω on every heartbeat, and must not pay for an
-//!   entry each time. Step 1's reconciliation and the failure detector's
-//!   per-host eviction walk `owned[h]` only. Pins need no reverse map:
+//!   and not reported (the simulator reports completed downloads only;
+//!   the threaded runtime reports in-flight ones too) leaves and re-enters
+//!   Ω on every heartbeat, and must not pay for an entry each time. Step
+//!   1's reconciliation and the failure detector's per-host eviction walk
+//!   `owned[h]` only. Pins need no reverse map:
 //!   both walks test the forward `pinned[d]`.
 //! * **`open`** — the affinity-free data whose demand is unmet:
 //!   `d ∈ open  ⇔  d ∈ Θ ∧ affinity(d) = ∅ ∧ (replica(d) = −1 ∨

@@ -13,6 +13,17 @@
 //! their resume offset, and verify integrity receiver-side. A transfer that
 //! keeps failing is abandoned after `max_retries` ("resumed or canceled
 //! according to the programmer's preference", §2.3).
+//!
+//! A transfer is always one datum, even when its bytes share a session
+//! with others: the runtime registers each member of an FTP download batch
+//! ([`FtpTransfer::download_batch`](bitdew_transport::ftp::FtpTransfer::download_batch))
+//! through [`DataTransfer::submit_built`] as a view on the shared batch —
+//! its own [`TransferId`], its own `probe` of its own slot, a `disconnect`
+//! that never waits for the rest of the batch (the monitor step calls it
+//! with the entries lock held). A member that fails retries like any other
+//! transfer: through the builder, as a single resumable transfer. So
+//! `wait`, retries, `completed_count` and reaping are per datum whether
+//! the datum moved alone or in a batch.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -195,8 +206,9 @@ impl DataTransfer {
                         continue;
                     }
                     // Rebuild and restart: the protocol resumes from the
-                    // receiver's verified offset. A corrupt payload restarts
-                    // too (the store offset logic re-fetches the tail).
+                    // receiver's offset. A whole-object download that failed
+                    // its MD5 check removed its local object, so a corrupt
+                    // payload restarts at 0.
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     entry.attempts += 1;
                     match (self.builder)(&entry.data, &entry.locator, Arc::clone(&entry.local)) {
@@ -366,6 +378,31 @@ mod tests {
         assert_eq!(state, TransferState::Complete);
         assert!(dt.retry_count() >= 1, "a resume happened");
         assert!(dt.report(id).unwrap().attempts >= 2);
+        assert_eq!(
+            &local
+                .read_at(&data.object_name(), 0, content.len())
+                .unwrap()[..],
+            &content[..]
+        );
+    }
+
+    #[test]
+    fn a_complete_but_corrupt_local_object_heals_in_one_retry() {
+        let content: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
+        let (fabric, _server, data, locator, local) = setup(&content);
+        // Full length, wrong bytes: resuming from its size would fetch
+        // nothing and fail the digest again, forever.
+        local.put(&data.object_name(), &vec![0xAB; content.len()]);
+        let dt = DataTransfer::new(ftp_builder(fabric), 3);
+        let id = dt
+            .submit(data.clone(), locator, Arc::clone(&local) as _)
+            .unwrap();
+        assert_eq!(
+            dt.wait(id, Duration::from_millis(2)),
+            Some(TransferState::Complete)
+        );
+        assert_eq!(dt.retry_count(), 1);
+        assert_eq!(dt.report(id).unwrap().attempts, 2);
         assert_eq!(
             &local
                 .read_at(&data.object_name(), 0, content.len())

@@ -7,13 +7,34 @@
 //! (`STOR`) and size (`SIZE`) verbs, chunked streaming, **offset resume**
 //! and receiver-side MD5 verification.
 //!
+//! **Whole-object downloads move in batches.** [`FtpTransfer::download_batch`]
+//! turns N specs naming one server into N transfers that share one worker
+//! thread (`ftp-get`) and one command session: the worker pipelines one
+//! `RETR <name> <resume offset>` per member — the server answers a
+//! session's commands in order — keeping at most `PIPELINE_BYTES` (1 MiB) of
+//! requested payload outstanding, and streams each reply through
+//! `recv_hashed`. A member is a transfer of its own: its own `bytes_done`,
+//! its own verdict, its own MD5 check. An `ERR` reply (missing object,
+//! malformed request) fails only that member; a dropped session
+//! interrupts the member being received and every later one. A member
+//! whose MD5 does not match removes its local object, so the next attempt
+//! starts at 0 instead of resuming behind a corrupt prefix.
+//! [`FtpTransfer::new`] for a download is a batch of one: there is one
+//! whole-object download loop. Retrying a failed member is the caller's
+//! business — the Data Transfer service rebuilds it as a single resumable
+//! transfer. `disconnect` never blocks; the worker is joined when the last
+//! transfer of its batch is dropped.
+//!
 //! The server supports deterministic fault injection (drop the connection
 //! after N payload bytes) so the Data Transfer service's retry/resume logic
 //! is testable — "interrupted transfers should be automatically resumed"
-//! (§2.3) is exercised end to end.
+//! (§2.3) is exercised end to end. Numeric command arguments that do not
+//! parse (garbage, negative, beyond `u64`) are answered `ERR malformed`
+//! and the session carries on.
 
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 
@@ -41,6 +62,8 @@ pub struct FtpServer {
     /// Fault injection: drop each connection after this many payload bytes
     /// (consumed once per connection).
     drop_after: Arc<AtomicU64>,
+    /// Connections accepted since start.
+    sessions: Arc<AtomicU64>,
 }
 
 impl FtpServer {
@@ -49,19 +72,27 @@ impl FtpServer {
         let listener = fabric.listen(name);
         let shutdown = Arc::new(AtomicBool::new(false));
         let drop_after = Arc::new(AtomicU64::new(u64::MAX));
+        let sessions = Arc::new(AtomicU64::new(0));
         let shutdown2 = Arc::clone(&shutdown);
         let drop2 = Arc::clone(&drop_after);
+        let sessions2 = Arc::clone(&sessions);
+        let session_name = format!("ftpd-{name}-session");
         let accept_thread = std::thread::Builder::new()
             .name(format!("ftpd-{name}"))
             .spawn(move || {
                 while !shutdown2.load(Ordering::Relaxed) {
                     match listener.accept_timeout(std::time::Duration::from_millis(50)) {
                         Ok(conn) => {
+                            sessions2.fetch_add(1, Ordering::Relaxed);
                             let store = Arc::clone(&store);
                             let limit = drop2.swap(u64::MAX, Ordering::Relaxed);
-                            std::thread::spawn(move || {
-                                let _ = Self::serve_conn(conn, store, limit);
-                            });
+                            // A refused spawn drops the connection: the
+                            // client sees an interrupted transfer.
+                            let _ = std::thread::Builder::new()
+                                .name(session_name.clone())
+                                .spawn(move || {
+                                    let _ = Self::serve_conn(conn, store, limit);
+                                });
                         }
                         Err(FabricError::Timeout) => continue,
                         Err(_) => break,
@@ -75,12 +106,18 @@ impl FtpServer {
             listener_name: name.to_string(),
             accept_thread: Some(accept_thread),
             drop_after,
+            sessions,
         }
     }
 
     /// Make the *next* accepted connection drop after `bytes` payload bytes.
     pub fn inject_drop_after(&self, bytes: u64) {
         self.drop_after.store(bytes, Ordering::Relaxed);
+    }
+
+    /// Command sessions (accepted connections) since the server started.
+    pub fn sessions_accepted(&self) -> u64 {
+        self.sessions.load(Ordering::Relaxed)
     }
 
     /// Stop accepting and shut down.
@@ -107,11 +144,11 @@ impl FtpServer {
             let mut parts = line.split_whitespace();
             match parts.next() {
                 Some("RETR") => {
-                    let (Some(name), Some(off)) = (parts.next(), parts.next()) else {
+                    let (Some(name), Some(offset)) = (parts.next(), arg::<u64>(parts.next()))
+                    else {
                         conn.send(Bytes::from_static(b"ERR malformed"))?;
                         continue;
                     };
-                    let offset: u64 = off.parse().unwrap_or(0);
                     let size = match store.size(name) {
                         Ok(s) => s,
                         Err(_) => {
@@ -132,14 +169,14 @@ impl FtpServer {
                     conn.send(Bytes::from(format!("END {}", digest.to_hex())))?;
                 }
                 Some("STOR") => {
-                    let (Some(name), Some(off), Some(len)) =
-                        (parts.next(), parts.next(), parts.next())
-                    else {
+                    let (Some(name), Some(offset), Some(total)) = (
+                        parts.next(),
+                        arg::<u64>(parts.next()),
+                        arg::<u64>(parts.next()),
+                    ) else {
                         conn.send(Bytes::from_static(b"ERR malformed"))?;
                         continue;
                     };
-                    let offset: u64 = off.parse().unwrap_or(0);
-                    let total: u64 = len.parse().unwrap_or(0);
                     conn.send(Bytes::from_static(b"OK"))?;
                     let end = offset.saturating_add(total);
                     let (_, digest) =
@@ -152,14 +189,14 @@ impl FtpServer {
                     // n = 0). Requests may be pipelined on one connection —
                     // replies come back in request order — which is what the
                     // chunked multi-source fetcher exploits.
-                    let (Some(name), Some(off), Some(len)) =
-                        (parts.next(), parts.next(), parts.next())
-                    else {
+                    let (Some(name), Some(offset), Some(len)) = (
+                        parts.next(),
+                        arg::<u64>(parts.next()),
+                        arg::<usize>(parts.next()),
+                    ) else {
                         conn.send(Bytes::from_static(b"ERR malformed"))?;
                         continue;
                     };
-                    let offset: u64 = off.parse().unwrap_or(0);
-                    let len: usize = len.parse().unwrap_or(0);
                     let chunk = match store.read_at(name, offset, len) {
                         Ok(c) => c,
                         Err(_) => {
@@ -198,6 +235,11 @@ impl Drop for FtpServer {
     }
 }
 
+/// A numeric command argument; `None` when absent or not a `T`.
+fn arg<T: FromStr>(word: Option<&str>) -> Option<T> {
+    word?.parse().ok()
+}
+
 // ---------------------------------------------------------------------------
 // Client transfer
 // ---------------------------------------------------------------------------
@@ -211,25 +253,127 @@ pub enum Direction {
     Upload,
 }
 
-struct Shared {
+/// Requested payload bytes a download batch keeps outstanding on its
+/// session (the member being received is always requested, whatever its
+/// size): deep enough that small objects stream back to back, shallow
+/// enough that a batch of large ones does not queue them all in memory.
+const PIPELINE_BYTES: u64 = 1 << 20;
+
+/// Progress of one transfer, written by its worker and read by `probe`.
+#[derive(Default)]
+struct Slot {
     bytes_done: AtomicU64,
     verdict: parking_lot::Mutex<Option<TransferVerdict>>,
 }
 
-/// An FTP-like transfer implementing the OOB contract. `receive`/`send`
-/// spawn a worker; callers poll [`OobTransfer::probe`] (non-blocking style).
-pub struct FtpTransfer {
+impl Slot {
+    fn finish(&self, verdict: TransferVerdict) {
+        *self.verdict.lock() = Some(verdict);
+    }
+}
+
+/// What one worker thread moves: a download batch (every spec names the
+/// same server) or one upload, with one slot per spec.
+struct Job {
     fabric: Fabric,
-    spec: TransferSpec,
     local: Arc<dyn FileStore>,
     direction: Direction,
-    shared: Arc<Shared>,
-    worker: Option<std::thread::JoinHandle<()>>,
-    connected: bool,
+    specs: Vec<TransferSpec>,
+    slots: Vec<Slot>,
+}
+
+impl Job {
+    fn run(&self) {
+        match self.direction {
+            Direction::Download => download(self),
+            Direction::Upload => {
+                let verdict = upload(
+                    &self.fabric,
+                    &self.specs[0],
+                    self.local.as_ref(),
+                    &self.slots[0],
+                );
+                self.slots[0].finish(verdict.unwrap_or(TransferVerdict::Interrupted));
+            }
+        }
+    }
+
+    /// Interrupt member `first` and every later one.
+    fn interrupt_from(&self, first: usize) {
+        for slot in &self.slots[first..] {
+            slot.finish(TransferVerdict::Interrupted);
+        }
+    }
+}
+
+/// A job's worker thread: spawned by the first `send`/`receive` on any of
+/// its transfers, joined when the last of them is dropped.
+struct Worker {
+    job: Arc<Job>,
+    thread: OnceLock<Option<std::thread::JoinHandle<()>>>,
+}
+
+impl Worker {
+    fn new(
+        fabric: Fabric,
+        specs: Vec<TransferSpec>,
+        local: Arc<dyn FileStore>,
+        direction: Direction,
+    ) -> Arc<Worker> {
+        let slots = specs.iter().map(|_| Slot::default()).collect();
+        Arc::new(Worker {
+            job: Arc::new(Job {
+                fabric,
+                local,
+                direction,
+                specs,
+                slots,
+            }),
+            thread: OnceLock::new(),
+        })
+    }
+
+    fn start(&self) -> TransportResult<()> {
+        let thread = self.thread.get_or_init(|| {
+            let job = Arc::clone(&self.job);
+            let name = match job.direction {
+                Direction::Download => "ftp-get",
+                Direction::Upload => "ftp-put",
+            };
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || job.run())
+                .ok()
+        });
+        if thread.is_some() {
+            return Ok(());
+        }
+        self.job.interrupt_from(0);
+        Err(TransportError::Interrupted(
+            "the OS refused the ftp worker thread".into(),
+        ))
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        if let Some(Some(thread)) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// An FTP-like transfer implementing the OOB contract: one member of a
+/// job that one worker thread runs (see the module docs). `receive`/`send`
+/// start the worker, once per job; callers poll [`OobTransfer::probe`]
+/// (non-blocking style).
+pub struct FtpTransfer {
+    worker: Arc<Worker>,
+    member: usize,
 }
 
 impl FtpTransfer {
-    /// Prepare a transfer (no I/O yet).
+    /// Prepare a transfer (no I/O yet). A download is a batch of one.
     pub fn new(
         fabric: Fabric,
         spec: TransferSpec,
@@ -237,55 +381,90 @@ impl FtpTransfer {
         direction: Direction,
     ) -> FtpTransfer {
         FtpTransfer {
-            fabric,
-            spec,
-            local,
-            direction,
-            shared: Arc::new(Shared {
-                bytes_done: AtomicU64::new(0),
-                verdict: parking_lot::Mutex::new(None),
-            }),
-            worker: None,
-            connected: false,
+            worker: Worker::new(fabric, vec![spec], local, direction),
+            member: 0,
         }
     }
 
-    fn spawn_worker(&mut self) {
-        let fabric = self.fabric.clone();
-        let spec = self.spec.clone();
-        let local = Arc::clone(&self.local);
-        let shared = Arc::clone(&self.shared);
-        let direction = self.direction;
-        self.worker = Some(std::thread::spawn(move || {
-            let result = match direction {
-                Direction::Download => download(&fabric, &spec, local.as_ref(), &shared),
-                Direction::Upload => upload(&fabric, &spec, local.as_ref(), &shared),
-            };
-            let mut verdict = shared.verdict.lock();
-            *verdict = Some(match result {
-                Ok(v) => v,
-                Err(_) => TransferVerdict::Interrupted,
-            });
-        }));
+    /// Prepare a download batch (no I/O yet): one transfer per spec, in
+    /// order, all moved into `local` by one worker thread over one
+    /// pipelined session to the server every spec names.
+    pub fn download_batch(
+        fabric: Fabric,
+        specs: Vec<TransferSpec>,
+        local: Arc<dyn FileStore>,
+    ) -> Vec<FtpTransfer> {
+        debug_assert!(
+            specs.windows(2).all(|w| w[0].remote == w[1].remote),
+            "a batch talks to one server"
+        );
+        let members = specs.len();
+        let worker = Worker::new(fabric, specs, local, Direction::Download);
+        (0..members)
+            .map(|member| FtpTransfer {
+                worker: Arc::clone(&worker),
+                member,
+            })
+            .collect()
+    }
+
+    fn spec(&self) -> &TransferSpec {
+        &self.worker.job.specs[self.member]
     }
 }
 
-fn download(
-    fabric: &Fabric,
+/// The whole-object download loop: every `FtpTransfer` download runs here,
+/// a single one as a batch of one. A member's `RETR` goes out with its
+/// resume offset — the length of its local object, whose bytes are hashed
+/// from the store and the rest as they arrive — while the payload
+/// requested ahead of the member being received fits `PIPELINE_BYTES`.
+fn download(job: &Job) {
+    let Ok(conn) = job.fabric.connect(&job.specs[0].remote) else {
+        return job.interrupt_from(0);
+    };
+    let mut offsets: Vec<u64> = Vec::with_capacity(job.specs.len());
+    let mut outstanding = 0u64;
+    for (i, (spec, slot)) in job.specs.iter().zip(&job.slots).enumerate() {
+        while let Some(next) = job.specs.get(offsets.len()) {
+            if offsets.len() > i && outstanding.saturating_add(next.bytes) > PIPELINE_BYTES {
+                break;
+            }
+            let offset = job.local.size(&next.name).unwrap_or(0).min(next.bytes);
+            let request = Bytes::from(format!("RETR {} {offset}", next.name));
+            if conn.send(request).is_err() {
+                // The server hung up, perhaps after answering what was
+                // already requested: receive that, then stop.
+                break;
+            }
+            job.slots[offsets.len()]
+                .bytes_done
+                .store(offset, Ordering::Relaxed);
+            outstanding = outstanding.saturating_add(next.bytes - offset);
+            offsets.push(offset);
+        }
+        let Some(&offset) = offsets.get(i) else {
+            return job.interrupt_from(i);
+        };
+        match retr(&conn, spec, offset, job.local.as_ref(), slot) {
+            Ok(verdict) => slot.finish(verdict),
+            // `ERR`: the session is intact, only this member failed.
+            Err(TransportError::NoSuchObject(_)) => slot.finish(TransferVerdict::Interrupted),
+            Err(_) => return job.interrupt_from(i),
+        }
+        outstanding = outstanding.saturating_sub(spec.bytes - offset);
+    }
+}
+
+/// One member's reply: `SIZE <n>`, the payload frames, `END <md5hex>`.
+fn retr(
+    conn: &Duplex,
     spec: &TransferSpec,
+    offset: u64,
     local: &dyn FileStore,
-    shared: &Shared,
+    slot: &Slot,
 ) -> TransportResult<TransferVerdict> {
-    let conn = fabric
-        .connect(&spec.remote)
-        .map_err(|e| TransportError::ConnectFailed(e.to_string()))?;
-    // Resume from whatever partial content is already on disk; its bytes
-    // are hashed from the store, the rest as they arrive.
-    let offset = local.size(&spec.name).unwrap_or(0).min(spec.bytes);
-    shared.bytes_done.store(offset, Ordering::Relaxed);
-    conn.send(Bytes::from(format!("RETR {} {}", spec.name, offset)))?;
     let head = conn.recv()?;
-    let head = String::from_utf8_lossy(&head).to_string();
+    let head = String::from_utf8_lossy(&head);
     let total = match head.strip_prefix("SIZE ") {
         Some(s) => s
             .trim()
@@ -293,8 +472,8 @@ fn download(
             .map_err(|_| TransportError::Protocol(format!("bad SIZE reply: {head}")))?,
         None => return Err(TransportError::NoSuchObject(spec.name.clone())),
     };
-    let (pos, local_digest) = recv_hashed(local, &spec.name, offset, total, &conn, |pos| {
-        shared.bytes_done.store(pos, Ordering::Relaxed)
+    let (pos, local_digest) = recv_hashed(local, &spec.name, offset, total, conn, |pos| {
+        slot.bytes_done.store(pos, Ordering::Relaxed)
     })?;
     // The frame after the last payload byte is the "END <md5hex>" trailer.
     let trailer = conn.recv()?;
@@ -307,7 +486,12 @@ fn download(
         return Ok(TransferVerdict::Interrupted);
     }
     match spec.checksum.or(server_digest) {
-        Some(d) if d != local_digest => Ok(TransferVerdict::CorruptPayload),
+        Some(d) if d != local_digest => {
+            // Resuming behind a corrupt prefix would fetch nothing and fail
+            // the same way again: the next attempt starts at 0.
+            let _ = local.remove(&spec.name);
+            Ok(TransferVerdict::CorruptPayload)
+        }
         _ => Ok(TransferVerdict::Complete),
     }
 }
@@ -316,7 +500,7 @@ fn upload(
     fabric: &Fabric,
     spec: &TransferSpec,
     local: &dyn FileStore,
-    shared: &Shared,
+    slot: &Slot,
 ) -> TransportResult<TransferVerdict> {
     let conn = fabric
         .connect(&spec.remote)
@@ -328,7 +512,7 @@ fn upload(
     }
     let local_digest = send_hashed(local, &spec.name, 0, size, |frame, pos| {
         conn.send(frame)?;
-        shared.bytes_done.store(pos, Ordering::Relaxed);
+        slot.bytes_done.store(pos, Ordering::Relaxed);
         Ok(())
     })?;
     let done = conn.recv()?;
@@ -405,47 +589,45 @@ impl OobTransfer for FtpTransfer {
         // the listener table rather than opening a throwaway connection, so
         // server-side accounting (and fault injection in tests) only sees
         // the real transfer connection.
+        let remote = &self.spec().remote;
         if !self
+            .worker
+            .job
             .fabric
             .listener_names()
             .iter()
-            .any(|n| n == &self.spec.remote)
+            .any(|n| n == remote)
         {
             return Err(TransportError::ConnectFailed(format!(
-                "no listener {}",
-                self.spec.remote
+                "no listener {remote}"
             )));
         }
-        self.connected = true;
         Ok(())
     }
 
+    /// Never blocks: the rest of a batch may still be moving. The worker
+    /// is joined when the last transfer of its job is dropped.
     fn disconnect(&mut self) -> TransportResult<()> {
-        self.connected = false;
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
         Ok(())
     }
 
     fn probe(&mut self) -> TransportResult<TransferStatus> {
+        let slot = &self.worker.job.slots[self.member];
         Ok(TransferStatus {
-            bytes_done: self.shared.bytes_done.load(Ordering::Relaxed),
-            bytes_total: self.spec.bytes,
-            outcome: *self.shared.verdict.lock(),
+            bytes_done: slot.bytes_done.load(Ordering::Relaxed),
+            bytes_total: self.spec().bytes,
+            outcome: *slot.verdict.lock(),
         })
     }
 
     fn send(&mut self) -> TransportResult<()> {
-        debug_assert_eq!(self.direction, Direction::Upload);
-        self.spawn_worker();
-        Ok(())
+        debug_assert_eq!(self.worker.job.direction, Direction::Upload);
+        self.worker.start()
     }
 
     fn receive(&mut self) -> TransportResult<()> {
-        debug_assert_eq!(self.direction, Direction::Download);
-        self.spawn_worker();
-        Ok(())
+        debug_assert_eq!(self.worker.job.direction, Direction::Download);
+        self.worker.start()
     }
 }
 
@@ -693,6 +875,136 @@ mod tests {
             replies <= 2,
             "server dropped after 64 KiB yet {replies} replies arrived"
         );
+    }
+
+    /// Start every member of a batch and wait for each verdict.
+    fn run_batch(members: &mut [FtpTransfer]) -> Vec<TransferStatus> {
+        for t in members.iter_mut() {
+            t.connect().unwrap();
+            t.receive().unwrap();
+        }
+        members
+            .iter_mut()
+            .map(|t| t.wait(Duration::from_millis(1)).unwrap())
+            .collect()
+    }
+
+    fn batch_content(n: usize, size: usize) -> Vec<(String, Vec<u8>)> {
+        (0..n)
+            .map(|i| (format!("m{i}"), payload(size + i)))
+            .collect()
+    }
+
+    fn batch_specs(content: &[(String, Vec<u8>)]) -> Vec<TransferSpec> {
+        content
+            .iter()
+            .map(|(name, data)| {
+                let mut s = spec(name, data.len() as u64);
+                s.checksum = Some(bitdew_util::md5::md5(data));
+                s
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_moves_every_member_over_one_session() {
+        // Small members pipeline many deep; large ones are held to the
+        // byte budget, one or two outstanding at a time.
+        for (n, size) in [(64, 256), (5, 700_000)] {
+            let content = batch_content(n, size);
+            let refs: Vec<(&str, &[u8])> = content
+                .iter()
+                .map(|(n, d)| (n.as_str(), d.as_slice()))
+                .collect();
+            let (fabric, server, local) = setup(&refs);
+            let mut members =
+                FtpTransfer::download_batch(fabric, batch_specs(&content), local.clone());
+            let statuses = run_batch(&mut members);
+            for (status, (name, data)) in statuses.iter().zip(&content) {
+                assert_eq!(status.outcome, Some(TransferVerdict::Complete), "{name}");
+                assert_eq!(status.bytes_done, data.len() as u64);
+                assert_eq!(&local.read_at(name, 0, data.len()).unwrap()[..], &data[..]);
+            }
+            assert_eq!(server.sessions_accepted(), 1, "{n} × {size} B");
+        }
+    }
+
+    #[test]
+    fn a_missing_member_fails_alone_and_a_drop_interrupts_the_rest() {
+        let content = batch_content(8, 256);
+        let refs: Vec<(&str, &[u8])> = content
+            .iter()
+            .filter(|(n, _)| n != "m3")
+            .map(|(n, d)| (n.as_str(), d.as_slice()))
+            .collect();
+        let (fabric, server, local) = setup(&refs);
+        let mut members =
+            FtpTransfer::download_batch(fabric.clone(), batch_specs(&content), local.clone());
+        let verdicts: Vec<_> = run_batch(&mut members).iter().map(|s| s.outcome).collect();
+        let mut expect = vec![Some(TransferVerdict::Complete); 8];
+        expect[3] = Some(TransferVerdict::Interrupted);
+        assert_eq!(verdicts, expect);
+        assert!(!local.exists("m3"));
+
+        // The session dies inside member 5's payload (members 0–4 are
+        // already held, so they resume at their end and send nothing).
+        server.inject_drop_after(100);
+        let (local2, specs) = (MemStore::new(), batch_specs(&content));
+        for (name, data) in &content[..5] {
+            local2.put(name, data);
+        }
+        let mut members = FtpTransfer::download_batch(fabric, specs, local2);
+        let verdicts: Vec<_> = run_batch(&mut members).iter().map(|s| s.outcome).collect();
+        let mut expect = vec![Some(TransferVerdict::Complete); 3];
+        expect.push(Some(TransferVerdict::Interrupted)); // m3 is still missing
+        expect.push(Some(TransferVerdict::Complete));
+        expect.extend([Some(TransferVerdict::Interrupted); 3]);
+        assert_eq!(verdicts, expect);
+    }
+
+    #[test]
+    fn a_corrupt_local_object_is_removed_so_the_retry_starts_at_zero() {
+        let data = payload(10_000);
+        let (fabric, _server, local) = setup(&[("f", &data)]);
+        local.put("f", &payload(10_001)[1..]); // full length, wrong bytes
+        let mut s = spec("f", data.len() as u64);
+        s.checksum = Some(bitdew_util::md5::md5(&data));
+        let get = |s: TransferSpec| {
+            let mut t = FtpTransfer::new(fabric.clone(), s, local.clone(), Direction::Download);
+            t.connect().unwrap();
+            t.receive().unwrap();
+            t.wait(Duration::from_millis(1)).unwrap().outcome
+        };
+        assert_eq!(get(s.clone()), Some(TransferVerdict::CorruptPayload));
+        assert!(!local.exists("f"));
+        assert_eq!(get(s), Some(TransferVerdict::Complete));
+        assert_eq!(&local.read_at("f", 0, data.len()).unwrap()[..], &data[..]);
+    }
+
+    #[test]
+    fn malformed_numbers_get_err_and_the_session_survives() {
+        let (fabric, _server, _) = setup(&[("f", b"abc")]);
+        let conn = fabric.connect("ftp").unwrap();
+        let too_big = "18446744073709551616"; // u64::MAX + 1
+        for bad in ["x", "-1", "1.5", "", too_big] {
+            for cmd in [
+                format!("RETR f {bad}"),
+                format!("STOR f {bad} 3"),
+                format!("STOR f 0 {bad}"),
+                format!("RANGE f {bad} 1"),
+                format!("RANGE f 0 {bad}"),
+            ] {
+                conn.send(Bytes::from(cmd.clone())).unwrap();
+                assert_eq!(&conn.recv().unwrap()[..], b"ERR malformed", "{cmd}");
+            }
+        }
+        conn.send(Bytes::from_static(b"RANGE f 1 1")).unwrap();
+        assert_eq!(&conn.recv().unwrap()[..], b"DATA 1");
+        assert_eq!(&conn.recv().unwrap()[..], b"b");
+        conn.send(Bytes::from(format!("RANGE f 1 {}", u64::MAX)))
+            .unwrap();
+        assert_eq!(&conn.recv().unwrap()[..], b"DATA 2");
+        assert_eq!(&conn.recv().unwrap()[..], b"bc");
     }
 
     #[test]

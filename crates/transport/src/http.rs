@@ -254,7 +254,11 @@ fn get(
         shared.bytes_done.store(pos, Ordering::Relaxed)
     })?;
     Ok(match spec.checksum.or(etag) {
-        Some(d) if d != digest => TransferVerdict::CorruptPayload,
+        Some(d) if d != digest => {
+            // As for FTP `RETR`: a corrupt object is not resumed from.
+            let _ = local.remove(&spec.name);
+            TransferVerdict::CorruptPayload
+        }
         _ => TransferVerdict::Complete,
     })
 }

@@ -95,21 +95,32 @@ fn resume_from_a_corrupted_prefix_is_still_corrupt_payload() {
     rotten[50_000] ^= 0x01;
     // Against the caller's checksum, and against the server's own digest
     // (END trailer / ETag) when the caller has none.
+    // The corrupt object is removed, so the retry starts at 0 and heals.
     for checksum in [Some(md5(&data)), None] {
         let local = MemStore::new();
         local.put("obj", &rotten);
         let verdict = ftp_get(&fabric, spec("ftp", &data, checksum), local.clone());
         assert_eq!(verdict, TransferVerdict::CorruptPayload, "ftp {checksum:?}");
-        assert_eq!(local.size("obj").unwrap(), data.len() as u64);
+        assert!(!local.exists("obj"));
+        let verdict = ftp_get(&fabric, spec("ftp", &data, checksum), local.clone());
+        assert_eq!(verdict, TransferVerdict::Complete, "ftp retry {checksum:?}");
 
         let local = MemStore::new();
         local.put("obj", &rotten);
-        let verdict = http_get(&fabric, spec("http", &data, checksum), local);
+        let verdict = http_get(&fabric, spec("http", &data, checksum), local.clone());
         assert_eq!(
             verdict,
             TransferVerdict::CorruptPayload,
             "http {checksum:?}"
         );
+        assert!(!local.exists("obj"));
+        let verdict = http_get(&fabric, spec("http", &data, checksum), local.clone());
+        assert_eq!(
+            verdict,
+            TransferVerdict::Complete,
+            "http retry {checksum:?}"
+        );
+        assert_eq!(local.checksum("obj").unwrap(), md5(&data));
     }
 }
 
@@ -177,9 +188,8 @@ fn a_frame_corrupted_in_flight_is_corrupt_payload() {
         let local = MemStore::new();
         let verdict = ftp_get(&fabric, spec("liar", &data, checksum), local.clone());
         assert_eq!(verdict, TransferVerdict::CorruptPayload, "{checksum:?}");
-        // What was verified is what was stored: the digest that failed is
-        // the stored object's.
-        assert_ne!(local.checksum("obj").unwrap(), md5(&data));
+        // The object that failed verification is not kept to resume from.
+        assert!(!local.exists("obj"));
         server.join().unwrap();
     }
 }
