@@ -21,9 +21,9 @@
 //! carries the datum version the claim is for: a holder announcing an
 //! older version than the current head is a *stale-version holder* — the
 //! server credits it only with the chunks unchanged since its version
-//! (via [`head_valid_subset`]), keeps it out of Ω, and drops it from
-//! scrape replies, so it reads as a repair target instead of a serving
-//! replica.
+//! (`agent::claim_effect`, the rule the simulator applies too), keeps it
+//! out of Ω, and drops it from scrape replies, so it reads as a repair
+//! target instead of a serving replica.
 //! * [`HostCache`] — the TTL-expiring aggregation of received announces.
 //!   Entries age out on a deadline index instead of waiting for catalog
 //!   sync; the sweep feeds evictions back into the scheduler's Ω /
@@ -57,11 +57,11 @@ use bitdew_storage::codec::{decode_vec, encode_vec, CodecError, Decode, Encode};
 use bitdew_transport::{Fabric, UdpSocket};
 use bitdew_util::Auid;
 
+use crate::agent::{self, Claim};
 use crate::api::{BitdewError, Result};
 use crate::data::DataId;
 use crate::services::scheduler::HostUid;
 use crate::shard::ShardedPlane;
-use crate::versions::head_valid_subset;
 
 /// The well-known datagram address every announce server listens on.
 pub const ANNOUNCE_ENDPOINT: &str = "announce.udp";
@@ -556,40 +556,11 @@ impl AnnounceServer {
                 }
                 let expires = now.saturating_add(ttl_nanos);
                 cache.lock().insert(host, data, expires, flags, version);
-                // Version-aware bookkeeping: a holder announcing an older
-                // version than the datum's current head holds stale bytes
-                // for every chunk rewritten since. It must never enter Ω
-                // as a complete replica of the head — it is a repair
-                // target. The chunks *unchanged* since its version are
-                // still good, so those (and only those) are credited as
-                // partial holdings.
                 let head = plane.version_head(data).unwrap_or(0);
-                let stale = head > 1 && version < head;
-                if flags & FLAG_COMPLETE != 0 && !stale {
-                    scheduler.announce_owner(host, data);
-                    return;
-                }
-                let held = if flags & FLAG_COMPLETE != 0 {
-                    // Stale complete replica: it holds every chunk, at its
-                    // own version.
-                    match plane.resolve_version(data, head) {
-                        Ok(Some(rv)) => (0..rv.chunk_count()).collect(),
-                        _ => Vec::new(),
-                    }
-                } else {
-                    bitmap_indices(&bitmap)
-                };
-                let held = if stale {
-                    match plane.resolve_version(data, head) {
-                        Ok(Some(rv)) => head_valid_subset(&rv, &held, version),
-                        _ => held,
-                    }
-                } else {
-                    held
-                };
-                if !held.is_empty() {
-                    scheduler.report_chunk_set(host, data, &held);
-                }
+                let effect = agent::claim_effect(&Claim { flags, bitmap }, version, head, || {
+                    plane.resolve_version(data, head).ok().flatten()
+                });
+                scheduler.apply_claim(host, data, effect);
             }
             AnnounceMsg::Scrape {
                 conn_id,

@@ -150,6 +150,15 @@ impl ChunkManifest {
         self.chunks.get(index as usize)
     }
 
+    /// Total bytes of the listed chunks (an index out of range counts 0).
+    pub(crate) fn bytes_of(&self, indices: impl IntoIterator<Item = u32>) -> u64 {
+        indices
+            .into_iter()
+            .filter_map(|i| self.descriptor(i))
+            .map(|c| c.len as u64)
+            .sum()
+    }
+
     /// Verify `bytes` against chunk `index`'s declared length and digest.
     pub fn verify(&self, index: u32, bytes: &[u8]) -> bool {
         self.descriptor(index)
@@ -521,11 +530,7 @@ impl MultiSourceFetcher {
         let object = data.object_name();
         let missing = dest.missing(&object, &manifest);
         let done = manifest.chunk_count() as usize - missing.len();
-        let missing_bytes: u64 = missing
-            .iter()
-            .filter_map(|&i| manifest.descriptor(i))
-            .map(|c| c.len as u64)
-            .sum();
+        let missing_bytes = manifest.bytes_of(missing.iter().copied());
         let bytes_done = manifest.total - missing_bytes;
         MultiSourceFetcher {
             fabric,
@@ -564,11 +569,7 @@ impl MultiSourceFetcher {
         {
             let mut queue = self.shared.queue.lock();
             queue.retain(|i| want.contains(i));
-            queued_bytes = queue
-                .iter()
-                .filter_map(|&i| self.manifest.descriptor(i))
-                .map(|c| c.len as u64)
-                .sum::<u64>();
+            queued_bytes = self.manifest.bytes_of(queue.iter().copied());
             done = self.manifest.chunk_count() as usize - queue.len();
         }
         self.shared

@@ -174,6 +174,7 @@
 // build error rather than a stack overflow at run time.
 #![deny(unconditional_recursion)]
 
+pub(crate) mod agent;
 pub mod announce;
 pub mod api;
 pub mod attr;

@@ -40,19 +40,15 @@ use bitdew_util::Auid;
 
 use bitdew_transport::ftp::{FtpRangeClient, FtpServer};
 
-use crate::announce::{
-    chunk_bitmap, AnnounceClient, AnnounceServer, AnnounceStats, FLAG_COMPLETE, FLAG_SERVING,
-    LIVENESS_PING,
-};
+use crate::agent::{self, Cadence, Holding};
+use crate::announce::{AnnounceClient, AnnounceServer, AnnounceStats, FLAG_SERVING, LIVENESS_PING};
 use crate::api::{
     Backpressure, BitdewError, DataEvent, DataEventKind, EventBus, EventFilter, EventSub,
     HandlerId, Result, Session,
 };
 use crate::attr::DataAttributes;
 use crate::attrparse;
-use crate::chunks::{
-    ChunkHoldings, ChunkManifest, ChunkStore, MultiSourceFetcher, DEFAULT_CHUNK_SIZE,
-};
+use crate::chunks::{ChunkHoldings, ChunkManifest, ChunkStore, MultiSourceFetcher};
 use crate::data::{Data, DataId, Locator};
 use crate::events::ActiveDataEventHandler;
 use crate::services::catalog::DbAccess;
@@ -68,12 +64,14 @@ pub struct AnnounceConfig {
     /// Run the datagram announce plane (`false` = TCP catalog sync only).
     pub enabled: bool,
     /// Announce TTL = `ttl_factor` × heartbeat: how long a claim stays
-    /// live in the announce server's host cache without a refresh. Keep
-    /// it above `detector_factor` so announces alone keep a host alive.
+    /// live in the announce server's host cache without a refresh (0
+    /// counts as 1: a claim survives at least one heartbeat). Keep it
+    /// above `detector_factor` so announces alone keep a host alive.
     pub ttl_factor: u32,
     /// Every nth heartbeat runs a full TCP catalog sync even while the
     /// announce plane is healthy; the rounds in between send compact
-    /// datagrams only (0 = full sync every round, announce additive).
+    /// datagrams only (0 and 1 = full sync every round, announce
+    /// additive).
     pub full_sync_every: u32,
     /// Listener threads the service container's announce server spawns
     /// (`bitdew-announce-{i}`).
@@ -357,6 +355,16 @@ fn transfer_spec(data: &Data, locator: &Locator) -> TransferSpec {
     }
 }
 
+/// The fabric listener name of `host`'s peer range server.
+fn peer_endpoint(host: HostUid) -> String {
+    format!("peer.{}.ftp", host.to_canonical())
+}
+
+/// The host whose peer range server listens on `remote`, if it is one.
+fn peer_of(remote: &str) -> Option<HostUid> {
+    Auid::parse_canonical(remote.strip_prefix("peer.")?.strip_suffix(".ftp")?)
+}
+
 /// Keeps the leecher's serving daemon alive for the duration of a BitTorrent
 /// transfer; delegates the OOB contract to the inner transfer. (The
 /// `OobTransfer` trait speaks the transport layer's result type; core's own
@@ -449,6 +457,9 @@ pub struct BitdewNode {
     /// The node's announce socket (lazily handshaken; dropped and redone
     /// when the datagram plane goes down and comes back).
     announce_client: Mutex<Option<AnnounceClient>>,
+    /// The announce TTL and full-sync cadence, from the container's
+    /// [`AnnounceConfig`].
+    cadence: Cadence,
     /// Heartbeat rounds run so far — drives the full-sync-every-nth
     /// cadence and the per-round jitter draw.
     hb_rounds: AtomicU64,
@@ -496,6 +507,8 @@ impl BitdewNode {
         local: Arc<dyn FileStore>,
         role: SyncRole,
     ) -> Arc<BitdewNode> {
+        let (hb, a) = (&container.config.heartbeat, &container.config.announce);
+        let cadence = Cadence::new(hb.as_nanos() as u64, a.ttl_factor, a.full_sync_every);
         Arc::new(BitdewNode {
             uid: Auid::random(),
             container,
@@ -515,6 +528,7 @@ impl BitdewNode {
             drivers: AtomicUsize::new(0),
             last_profile: Mutex::new(SyncProfile::default()),
             announce_client: Mutex::new(None),
+            cadence,
             hb_rounds: AtomicU64::new(0),
             recent_work: AtomicBool::new(false),
             fallback_syncs: AtomicU64::new(0),
@@ -664,11 +678,6 @@ impl BitdewNode {
         chunk_size: u64,
     ) -> Result<ChunkManifest> {
         self.put(data, content)?;
-        let chunk_size = if chunk_size == 0 {
-            DEFAULT_CHUNK_SIZE
-        } else {
-            chunk_size
-        };
         let manifest = ChunkManifest::describe(data.id, chunk_size, content);
         self.container.plane.put_manifest(&manifest)?;
         self.manifests.lock().insert(data.id, manifest.clone());
@@ -719,9 +728,7 @@ impl BitdewNode {
     pub fn fetch_chunks(&self, data: &Data, chunks: &[u32]) -> Result<u64> {
         let manifest = self
             .chunk_manifest(data.id)?
-            .ok_or_else(|| BitdewError::CatalogMiss {
-                what: format!("chunk manifest for `{}`", data.name),
-            })?;
+            .ok_or_else(|| no_manifest(data))?;
         let object = data.object_name();
         let missing: Vec<u32> = chunks
             .iter()
@@ -731,17 +738,8 @@ impl BitdewNode {
         if missing.is_empty() {
             return Ok(0);
         }
-        let sources = self.range_sources(data.id)?;
-        if sources.is_empty() {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("range-capable locator for `{}`", data.name),
-            });
-        }
-        let moved: u64 = missing
-            .iter()
-            .filter_map(|&i| manifest.descriptor(i))
-            .map(|c| c.len as u64)
-            .sum();
+        let sources = self.range_sources(data, 1)?;
+        let moved = manifest.bytes_of(missing.iter().copied());
         let mut fetch = MultiSourceFetcher::new(
             self.container.fabric.clone(),
             data,
@@ -772,13 +770,7 @@ impl BitdewNode {
     /// The scheduler's chunk-holding picture of a datum: Ω full owners plus
     /// partial holders with their exact chunk sets.
     pub fn chunk_holdings(&self, id: DataId) -> Result<ChunkHoldings> {
-        let scheduler = self.container.plane.scheduler();
-        let mut full = scheduler.owners_of(id);
-        full.sort();
-        Ok(ChunkHoldings {
-            full,
-            partial: scheduler.partial_chunk_sets(id),
-        })
+        Ok(self.container.plane.scheduler().chunk_holdings(id))
     }
 
     /// Read bytes `[offset, offset+len)` of `data` from this node's local
@@ -801,72 +793,68 @@ impl BitdewNode {
         if server.is_none() {
             *server = Some(FtpServer::start(
                 &self.container.fabric,
-                &self.peer_endpoint(),
+                &peer_endpoint(self.uid),
                 Arc::clone(&self.local),
             ));
         }
     }
 
-    /// The fabric listener name of this node's peer range server.
-    pub fn peer_endpoint(&self) -> String {
-        format!("peer.{}.ftp", self.uid.to_canonical())
-    }
-
     /// Announce this node as a source for `data` (serving must be enabled).
     fn announce_replica(&self, data: &Data) -> Result<()> {
-        let locator = Locator::new(data, ProtocolId::ftp(), self.peer_endpoint());
+        let locator = Locator::new(data, ProtocolId::ftp(), peer_endpoint(self.uid));
         self.container.plane.add_locators(&[locator])?;
         Ok(())
     }
 
-    /// Every range-capable source for a datum: the repository's FTP/HTTP
-    /// endpoints plus announced peer replicas, excluding this node's own
-    /// range server. When the discovery plane is up, a scrape merges in
-    /// serving hosts the catalog has no locator for — replica holders
-    /// found without a catalog query.
-    fn range_sources(&self, id: DataId) -> Result<Vec<Locator>> {
-        let mut sources: Vec<Locator> = self
-            .container
-            .plane
-            .locators(id)?
-            .into_iter()
-            .filter(|l| l.protocol == ProtocolId::ftp() || l.protocol == ProtocolId::http())
-            .filter(|l| l.remote != self.peer_endpoint())
-            .collect();
-        // The scrape path needs an existing locator for the object name —
-        // a datum with no locator at all has no fetchable content yet.
-        if let Some(object) = sources.first().map(|l| l.object.clone()) {
+    /// Every range-capable source for a datum, in [`agent::source_order`]:
+    /// the repository's FTP/HTTP endpoints, then peer replicas — the
+    /// catalog's announced ones and, when the discovery plane is up, the
+    /// serving hosts a scrape finds without a catalog query. Fewer than
+    /// `at_least` sources (or none) is a catalog miss.
+    fn range_sources(&self, data: &Data, at_least: usize) -> Result<Vec<Locator>> {
+        let mut endpoints = Vec::new();
+        let mut peers = Vec::new();
+        for l in self.container.plane.locators(data.id)? {
+            if l.protocol != ProtocolId::ftp() && l.protocol != ProtocolId::http() {
+                continue;
+            }
+            match peer_of(&l.remote) {
+                Some(host) => peers.push((host, l)),
+                None => endpoints.push(l),
+            }
+        }
+        // A datum with no locator at all has no fetchable content yet.
+        if !(endpoints.is_empty() && peers.is_empty()) {
             let scraped = self
-                .with_announce_client(|c| c.scrape(id, Duration::from_millis(25)))
+                .with_announce_client(|c| c.scrape(data.id, Duration::from_millis(25)))
                 .flatten()
                 .unwrap_or_default();
             for (host, flags) in scraped {
-                if host == self.uid || flags & FLAG_SERVING == 0 {
-                    continue;
+                if flags & FLAG_SERVING != 0 {
+                    let locator = Locator::new(data, ProtocolId::ftp(), peer_endpoint(host));
+                    peers.push((host, locator));
                 }
-                let remote = format!("peer.{}.ftp", host.to_canonical());
-                if remote == self.peer_endpoint() || sources.iter().any(|l| l.remote == remote) {
-                    continue;
-                }
-                sources.push(Locator {
-                    data: id,
-                    protocol: ProtocolId::ftp(),
-                    remote,
-                    object: object.clone(),
-                });
             }
+        }
+        let sources = agent::source_order(&self.uid, endpoints, peers);
+        if sources.len() < at_least.max(1) {
+            return Err(BitdewError::CatalogMiss {
+                what: format!("range-capable locator for `{}`", data.name),
+            });
         }
         Ok(sources)
     }
 
-    /// Assemble and submit the work-stealing fetcher over `sources`
+    /// Submit the work-stealing fetcher of `data` over at least
+    /// `at_least` of its [range sources](BitdewNode::range_sources)
     /// (`sources[0]` doubles as the locator DT retries rebuild from).
     fn submit_multi_fetch(
         &self,
         data: &Data,
         manifest: ChunkManifest,
-        sources: Vec<Locator>,
+        at_least: usize,
     ) -> Result<TransferId> {
+        let sources = self.range_sources(data, at_least)?;
         let primary = sources[0].clone();
         let fetcher = MultiSourceFetcher::new(
             self.container.fabric.clone(),
@@ -891,16 +879,8 @@ impl BitdewNode {
     pub fn get_multi(&self, data: &Data) -> Result<TransferId> {
         let manifest = self
             .chunk_manifest(data.id)?
-            .ok_or_else(|| BitdewError::CatalogMiss {
-                what: format!("chunk manifest for `{}`", data.name),
-            })?;
-        let sources = self.range_sources(data.id)?;
-        if sources.is_empty() {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("range-capable locator for `{}`", data.name),
-            });
-        }
-        self.submit_multi_fetch(data, manifest, sources)
+            .ok_or_else(|| no_manifest(data))?;
+        self.submit_multi_fetch(data, manifest, 1)
     }
 
     /// Fetch one byte range of `data` from the data space without caching
@@ -994,12 +974,9 @@ impl BitdewNode {
                 what: format!("version {base} of `{}` (head {head})", data.name),
             });
         }
-        let resolved =
-            plane
-                .resolve_version(data.id, base)?
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
+        let resolved = plane
+            .resolve_version(data.id, base)?
+            .ok_or_else(|| no_manifest(data))?;
         let by_chunk = split_writes(resolved.chunk_size, resolved.total, writes)?;
         let state = plane.version_state();
         let store = self.container.repository.store();
@@ -1093,17 +1070,12 @@ impl BitdewNode {
         let plane = &self.container.plane;
         let head = plane.version_head(data.id)?;
         if head == 0 {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("chunk manifest for `{}`", data.name),
-            });
+            return Err(no_manifest(data));
         }
         let pin = plane.version_state().pin(data.id, head);
-        let resolved =
-            plane
-                .resolve_version(data.id, head)?
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
+        let resolved = plane
+            .resolve_version(data.id, head)?
+            .ok_or_else(|| no_manifest(data))?;
         Ok(Snapshot::new(resolved, pin))
     }
 
@@ -1121,29 +1093,29 @@ impl BitdewNode {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        let rv = snap.resolved();
-        let len = len.min(rv.total.saturating_sub(offset) as usize);
         let state = self.container.plane.version_state();
         let store = self.container.repository.store();
         let object = data.object_name();
-        let mut out = Vec::with_capacity(len);
-        let end = offset + len as u64;
-        for (index, birth) in rv.overlapping(offset, len) {
-            let desc = rv.descriptor(index).expect("overlapping is in range");
-            let chunk_start = index as u64 * rv.chunk_size;
-            let seg_start = offset.max(chunk_start);
-            let seg_end = end.min(chunk_start + desc.len as u64);
-            let seg_len = (seg_end - seg_start) as usize;
+        let pieces = snap.resolved().pieces(offset, len);
+        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len).sum());
+        for p in pieces {
             // Pre-image objects hold only their chunk's bytes, offset 0.
-            let within = seg_start - chunk_start;
-            let bytes = if state.is_preserved(data.id, birth, index) {
-                store.read_at(&versioned_object(&object, birth, index), within, seg_len)?
+            let bytes = if state.is_preserved(data.id, p.birth, p.index) {
+                store.read_at(
+                    &versioned_object(&object, p.birth, p.index),
+                    p.within,
+                    p.len,
+                )?
             } else {
-                let canonical = store.read_at(&object, seg_start, seg_len)?;
-                if state.is_preserved(data.id, birth, index) {
+                let canonical = store.read_at(&object, p.start, p.len)?;
+                if state.is_preserved(data.id, p.birth, p.index) {
                     // A commit preserved (and possibly overwrote) the chunk
                     // while we read it — the pre-image is authoritative.
-                    store.read_at(&versioned_object(&object, birth, index), within, seg_len)?
+                    store.read_at(
+                        &versioned_object(&object, p.birth, p.index),
+                        p.within,
+                        p.len,
+                    )?
                 } else {
                     canonical
                 }
@@ -1201,9 +1173,7 @@ impl BitdewNode {
     pub fn pin_chunks(&self, data: &Data, attrs: DataAttributes, held: &[u32]) -> Result<()> {
         let manifest = self
             .chunk_manifest(data.id)?
-            .ok_or_else(|| BitdewError::CatalogMiss {
-                what: format!("chunk manifest for `{}`", data.name),
-            })?;
+            .ok_or_else(|| no_manifest(data))?;
         let object = data.object_name();
         // Trust but verify: only chunks whose local bytes match the
         // manifest digest count as held (put_range runs the digest check
@@ -1418,8 +1388,7 @@ impl BitdewNode {
     /// (the fall-back-to-TCP signal); in-flight loss is silent and healed
     /// by the next refresh.
     fn announce_once(&self) -> bool {
-        let cfg = &self.container.config.announce;
-        let ttl = self.container.config.heartbeat.as_nanos() as u64 * cfg.ttl_factor as u64;
+        let ttl = self.cadence.ttl();
         let now = self.container.now_nanos();
         let serving = if self.peer_server.lock().is_some() {
             FLAG_SERVING
@@ -1441,37 +1410,29 @@ impl BitdewNode {
             let mut announced = self.announced_at.lock();
             announced.retain(|id, _| live.contains(id));
             for (id, object) in &snapshot {
-                let due = announced
-                    .get(id)
-                    .is_none_or(|&t| now.saturating_sub(t) >= ttl / 2);
-                if !due {
+                if !self.cadence.claim_due(announced.get(id).copied(), now) {
                     continue;
                 }
                 // The version the local bytes correspond to: recorded at
-                // publish/commit/repair time, defaulting to the current
-                // head for data that predate version tracking. The
-                // announce server demotes claims behind the head.
+                // publish/commit/download/repair time, defaulting to the
+                // current head for data that predate version tracking.
                 let version = {
                     let held = self.held_versions.lock().get(id).copied();
                     held.unwrap_or_else(|| self.container.plane.version_head(*id).unwrap_or(0))
                 };
-                let (flags, bitmap) = match self.manifests.lock().get(id) {
-                    Some(m) => {
-                        let held = self.chunk_store.held_set(object);
-                        if !held.is_empty() && (held.len() as u32) < m.chunk_count() {
-                            match chunk_bitmap(&held, m.chunk_count()) {
-                                Some(b) => (serving, b),
-                                // Too wide for one datagram: the periodic
-                                // full sync keeps reporting this one.
-                                None => continue,
-                            }
-                        } else {
-                            (serving | FLAG_COMPLETE, Vec::new())
-                        }
-                    }
-                    None => (serving | FLAG_COMPLETE, Vec::new()),
+                // Only chunk-tracked partials claim a bitmap: a whole-blob
+                // download has no presence marks and holds every chunk.
+                let chunks = self.manifests.lock().get(id).map_or(0, |m| m.chunk_count());
+                let held = self.chunk_store.held_set(object);
+                let holding = if held.is_empty() || held.len() as u32 >= chunks {
+                    Holding::Complete
+                } else {
+                    Holding::Partial(&held)
                 };
-                if !client.announce(self.uid, *id, version, ttl, flags, bitmap) {
+                let Some(claim) = agent::claim(holding, chunks, serving) else {
+                    continue;
+                };
+                if !client.announce(self.uid, *id, version, ttl, claim.flags, claim.bitmap) {
                     return false;
                 }
                 announced.insert(*id, now);
@@ -1490,14 +1451,10 @@ impl BitdewNode {
     /// Returns the sync summary when a full round ran.
     pub fn heartbeat_round(&self) -> Option<SyncSummary> {
         let round = self.hb_rounds.fetch_add(1, Ordering::Relaxed);
-        let cfg = &self.container.config.announce;
-        let full = !cfg.enabled
-            || cfg.full_sync_every == 0
-            || round.is_multiple_of(cfg.full_sync_every as u64)
-            || self.recent_work.swap(false, Ordering::Relaxed)
+        let busy = self.recent_work.swap(false, Ordering::Relaxed)
             || !self.pending.lock().is_empty()
             || !self.repairing.lock().is_empty();
-        if full {
+        if !self.container.config.announce.enabled || self.cadence.full_due(round, busy) {
             let summary = self.sync_once();
             let _ = self.announce_once();
             Some(summary)
@@ -1559,6 +1516,11 @@ impl BitdewNode {
                         };
                         self.container.transfer.reap(tid);
                         self.cache.lock().insert(id, (data.clone(), attrs.clone()));
+                        // The bytes are the head's. (A chunked datum's head
+                        // was loaded when its download launched.)
+                        if let Some(head) = self.container.plane.version_state().head(id) {
+                            self.held_versions.lock().insert(id, head);
+                        }
                         summary.completed.push(id);
                         completed_data.push(data.clone());
                         self.fire(DataEventKind::Copy, &data, &attrs);
@@ -1584,6 +1546,7 @@ impl BitdewNode {
                     Some(TransferState::Complete) => {
                         repairing.remove(&id);
                         self.container.transfer.reap(tid);
+                        self.note_held_version(id);
                         if let Ok(Some(m)) = self.chunk_manifest(id) {
                             self.container.plane.scheduler().report_chunks(
                                 self.uid,
@@ -1656,30 +1619,44 @@ impl BitdewNode {
             .scheduler()
             .sync_profiled(self.uid, &held, now, self.role);
 
-        // 3. Purge obsolete data — bytes, chunk presence marks AND the
-        // cached manifest. Stale presence would make a later re-download
-        // of the same datum a zero-byte no-op (every chunk "already held").
-        for id in reply.delete {
-            if let Some((data, attrs)) = self.cache.lock().remove(&id) {
-                let _ = self.local.remove(&data.object_name());
-                self.chunk_store.forget(&data.object_name());
-                self.manifests.lock().remove(&id);
-                summary.deleted.push(id);
-                self.fire(DataEventKind::Delete, &data, &attrs);
-            }
-        }
-
-        // 4. Launch newly assigned downloads, at most
-        // `max_concurrent_downloads` sessions in flight. Whole-object FTP
-        // data move in one pipelined batch per source; manifest-backed data
-        // (the multi-source chunk fetcher when there are two range-capable
-        // sources), BitTorrent data and HTTP locators move one transfer
-        // each. Data without a locator yet (content not put) wait for a
-        // later round.
+        // 3–5 act on what `agent::triage` keeps of the reply, with the
+        // in-flight maps locked so that a concurrent round cannot launch
+        // the same datum twice. Delete and Copy events fire once the locks
+        // are released: a handler may call back into this node.
         let cap = self.container.config.max_concurrent_downloads;
+        let mut deleted: Vec<(Data, DataAttributes)> = Vec::new();
         let mut markers: Vec<(Data, DataAttributes)> = Vec::new();
         {
             let mut pending = self.pending.lock();
+            let mut repairing = self.repairing.lock();
+            let reply = agent::triage(
+                reply,
+                |id| self.cache.lock().contains_key(&id),
+                |id| pending.contains_key(&id),
+                |id| repairing.contains_key(&id),
+            );
+
+            // 3. Purge obsolete data — bytes, chunk presence marks AND the
+            // cached manifest. Stale presence would make a later re-download
+            // of the same datum a zero-byte no-op (every chunk "already
+            // held").
+            for id in reply.delete {
+                if let Some((data, attrs)) = self.cache.lock().remove(&id) {
+                    let _ = self.local.remove(&data.object_name());
+                    self.chunk_store.forget(&data.object_name());
+                    self.manifests.lock().remove(&id);
+                    summary.deleted.push(id);
+                    deleted.push((data, attrs));
+                }
+            }
+
+            // 4. Launch newly assigned downloads, at most
+            // `max_concurrent_downloads` sessions in flight. Whole-object FTP
+            // data move in one pipelined batch per source; manifest-backed
+            // data (the multi-source chunk fetcher when there are two
+            // range-capable sources), BitTorrent data and HTTP locators move
+            // one transfer each. Data without a locator yet (content not put)
+            // wait for a later round.
             let mut sessions = pending
                 .values()
                 .map(|p| p.session)
@@ -1687,13 +1664,8 @@ impl BitdewNode {
                 .len();
             let mut batches: Vec<Vec<(Data, DataAttributes, Locator)>> = Vec::new();
             for (data, attrs) in reply.download {
-                if pending.contains_key(&data.id) || self.cache.lock().contains_key(&data.id) {
-                    continue;
-                }
                 // Zero-sized slots (pure markers like the Collector) need
-                // no transfer: cache them directly, once the pending lock
-                // is released (a Copy handler may call back into this
-                // node).
+                // no transfer: they are cached directly.
                 if data.size == 0 {
                     markers.push((data, attrs));
                     continue;
@@ -1722,8 +1694,9 @@ impl BitdewNode {
                 if sessions >= cap {
                     continue;
                 }
+                // Two range-capable sources make a multi-source fetch.
                 let tid = manifest
-                    .and_then(|m| self.try_multi_fetch(&data, m))
+                    .and_then(|m| self.submit_multi_fetch(&data, m, 2).ok())
                     .or_else(|| {
                         let local = Arc::clone(&self.local);
                         self.container
@@ -1746,6 +1719,29 @@ impl BitdewNode {
             for batch in batches {
                 self.submit_batch(batch, &mut pending, &mut summary);
             }
+            drop(pending);
+
+            // 5. Launch chunk-level repairs: the datum stays cached, only the
+            // missing chunks move (the multi-source fetcher skips verified
+            // ones). A holder behind the head still marks the chunks later
+            // versions rewrote: its bytes are re-verified against the head's
+            // digests first, so the repair moves those too.
+            for (data, _attrs) in reply.repair {
+                let held = self.held_versions.lock().get(&data.id).copied();
+                if held.is_some_and(|v| v < self.version_head(data.id).unwrap_or(0)) {
+                    if let Ok(Some(m)) = self.chunk_manifest(data.id) {
+                        self.chunk_store.forget(&data.object_name());
+                        self.chunk_store.absorb(&data.object_name(), &m);
+                    }
+                }
+                if let Ok(tid) = self.get_multi(&data) {
+                    summary.started.push(data.id);
+                    repairing.insert(data.id, tid);
+                }
+            }
+        }
+        for (data, attrs) in &deleted {
+            self.fire(DataEventKind::Delete, data, attrs);
         }
         for (data, attrs) in markers {
             self.cache
@@ -1753,20 +1749,6 @@ impl BitdewNode {
                 .insert(data.id, (data.clone(), attrs.clone()));
             summary.completed.push(data.id);
             self.fire(DataEventKind::Copy, &data, &attrs);
-        }
-
-        // 5. Launch chunk-level repairs: the datum stays cached, only the
-        // missing chunks move (the multi-source fetcher skips verified
-        // ones).
-        for (data, _attrs) in reply.repair {
-            let mut repairing = self.repairing.lock();
-            if repairing.contains_key(&data.id) {
-                continue;
-            }
-            if let Ok(tid) = self.get_multi(&data) {
-                summary.started.push(data.id);
-                repairing.insert(data.id, tid);
-            }
         }
         // Wake barrier waiters the moment the node has nothing in flight.
         if self.pending.lock().is_empty() {
@@ -1799,19 +1781,6 @@ impl BitdewNode {
     /// every subscriber kept pace).
     pub fn last_sync_profile(&self) -> SyncProfile {
         self.last_profile.lock().clone()
-    }
-
-    /// Submit a multi-source chunked fetch for a scheduled manifest-backed
-    /// download when it has at least two range-capable sources; `None`
-    /// falls back to the single-locator path. (Data scheduled with an
-    /// explicit BitTorrent protocol keep their swarm, which is already
-    /// multi-source, and never get here.)
-    fn try_multi_fetch(&self, data: &Data, manifest: ChunkManifest) -> Option<TransferId> {
-        let sources = self.range_sources(data.id).ok()?;
-        if sources.len() < 2 {
-            return None;
-        }
-        self.submit_multi_fetch(data, manifest, sources).ok()
     }
 
     /// Register a batch — whole-object FTP data from one source — as one
@@ -1994,6 +1963,14 @@ pub(crate) fn validate_attrs(data: &Data, attrs: &DataAttributes) -> Result<()> 
         });
     }
     Ok(())
+}
+
+/// The catalog miss of a datum without a chunk manifest — shared by the
+/// threaded node and the simulator adapter so both fail alike.
+pub(crate) fn no_manifest(data: &Data) -> BitdewError {
+    BitdewError::CatalogMiss {
+        what: format!("chunk manifest for `{}`", data.name),
+    }
 }
 
 /// Guard for a running reservoir heartbeat; stops the loop when dropped.

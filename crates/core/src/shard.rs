@@ -43,8 +43,10 @@ use parking_lot::{Mutex, RwLock};
 
 use bitdew_dht::id::{key_for_auid, RingPos};
 
+use crate::agent::ClaimEffect;
 use crate::api::Result;
 use crate::attr::{DataAttributes, Lifetime};
+use crate::chunks::ChunkHoldings;
 use crate::data::{Data, DataId, Locator};
 use crate::services::catalog::{DataCatalog, DbAccess};
 use crate::services::scheduler::{DataScheduler, HostUid, SyncReply, SyncRole};
@@ -356,6 +358,15 @@ impl ShardedScheduler {
         self.shard_for(data).lock().partial_chunk_sets(data)
     }
 
+    /// The chunk-holding picture of a datum: Ω's full owners, sorted, plus
+    /// the partial holders with their exact chunk sets.
+    pub(crate) fn chunk_holdings(&self, data: DataId) -> ChunkHoldings {
+        let mut full = self.owners_of(data);
+        full.sort();
+        let partial = self.partial_chunk_sets(data);
+        ChunkHoldings { full, partial }
+    }
+
     /// Remove a datum from management, cascading across shards to its
     /// relative-lifetime dependents.
     pub fn delete_data(&self, id: DataId) {
@@ -553,6 +564,17 @@ impl ShardedScheduler {
     /// shard. See [`DataScheduler::announce_owner`].
     pub fn announce_owner(&self, host: HostUid, data: DataId) -> bool {
         self.shard_for(data).lock().announce_owner(host, data)
+    }
+
+    /// Carry out what `host`'s claim on `data` means (see
+    /// [`crate::agent::claim_effect`]).
+    pub(crate) fn apply_claim(&self, host: HostUid, data: DataId, effect: ClaimEffect) {
+        match effect {
+            ClaimEffect::Owner => {
+                self.announce_owner(host, data);
+            }
+            ClaimEffect::Chunks(held) => self.report_chunk_set(host, data, &held),
+        }
     }
 
     /// Route an announce-cache TTL eviction to the datum's shard. See

@@ -1,13 +1,16 @@
 //! Virtual-time driver: the BitDew control plane under the simulator.
 //!
-//! Runs the *same* [`DataScheduler`](crate::DataScheduler) plane (Algorithm 1) that the threaded runtime
-//! uses, but drives it with `bitdew-sim`'s event loop: reservoir heartbeats
-//! are virtual-clock events, downloads are max-min-fair flows on a
-//! [`FlowNet`], and host churn comes from a scripted plan. This is how the
-//! paper's testbed experiments are regenerated without the testbed — most
-//! directly Fig. 4 (the DSL-Lab fault-tolerance scenario), whose waiting
-//! times are produced by the genuine failure-detector/heartbeat machinery
-//! below, not by a closed-form model.
+//! Runs the *same* [`DataScheduler`](crate::DataScheduler) plane (Algorithm 1)
+//! and the *same* host-agent decisions (the `agent` module: cadence, claims
+//! and their effect, fetch-source order, sync-reply triage) as the threaded
+//! runtime; what it simulates is everything around them. Reservoir
+//! heartbeats are virtual-clock events, downloads are max-min-fair flows on
+//! a [`FlowNet`], announces are byte counters, and host churn comes from a
+//! scripted plan. This is how the paper's testbed experiments are
+//! regenerated without the testbed — most directly Fig. 4 (the DSL-Lab
+//! fault-tolerance scenario), whose waiting times are produced by the
+//! genuine failure-detector/heartbeat machinery below, not by a closed-form
+//! model.
 //!
 //! The control plane is the same sharded DC+DS plane the threaded runtime
 //! uses ([`crate::shard::ShardedScheduler`]); [`SimBitdew::with_shards`]
@@ -45,23 +48,28 @@ use bitdew_sim::{
 };
 use bitdew_util::Auid;
 
-use crate::announce::{HostCache, FLAG_COMPLETE, FLAG_SERVING};
+use crate::agent::{self, Cadence, Holding};
+use crate::announce::{HostCache, FLAG_SERVING};
 use crate::api::{
     ActiveData, Backpressure, BitDewApi, BitdewError, DataEvent, DataEventKind, EventBus,
     EventFilter, EventSub, HandlerId, Result, TransferManager,
 };
 use crate::attr::DataAttributes;
 use crate::attrparse;
-use crate::chunks::{ChunkDescriptor, ChunkHoldings, ChunkManifest, DEFAULT_CHUNK_SIZE};
+use crate::chunks::{ChunkDescriptor, ChunkHoldings, ChunkManifest};
 use crate::data::{Data, DataId};
 use crate::events::ActiveDataEventHandler;
+use crate::runtime::no_manifest;
 use crate::services::scheduler::{HostUid, SyncRole};
 use crate::services::transfer::{TransferId, TransferState};
 use crate::shard::ShardedScheduler;
 use crate::versions::{
-    commit_version, gc_plan, head_valid_subset, split_writes, GcReport, PinRegistry,
-    ResolvedVersion, Snapshot, SnapshotPin, VersionedManifest,
+    commit_version, gc_plan, split_writes, GcReport, PinRegistry, ResolvedVersion, Snapshot,
+    SnapshotPin, VersionedManifest,
 };
+
+/// A served sync's transfer orders: downloads, then chunk repairs.
+type Orders = (Vec<(Data, DataAttributes)>, Vec<(Data, DataAttributes)>);
 
 /// Called when a node finishes downloading a datum.
 pub type CopyHook = Box<dyn FnMut(&mut Sim, HostUid, &Data)>;
@@ -144,8 +152,7 @@ pub struct SimSyncStats {
 /// [`HostCache`] the threaded announce server aggregates into, plus the
 /// per-claim refresh clock and the plane's health switch.
 struct AnnounceSimState {
-    ttl_factor: u32,
-    full_sync_every: u32,
+    cadence: Cadence,
     /// `false` models a dead datagram path: every node's announce rounds
     /// degrade to full TCP syncs until revived.
     up: bool,
@@ -287,26 +294,38 @@ impl DriverState {
             .unwrap_or(1)
     }
 
-    /// Where a chunked fetch of `data` towards `dest` pulls from: the
-    /// service host, then every other live node caching a complete replica
-    /// (partial holders are repairing, not serving) in `HostId` order. The
-    /// order decides which source pulls which chunk, so it must not depend
-    /// on `nodes`' iteration order.
+    /// The live sync counters: the announce plane's when it is enabled,
+    /// the TCP-only baseline's otherwise.
+    fn stats_mut(&mut self) -> &mut SimSyncStats {
+        match self.announce.as_mut() {
+            Some(a) => &mut a.stats,
+            None => &mut self.tcp_stats,
+        }
+    }
+
+    /// Record that `uid`'s bytes of `id` are the head's (a chunked datum
+    /// only).
+    fn note_held_version(&mut self, uid: HostUid, id: DataId) {
+        let head = self.version_head(id);
+        if head > 0 {
+            self.held_versions.insert((uid, id), head);
+        }
+    }
+
+    /// Where a chunked fetch of `data` towards `dest` pulls from, in
+    /// [`agent::source_order`]: the service host, then every live node
+    /// caching a complete replica (partial holders are repairing, not
+    /// serving).
     fn chunk_sources(&self, service_host: HostId, dest: HostId, data: DataId) -> Vec<HostId> {
-        let mut peers: Vec<HostId> = self
+        let peers: Vec<(HostId, HostId)> = self
             .nodes
             .iter()
             .filter(|(uid, n)| {
-                n.alive
-                    && n.host != dest
-                    && n.cache.contains(&data)
-                    && !self.partials.contains_key(&(**uid, data))
+                n.alive && n.cache.contains(&data) && !self.partials.contains_key(&(**uid, data))
             })
-            .map(|(_, n)| n.host)
+            .map(|(_, n)| (n.host, n.host))
             .collect();
-        peers.sort_unstable();
-        peers.insert(0, service_host);
-        peers
+        agent::source_order(&dest, vec![service_host], peers)
     }
 
     /// Walk the datum's version chain up to `version` (see
@@ -411,12 +430,12 @@ impl SimBitdew {
     /// Turn on the announce plane: only every `full_sync_every`th
     /// heartbeat of each node runs a full TCP catalog sync; the rounds
     /// between send compact announce datagrams whose claims live
-    /// `ttl_factor` × heartbeat in the host cache (mirroring
-    /// [`crate::runtime::AnnounceConfig`] on the threaded runtime).
+    /// `ttl_factor` × heartbeat in the host cache. The two factors mean
+    /// what they mean in [`crate::runtime::AnnounceConfig`] (0 counts as
+    /// 1).
     pub fn enable_announce(&self, ttl_factor: u32, full_sync_every: u32) {
         self.state.borrow_mut().announce = Some(AnnounceSimState {
-            ttl_factor: ttl_factor.max(1),
-            full_sync_every: full_sync_every.max(1),
+            cadence: Cadence::new(self.heartbeat.as_nanos(), ttl_factor, full_sync_every),
             up: true,
             cache: HostCache::new(),
             announced_at: HashMap::new(),
@@ -472,10 +491,10 @@ impl SimBitdew {
     /// the baseline the announce plane is compared against.
     pub fn sync_stats(&self) -> SimSyncStats {
         let st = self.state.borrow();
-        match &st.announce {
-            Some(a) => a.stats.clone(),
-            None => st.tcp_stats.clone(),
-        }
+        st.announce
+            .as_ref()
+            .map_or(&st.tcp_stats, |a| &a.stats)
+            .clone()
     }
 
     /// Live claims in the announce host cache (0 with announce disabled).
@@ -619,10 +638,7 @@ impl SimBitdew {
     pub fn pin(&self, data: DataId, uid: HostUid) {
         let mut st = self.state.borrow_mut();
         st.scheduler.pin(data, uid);
-        let head = st.version_head(data);
-        if head > 0 {
-            st.held_versions.insert((uid, data), head);
-        }
+        st.note_held_version(uid, data);
         if let Some(n) = st.nodes.get_mut(&uid) {
             n.cache.insert(data);
         }
@@ -689,10 +705,7 @@ impl SimBitdew {
         let mut st = self.state.borrow_mut();
         st.partials.insert((uid, data), set);
         st.scheduler.report_chunk_set(uid, data, &report);
-        let head = st.version_head(data);
-        if head > 0 {
-            st.held_versions.insert((uid, data), head);
-        }
+        st.note_held_version(uid, data);
         if let Some(n) = st.nodes.get_mut(&uid) {
             n.cache.insert(data);
         }
@@ -825,98 +838,49 @@ impl SimBitdew {
         });
     }
 
-    /// One compact announce round for `uid`: a liveness ping plus a
-    /// refresh datagram per held datum past its TTL half-life, each
-    /// charged to the byte counters and landed in the host cache — the
-    /// virtual-time mirror of the threaded node's `announce_once`.
+    /// One compact announce round for `uid`: a liveness ping plus a claim
+    /// per held datum that is due, each charged to the byte counters and
+    /// landed in the host cache. Claims are never encoded: their effect on
+    /// the scheduler is applied directly.
     fn announce_refresh(&self, st: &mut DriverState, uid: HostUid, now: u64) {
-        let Some(a) = st.announce.as_mut() else {
+        let Some(mut a) = st.announce.take() else {
             return;
         };
-        let ttl = self
-            .heartbeat
-            .as_nanos()
-            .saturating_mul(a.ttl_factor as u64);
         st.scheduler.touch_host(uid, now);
         a.stats.announce_datagrams += 1;
         a.stats.announce_bytes += SIM_ANNOUNCE_WIRE + SIM_UDP_OVERHEAD;
-        let Some(node) = st.nodes.get(&uid) else {
-            return;
-        };
-        let cached: Vec<DataId> = node.cache.iter().copied().collect();
+        let cached: Vec<DataId> = st
+            .nodes
+            .get(&uid)
+            .map_or_else(Vec::new, |n| n.cache.iter().copied().collect());
         for d in cached {
-            let due = a
-                .announced_at
-                .get(&(uid, d))
-                .is_none_or(|&t| now.saturating_sub(t) >= ttl / 2);
-            if !due {
+            let last = a.announced_at.get(&(uid, d)).copied();
+            if !a.cadence.claim_due(last, now) {
                 continue;
             }
-            // Version awareness (mirroring the threaded announce server):
-            // a holder whose bytes are behind the head announces its own
-            // version; only the chunks unchanged since that version are
-            // credited, so a stale holder leaves Ω and reads as a repair
-            // target rather than a serving replica.
-            let head = if st.manifests.contains_key(&d) {
-                st.version_rows
-                    .get(&d)
-                    .and_then(|rows| rows.last())
-                    .map(|row| row.version)
-                    .unwrap_or(1)
-            } else {
-                0
+            let partial: Option<Vec<u32>> = st
+                .partials
+                .get(&(uid, d))
+                .map(|s| s.iter().copied().collect());
+            let holding = partial
+                .as_deref()
+                .map_or(Holding::Complete, Holding::Partial);
+            let chunks = st.manifests.get(&d).map_or(0, |m| m.chunk_count());
+            let Some(claim) = agent::claim(holding, chunks, FLAG_SERVING) else {
+                continue;
             };
+            let head = st.version_head(d);
             let held_v = st.held_versions.get(&(uid, d)).copied().unwrap_or(head);
-            let head_rv = if head > 1 && held_v < head {
-                st.manifests.get(&d).map(|base| {
-                    let rows = st
-                        .version_rows
-                        .get(&d)
-                        .map(|rows| rows.as_slice())
-                        .unwrap_or(&[]);
-                    ResolvedVersion::resolve(base, rows, head)
-                })
-            } else {
-                None
-            };
-            // Partial holdings announce their bitmap; complete replicas
-            // one flag byte (and regenerate TTL-evicted Ω membership).
-            let (flags, bitmap_bytes) = match st.partials.get(&(uid, d)) {
-                Some(set) => {
-                    let held: Vec<u32> = set.iter().copied().collect();
-                    let held = match &head_rv {
-                        Some(rv) => head_valid_subset(rv, &held, held_v),
-                        None => held,
-                    };
-                    st.scheduler.report_chunk_set(uid, d, &held);
-                    let total = st
-                        .manifests
-                        .get(&d)
-                        .map(|m| m.chunk_count() as u64)
-                        .unwrap_or(0);
-                    (FLAG_SERVING, total.div_ceil(8))
-                }
-                None => match &head_rv {
-                    Some(rv) => {
-                        // Stale complete replica: demote to a partial
-                        // holder of the still-valid chunks.
-                        let all: Vec<u32> = (0..rv.chunk_count()).collect();
-                        let held = head_valid_subset(rv, &all, held_v);
-                        st.scheduler.report_chunk_set(uid, d, &held);
-                        (FLAG_SERVING | FLAG_COMPLETE, 0)
-                    }
-                    None => {
-                        st.scheduler.announce_owner(uid, d);
-                        (FLAG_SERVING | FLAG_COMPLETE, 0)
-                    }
-                },
-            };
-            a.cache
-                .insert(uid, d, now.saturating_add(ttl), flags, held_v);
+            let effect = agent::claim_effect(&claim, held_v, head, || st.resolve_version(d, head));
+            st.scheduler.apply_claim(uid, d, effect);
+            let expires = now.saturating_add(a.cadence.ttl());
+            a.cache.insert(uid, d, expires, claim.flags, held_v);
             a.announced_at.insert((uid, d), now);
             a.stats.announce_datagrams += 1;
-            a.stats.announce_bytes += SIM_ANNOUNCE_WIRE + SIM_UDP_OVERHEAD + bitmap_bytes;
+            a.stats.announce_bytes +=
+                SIM_ANNOUNCE_WIRE + SIM_UDP_OVERHEAD + claim.bitmap.len() as u64;
         }
+        st.announce = Some(a);
     }
 
     /// One heartbeat for node `uid`: sync with the sharded scheduler, purge
@@ -928,7 +892,7 @@ impl SimBitdew {
     /// (stopping the recurring timer) when the node is dead.
     fn heartbeat_step(&self, sim: &mut Sim, uid: HostUid) -> bool {
         let now = sim.now().as_nanos();
-        let (host, downloads, repairs, served_at, sync_bytes, contended) = {
+        let (host, orders, served_at, sync_bytes, contended) = {
             let mut st = self.state.borrow_mut();
             let Some(node) = st.nodes.get_mut(&uid) else {
                 return false;
@@ -949,21 +913,21 @@ impl SimBitdew {
                     stm.scheduler.drop_host_holding(h, d);
                 }
             }
-            let (enabled, up, every) = match stm.announce.as_ref() {
-                Some(a) => (true, a.up, a.full_sync_every as u64),
-                None => (false, true, 1),
-            };
-            if enabled && up {
+            let announce = stm.announce.as_ref().map(|a| (a.up, a.cadence));
+            if let Some((true, _)) = announce {
                 self.announce_refresh(stm, uid, now);
             }
             let node = stm.nodes.get(&uid).expect("checked above");
-            // Work in flight forces a full sync, mirroring the threaded
-            // runtime's recent-work predicate.
-            let full = !enabled || !up || round.is_multiple_of(every) || !node.pending.is_empty();
+            // Without a live datagram plane every round is a full sync;
+            // with one, work in flight makes the host busy.
+            let full = match announce {
+                Some((true, cadence)) => cadence.full_due(round, !node.pending.is_empty()),
+                _ => true,
+            };
             if !full {
                 return true; // datagram-only round
             }
-            let fallback = enabled && !up && !round.is_multiple_of(every);
+            let fallback = matches!(announce, Some((false, c)) if !c.full_due(round, false));
             let host = node.host;
             let role = node.role;
             let cache: Vec<DataId> = node.cache.iter().copied().collect();
@@ -987,18 +951,10 @@ impl SimBitdew {
             let sync_bytes = SIM_SYNC_BASE_BYTES
                 + SIM_SYNC_ID_BYTES * cache.len() as u64
                 + SIM_SYNC_REPLY_ENTRY_BYTES * reply_entries;
-            {
-                let stm = &mut *st;
-                let stats = match stm.announce.as_mut() {
-                    Some(a) => &mut a.stats,
-                    None => &mut stm.tcp_stats,
-                };
-                stats.tcp_syncs += 1;
-                stats.tcp_bytes += sync_bytes;
-                if fallback {
-                    stats.fallback_syncs += 1;
-                }
-            }
+            let stats = st.stats_mut();
+            stats.tcp_syncs += 1;
+            stats.tcp_bytes += sync_bytes;
+            stats.fallback_syncs += fallback as u64;
             // Charge each shard's queue its share of the work; the sync is
             // served when the slowest shard finishes.
             let mut served_at = sim.now();
@@ -1017,29 +973,23 @@ impl SimBitdew {
             let Some(node) = st.nodes.get_mut(&uid) else {
                 return false;
             };
+            // A chunk repair is in flight like a download: `pending` covers
+            // both.
+            let reply = agent::triage(
+                reply,
+                |id| node.cache.contains(&id),
+                |id| node.pending.contains(&id),
+                |id| node.pending.contains(&id),
+            );
             for d in &reply.delete {
                 node.cache.remove(d);
             }
-            let mut downloads = Vec::new();
-            for (data, attrs) in reply.download {
-                if node.pending.insert(data.id) {
-                    downloads.push((data, attrs));
-                }
+            for (d, _) in reply.download.iter().chain(&reply.repair) {
+                node.pending.insert(d.id);
             }
-            let mut repairs = Vec::new();
-            for (data, _attrs) in reply.repair {
-                if node.pending.insert(data.id) {
-                    repairs.push(data);
-                }
-            }
-            (
-                host,
-                downloads,
-                repairs,
-                served_at,
-                sync_bytes,
-                st.control_contention,
-            )
+            // Only the transfer orders travel with the reply.
+            let orders = (reply.download, reply.repair);
+            (host, orders, served_at, sync_bytes, st.control_contention)
         };
         if contended {
             // The reply is a real flow on the service host's links: its
@@ -1057,7 +1007,7 @@ impl SimBitdew {
                     SimDuration::ZERO,
                     Box::new(move |sim, out| {
                         if matches!(out, FlowOutcome::Completed { .. }) {
-                            done.deliver_sync_reply(sim, uid, host, downloads, repairs);
+                            done.deliver_sync_reply(sim, uid, host, orders);
                         }
                     }),
                 );
@@ -1068,13 +1018,13 @@ impl SimBitdew {
                 sim.schedule_at(served_at, start_reply);
             }
         } else if served_at <= sim.now() {
-            self.deliver_sync_reply(sim, uid, host, downloads, repairs);
+            self.deliver_sync_reply(sim, uid, host, orders);
         } else {
             // The reply (and its transfer orders) arrives when the busiest
             // shard has drained this request from its queue.
             let driver = self.clone();
             sim.schedule_at(served_at, move |sim| {
-                driver.deliver_sync_reply(sim, uid, host, downloads, repairs);
+                driver.deliver_sync_reply(sim, uid, host, orders);
             });
         }
         true
@@ -1082,19 +1032,12 @@ impl SimBitdew {
 
     /// Account a served synchronization and start its transfer orders
     /// (dropped when the node died while the reply was in flight).
-    fn deliver_sync_reply(
-        &self,
-        sim: &mut Sim,
-        uid: HostUid,
-        host: HostId,
-        downloads: Vec<(Data, DataAttributes)>,
-        repairs: Vec<Data>,
-    ) {
+    fn deliver_sync_reply(&self, sim: &mut Sim, uid: HostUid, host: HostId, orders: Orders) {
         self.state.borrow_mut().syncs_served += 1;
         let alive = self.state.borrow().nodes.get(&uid).is_some_and(|n| n.alive);
         if alive {
-            self.start_assigned_flows(sim, uid, host, downloads);
-            self.start_repairs(sim, uid, host, repairs);
+            self.start_assigned_flows(sim, uid, host, orders.0);
+            self.start_repairs(sim, uid, host, orders.1);
         }
     }
 
@@ -1137,15 +1080,13 @@ impl SimBitdew {
                         host,
                         data.size as f64,
                         self.setup_latency,
-                        Box::new(move |sim, outcome| {
-                            driver.on_flow_done(
-                                sim,
-                                uid,
-                                host,
-                                data.clone(),
-                                outcome,
-                                name.clone(),
-                            );
+                        Box::new(move |sim, outcome| match outcome {
+                            FlowOutcome::Completed { avg_rate, .. } => {
+                                driver.finish_download(sim, uid, host, &data, false, avg_rate)
+                            }
+                            FlowOutcome::Failed { .. } => {
+                                driver.fail_download(sim, uid, host, &data, false)
+                            }
                         }),
                     );
                 }
@@ -1155,8 +1096,14 @@ impl SimBitdew {
 
     /// Start chunk-level repairs: only the missing chunks move, stolen
     /// across the live sources like any chunked fetch.
-    fn start_repairs(&self, sim: &mut Sim, uid: HostUid, host: HostId, repairs: Vec<Data>) {
-        for data in repairs {
+    fn start_repairs(
+        &self,
+        sim: &mut Sim,
+        uid: HostUid,
+        host: HostId,
+        repairs: Vec<(Data, DataAttributes)>,
+    ) {
+        for (data, _attrs) in repairs {
             let (manifest, held) = {
                 let st = self.state.borrow();
                 (
@@ -1232,7 +1179,7 @@ impl SimBitdew {
             .map(|c| c.len as f64)
             .collect();
         if lens.is_empty() {
-            self.finish_chunked(sim, uid, dest, &data, repair, 0.0, sim.now());
+            self.finish_download(sim, uid, dest, &data, repair, 0.0);
             return;
         }
         let fetch = Rc::new(RefCell::new(SimChunkFetch {
@@ -1306,8 +1253,8 @@ impl SimBitdew {
         // it (starting a flow can fail immediately and re-enter).
         enum Next {
             Flow(HostId, usize),
-            Done(HostUid, HostId, Data, bool, f64, SimTime),
-            Fail(HostUid, Data, bool),
+            Done(HostUid, HostId, Data, bool, f64),
+            Fail(HostUid, HostId, Data, bool),
             Nothing,
         }
         let next = {
@@ -1320,7 +1267,13 @@ impl SimBitdew {
                         f.moved += f.lens[idx];
                         f.remaining -= 1;
                         if f.remaining == 0 {
-                            Next::Done(f.uid, f.dest, f.data.clone(), f.repair, f.moved, f.started)
+                            let elapsed = sim.now().since(f.started).as_secs_f64();
+                            let rate = if elapsed > 0.0 {
+                                f.moved / elapsed
+                            } else {
+                                0.0
+                            };
+                            Next::Done(f.uid, f.dest, f.data.clone(), f.repair, rate)
                         } else {
                             match f.queue.pop_front() {
                                 Some(next_idx) => Next::Flow(src, next_idx),
@@ -1331,7 +1284,7 @@ impl SimBitdew {
                     FlowOutcome::Failed { reason, .. } => {
                         if reason == bitdew_sim::FlowFailure::DestinationDown {
                             f.failed = true;
-                            Next::Fail(f.uid, f.data.clone(), f.repair)
+                            Next::Fail(f.uid, f.dest, f.data.clone(), f.repair)
                         } else {
                             // Source died: its chunk goes back on the queue
                             // and a survivor picks it up right away.
@@ -1340,7 +1293,7 @@ impl SimBitdew {
                                 Some(alt) => Next::Flow(alt, idx),
                                 None => {
                                     f.failed = true;
-                                    Next::Fail(f.uid, f.data.clone(), f.repair)
+                                    Next::Fail(f.uid, f.dest, f.data.clone(), f.repair)
                                 }
                             }
                         }
@@ -1352,69 +1305,45 @@ impl SimBitdew {
             Next::Flow(source, chunk) => {
                 self.start_chunk_flow(sim, fetch, source, chunk, SimDuration::ZERO)
             }
-            Next::Done(uid, dest, data, repair, moved, started) => {
-                self.finish_chunked(sim, uid, dest, &data, repair, moved, started)
+            Next::Done(uid, dest, data, repair, rate) => {
+                self.finish_download(sim, uid, dest, &data, repair, rate)
             }
-            Next::Fail(uid, data, repair) => {
-                let host = fetch.borrow().dest;
-                let mut st = self.state.borrow_mut();
-                if let Some(n) = st.nodes.get_mut(&uid) {
-                    n.pending.remove(&data.id);
-                    if repair {
-                        n.cache.remove(&data.id);
-                    }
-                }
-                drop(st);
-                self.trace.push(
-                    sim.now(),
-                    TraceEvent::TransferFailed {
-                        to: host,
-                        data: data.name.clone(),
-                    },
-                );
+            Next::Fail(uid, dest, data, repair) => {
+                self.fail_download(sim, uid, dest, &data, repair)
             }
             Next::Nothing => {}
         }
     }
 
-    /// A chunked fetch (or repair) delivered every chunk.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_chunked(
+    /// A download (or a chunk repair, which leaves the cache as it was)
+    /// delivered every byte to `uid`.
+    fn finish_download(
         &self,
         sim: &mut Sim,
         uid: HostUid,
         host: HostId,
         data: &Data,
         repair: bool,
-        moved: f64,
-        started: SimTime,
+        avg_rate: f64,
     ) {
         let hook = {
             let mut st = self.state.borrow_mut();
-            let head = st.version_head(data.id);
             if let Some(n) = st.nodes.get_mut(&uid) {
                 n.pending.remove(&data.id);
                 n.cache.insert(data.id);
             }
-            if head > 0 {
-                st.held_versions.insert((uid, data.id), head);
-            }
+            st.note_held_version(uid, data.id);
             if repair {
                 st.partials.remove(&(uid, data.id));
-                let total = st
-                    .manifests
-                    .get(&data.id)
-                    .map(|m| m.chunk_count())
-                    .unwrap_or(0);
+                let total = st.manifests.get(&data.id).map_or(0, |m| m.chunk_count());
                 st.scheduler.report_chunks(uid, data.id, total);
             }
-            let elapsed = sim.now().since(started).as_secs_f64();
             self.trace.push(
                 sim.now(),
                 TraceEvent::TransferCompleted {
                     to: host,
                     data: data.name.clone(),
-                    avg_rate: if elapsed > 0.0 { moved / elapsed } else { 0.0 },
+                    avg_rate,
                 },
             );
             if repair {
@@ -1432,57 +1361,22 @@ impl SimBitdew {
         }
     }
 
-    fn on_flow_done(
-        &self,
-        sim: &mut Sim,
-        uid: HostUid,
-        host: HostId,
-        data: Data,
-        outcome: FlowOutcome,
-        name: String,
-    ) {
-        let hook = {
-            let mut st = self.state.borrow_mut();
-            let head = st.version_head(data.id);
-            let Some(node) = st.nodes.get_mut(&uid) else {
-                return;
-            };
-            node.pending.remove(&data.id);
-            match outcome {
-                FlowOutcome::Completed { avg_rate, .. } => {
-                    node.cache.insert(data.id);
-                    if head > 0 {
-                        st.held_versions.insert((uid, data.id), head);
-                    }
-                    self.trace.push(
-                        sim.now(),
-                        TraceEvent::TransferCompleted {
-                            to: host,
-                            data: name,
-                            avg_rate,
-                        },
-                    );
-                    st.copy_hook.take()
-                }
-                FlowOutcome::Failed { .. } => {
-                    self.trace.push(
-                        sim.now(),
-                        TraceEvent::TransferFailed {
-                            to: host,
-                            data: name,
-                        },
-                    );
-                    None
-                }
-            }
-        };
-        if let Some(mut h) = hook {
-            h(sim, uid, &data);
-            let mut st = self.state.borrow_mut();
-            if st.copy_hook.is_none() {
-                st.copy_hook = Some(h);
+    /// A download (or chunk repair) of `data` towards `uid` failed: the
+    /// next sync re-assigns it if it is still wanted.
+    fn fail_download(&self, sim: &mut Sim, uid: HostUid, host: HostId, data: &Data, repair: bool) {
+        if let Some(n) = self.state.borrow_mut().nodes.get_mut(&uid) {
+            n.pending.remove(&data.id);
+            if repair {
+                n.cache.remove(&data.id);
             }
         }
+        self.trace.push(
+            sim.now(),
+            TraceEvent::TransferFailed {
+                to: host,
+                data: data.name.clone(),
+            },
+        );
     }
 }
 
@@ -1490,9 +1384,9 @@ impl SimBitdew {
 ///
 /// Holds the simulation clock (`Rc<RefCell<Sim>>`) so blocking operations —
 /// `wait_for`, `wait_all`, `barrier` — advance *virtual* time, and `pump`
-/// runs one heartbeat of it. Everything else mirrors the threaded
-/// [`BitdewNode`](crate::BitdewNode) against the simulated data space, so a
-/// scenario written as `fn scenario<N: BitDewApi + ActiveData +
+/// runs one heartbeat of it. Everything else keeps the threaded
+/// [`BitdewNode`](crate::BitdewNode)'s contract over the simulated data
+/// space, so a scenario written as `fn scenario<N: BitDewApi + ActiveData +
 /// TransferManager>(...)` runs unchanged on either.
 ///
 /// `SimNode` is cheaply cloneable (clones share the node's state and event
@@ -1837,11 +1731,6 @@ impl BitDewApi for SimNode {
 
     fn put_chunked(&self, data: &Data, content: &[u8], chunk_size: u64) -> Result<ChunkManifest> {
         self.put(data, content)?;
-        let chunk_size = if chunk_size == 0 {
-            DEFAULT_CHUNK_SIZE
-        } else {
-            chunk_size
-        };
         let manifest = ChunkManifest::describe(data.id, chunk_size, content);
         self.driver.put_manifest(&manifest);
         self.driver
@@ -1861,12 +1750,10 @@ impl BitDewApi for SimNode {
     }
 
     fn fetch_chunks(&self, data: &Data, chunks: &[u32]) -> Result<u64> {
-        let manifest =
-            self.driver
-                .manifest_of(data.id)
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
+        let manifest = self
+            .driver
+            .manifest_of(data.id)
+            .ok_or_else(|| no_manifest(data))?;
         let held: BTreeSet<u32> = self
             .driver
             .held_chunk_set(self.uid, data.id)
@@ -1882,11 +1769,7 @@ impl BitDewApi for SimNode {
         if missing.is_empty() {
             return Ok(0);
         }
-        let moved: u64 = missing
-            .iter()
-            .filter_map(|&i| manifest.descriptor(i))
-            .map(|c| c.len as u64)
-            .sum();
+        let moved = manifest.bytes_of(missing.iter().copied());
         // Each missing chunk is one flow served by a peer replica — the
         // same counter the flow-level chunked-fetch engine charges.
         self.driver.state.borrow_mut().peer_chunk_flows += missing.len() as u64;
@@ -1906,13 +1789,7 @@ impl BitDewApi for SimNode {
     }
 
     fn chunk_holdings(&self, id: DataId) -> Result<ChunkHoldings> {
-        let st = self.driver.state.borrow();
-        let mut full = st.scheduler.owners_of(id);
-        full.sort();
-        Ok(ChunkHoldings {
-            full,
-            partial: st.scheduler.partial_chunk_sets(id),
-        })
+        Ok(self.driver.state.borrow().scheduler.chunk_holdings(id))
     }
 
     fn get_range_local(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
@@ -1973,11 +1850,9 @@ impl BitDewApi for SimNode {
                 what: format!("version {base} of `{}` (head {head})", data.name),
             });
         }
-        let resolved =
-            st.resolve_version(data.id, base)
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
+        let resolved = st
+            .resolve_version(data.id, base)
+            .ok_or_else(|| no_manifest(data))?;
         let by_chunk = split_writes(resolved.chunk_size, resolved.total, writes)?;
         let changed_idx: Vec<u32> = by_chunk.keys().copied().collect();
         let intervening: Vec<Vec<u32>> = st
@@ -2047,16 +1922,8 @@ impl BitDewApi for SimNode {
         // Version publication is a small metadata flow: the encoded delta
         // row inside one SOAP envelope pair.
         let wire = SIM_SYNC_BASE_BYTES + row.to_bytes().len() as u64;
-        match st.announce.as_mut() {
-            Some(a) => {
-                a.stats.version_publishes += 1;
-                a.stats.version_bytes += wire;
-            }
-            None => {
-                st.tcp_stats.version_publishes += 1;
-                st.tcp_stats.version_bytes += wire;
-            }
-        }
+        st.stats_mut().version_publishes += 1;
+        st.stats_mut().version_bytes += wire;
         st.version_rows.entry(data.id).or_default().push(row);
         st.held_versions.insert((self.uid, data.id), version);
         let contended = st.control_contention;
@@ -2082,16 +1949,12 @@ impl BitDewApi for SimNode {
         let st = self.driver.state.borrow();
         let head = st.version_head(data.id);
         if head == 0 {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("chunk manifest for `{}`", data.name),
-            });
+            return Err(no_manifest(data));
         }
         let pin = SnapshotPin::new(st.pins.clone(), data.id, head);
-        let resolved =
-            st.resolve_version(data.id, head)
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
+        let resolved = st
+            .resolve_version(data.id, head)
+            .ok_or_else(|| no_manifest(data))?;
         Ok(Snapshot::new(resolved, pin))
     }
 
@@ -2103,25 +1966,18 @@ impl BitDewApi for SimNode {
         len: usize,
     ) -> Result<Vec<u8>> {
         let st = self.driver.state.borrow();
-        let rv = snap.resolved();
-        let len = len.min(rv.total.saturating_sub(offset) as usize);
-        let end = offset + len as u64;
-        let mut out = Vec::with_capacity(len);
-        for (index, birth) in rv.overlapping(offset, len) {
-            let desc = rv.descriptor(index).expect("overlapping is in range");
-            let chunk_start = index as u64 * rv.chunk_size;
-            let seg_start = offset.max(chunk_start);
-            let seg_end = end.min(chunk_start + desc.len as u64);
-            let seg_len = (seg_end - seg_start) as usize;
-            let within = (seg_start - chunk_start) as usize;
+        let pieces = snap.resolved().pieces(offset, len);
+        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len).sum());
+        for p in pieces {
+            let (start, within, len) = (p.start as usize, p.within as usize, p.len);
             let pre = st
                 .preserved
-                .get(&(data.id, birth))
-                .and_then(|chunks| chunks.get(&index));
+                .get(&(data.id, p.birth))
+                .and_then(|chunks| chunks.get(&p.index));
             match pre {
                 // Superseded since the snapshot: the preserved pre-image
                 // holds the whole chunk at its canonical offsets.
-                Some(bytes) => out.extend_from_slice(&bytes[within..within + seg_len]),
+                Some(bytes) => out.extend_from_slice(&bytes[within..within + len]),
                 None => {
                     let entry = st
                         .space
@@ -2131,13 +1987,13 @@ impl BitDewApi for SimNode {
                         })?;
                     match &entry.content {
                         Some(buf) => {
-                            let from = (seg_start as usize).min(buf.len());
-                            let to = (from + seg_len).min(buf.len());
+                            let from = start.min(buf.len());
+                            let to = (from + len).min(buf.len());
                             out.extend_from_slice(&buf[from..to]);
-                            out.resize(out.len() + seg_len - (to - from), 0);
+                            out.resize(out.len() + len - (to - from), 0);
                         }
                         // Metadata-only datum: the modeled bytes are zeros.
-                        None => out.resize(out.len() + seg_len, 0),
+                        None => out.resize(out.len() + len, 0),
                     }
                 }
             }
@@ -2227,12 +2083,10 @@ impl ActiveData for SimNode {
     }
 
     fn pin_chunks(&self, data: &Data, attrs: DataAttributes, held: &[u32]) -> Result<()> {
-        let manifest =
-            self.driver
-                .manifest_of(data.id)
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
+        let manifest = self
+            .driver
+            .manifest_of(data.id)
+            .ok_or_else(|| no_manifest(data))?;
         // Keep unique, in-range indices — mirroring the threaded node,
         // which verifies every claimed index (duplicates or out-of-range
         // claims must not add up to a full pin).
@@ -2889,6 +2743,31 @@ mod tests {
         let stats = bd.sync_stats();
         assert!(stats.version_publishes >= 1);
         assert!(stats.version_bytes > 0);
+    }
+
+    #[test]
+    fn zero_cadence_factors_mean_one_heartbeat_ttl_and_every_round_full() {
+        let topo = topology::gdx_cluster(1);
+        let mut sim = Sim::new(34);
+        let bd = SimBitdew::new(
+            topo.net.clone(),
+            topo.service,
+            SimDuration::from_secs(1),
+            Trace::new(),
+        );
+        bd.enable_announce(0, 0);
+        let data = datum("edge", 1_000);
+        bd.schedule_data(data.clone(), DataAttributes::default().with_replica(1));
+        let n = bd.add_node(&mut sim, topo.workers[0], SimTime::ZERO);
+        sim.run_until(SimTime::from_millis(10_500));
+        // full_sync_every = 0: each of the 11 rounds (t = 0..=10 s) synced.
+        let stats = bd.sync_stats();
+        assert_eq!(stats.tcp_syncs, 11);
+        assert_eq!(stats.fallback_syncs, 0);
+        // ttl_factor = 0: half a heartbeat after its last refresh, the
+        // claim is still live.
+        let holders = bd.announce_holders(&sim, data.id);
+        assert!(holders.iter().any(|(h, _)| *h == n), "{holders:?}");
     }
 
     #[test]

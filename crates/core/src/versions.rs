@@ -229,6 +229,29 @@ impl ResolvedVersion {
             .collect()
     }
 
+    /// The pieces a read of bytes `[offset, offset + len)` of this version
+    /// takes, clipped to the content: one per overlapping chunk, in index
+    /// order.
+    pub(crate) fn pieces(&self, offset: u64, len: usize) -> Vec<Piece> {
+        let len = len.min(self.total.saturating_sub(offset) as usize);
+        let end = offset + len as u64;
+        self.overlapping(offset, len)
+            .into_iter()
+            .filter_map(|(index, birth)| {
+                let chunk_start = index as u64 * self.chunk_size;
+                let start = offset.max(chunk_start);
+                let stop = end.min(chunk_start + self.descriptor(index)?.len as u64);
+                Some(Piece {
+                    index,
+                    birth,
+                    start,
+                    within: start - chunk_start,
+                    len: (stop - start) as usize,
+                })
+            })
+            .collect()
+    }
+
     /// Materialize this version as a plain [`ChunkManifest`] — what the
     /// repair/announce/compute planes key digests on.
     pub fn to_manifest(&self) -> ChunkManifest {
@@ -291,6 +314,22 @@ pub fn head_valid_subset(head: &ResolvedVersion, held: &[u32], announced: u64) -
         .copied()
         .filter(|&i| head.birth_of(i).is_some_and(|b| b <= announced))
         .collect()
+}
+
+/// One chunk's share of a versioned range read (see
+/// [`ResolvedVersion::pieces`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Piece {
+    /// The chunk.
+    pub index: u32,
+    /// The version that last wrote the chunk, as of the resolved version.
+    pub birth: u64,
+    /// Byte offset of the piece within the datum.
+    pub start: u64,
+    /// Byte offset of the piece within its chunk.
+    pub within: u64,
+    /// Piece length.
+    pub len: usize,
 }
 
 /// One contiguous segment of a write, clipped to a single chunk — what

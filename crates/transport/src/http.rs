@@ -83,19 +83,10 @@ impl HttpServer {
         let text = String::from_utf8_lossy(&req).to_string();
         let mut lines = text.lines();
         let request_line = lines.next().unwrap_or_default();
-        let mut range_from = 0u64;
-        let mut range_to: Option<u64> = None; // inclusive end, RFC 7233 style
-        let mut content_length = 0u64;
-        for line in lines {
-            if let Some(v) = line.strip_prefix("Range: bytes=") {
-                let mut ends = v.splitn(2, '-');
-                range_from = ends.next().unwrap_or("0").parse().unwrap_or(0);
-                range_to = ends.next().and_then(|e| e.parse().ok());
-            }
-            if let Some(v) = line.strip_prefix("Content-Length: ") {
-                content_length = v.parse().unwrap_or(0);
-            }
-        }
+        let Some((range_from, range_to, content_length)) = parse_headers(lines) else {
+            conn.send(Bytes::from_static(b"400 Bad Request"))?;
+            return Ok(());
+        };
         let mut parts = request_line.split_whitespace();
         match (parts.next(), parts.next()) {
             (Some("GET"), Some(path)) => {
@@ -157,6 +148,28 @@ impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop_inner();
     }
+}
+
+/// The `Range` (`bytes=from-` or `bytes=from-to`, inclusive end, RFC 7233
+/// style) and `Content-Length` headers of a request: `(from, to,
+/// length)`, 0 / open / 0 when absent. `None` when either is present but
+/// not a decimal `u64` — the request is refused, not read as "from 0".
+fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Option<(u64, Option<u64>, u64)> {
+    let (mut from, mut to, mut length) = (0, None, 0);
+    for line in lines {
+        if let Some(v) = line.strip_prefix("Range: bytes=") {
+            let (start, end) = v.split_once('-')?;
+            from = start.trim().parse().ok()?;
+            to = match end.trim() {
+                "" => None,
+                end => Some(end.parse().ok()?),
+            };
+        }
+        if let Some(v) = line.strip_prefix("Content-Length: ") {
+            length = v.trim().parse().ok()?;
+        }
+    }
+    Some((from, to, length))
 }
 
 /// Transfer direction.
@@ -480,6 +493,43 @@ mod tests {
             fetch_range(&fabric, "http", "ghost", 0, 8),
             Err(TransportError::NoSuchObject(_))
         ));
+    }
+
+    /// One raw request on a fresh connection; returns that connection and
+    /// the reply's head frame.
+    fn raw(fabric: &Fabric, request: String) -> (Duplex, String) {
+        let conn = fabric.connect("http").unwrap();
+        conn.send(Bytes::from(request)).unwrap();
+        let head = String::from_utf8_lossy(&conn.recv().unwrap()).to_string();
+        (conn, head)
+    }
+
+    #[test]
+    fn malformed_range_and_length_get_400() {
+        let fabric = Fabric::new();
+        let server_store = MemStore::new();
+        let data = payload(1_000);
+        server_store.put("obj", &data);
+        let _server = HttpServer::start(&fabric, "http", server_store);
+        // Non-numeric, negative, and one past `u64::MAX`.
+        for bad in ["abc", "-5", "18446744073709551616"] {
+            for request in [
+                format!("GET /obj\nRange: bytes={bad}-"),
+                format!("GET /obj\nRange: bytes=0-{bad}"),
+                format!("PUT /obj\nContent-Length: {bad}"),
+            ] {
+                let (_, head) = raw(&fabric, request.clone());
+                assert!(head.starts_with("400"), "{request:?} got {head:?}");
+            }
+        }
+        // The listener still serves, and an open range still resumes.
+        let (conn, head) = raw(&fabric, "GET /obj\nRange: bytes=5-".into());
+        assert!(head.starts_with("200"), "{head:?}");
+        let mut body = Vec::new();
+        while body.len() < data.len() - 5 {
+            body.extend_from_slice(&conn.recv().unwrap());
+        }
+        assert_eq!(body, data[5..]);
     }
 
     #[test]

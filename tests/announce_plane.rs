@@ -276,3 +276,107 @@ fn scrape_lists_announced_serving_peers_over_the_wire() {
     assert!(flags & FLAG_SERVING != 0, "worker scraped as serving");
     assert!(flags & FLAG_COMPLETE != 0, "worker scraped as complete");
 }
+
+#[test]
+fn zero_cadence_factors_mean_one_heartbeat_ttl_and_every_round_full() {
+    let heartbeat = Duration::from_secs(1);
+    let c = ServiceContainer::start(RuntimeConfig {
+        heartbeat,
+        announce: AnnounceConfig {
+            ttl_factor: 0,
+            full_sync_every: 0,
+            ..AnnounceConfig::default()
+        },
+        ..RuntimeConfig::default()
+    });
+    let client = BitdewNode::new_client(Arc::clone(&c));
+    let content = payload(8_000);
+    let data = client.create_data("edge", &content).unwrap();
+    client.put(&data, &content).unwrap();
+    client
+        .schedule(&data, DataAttributes::default().with_replica(1))
+        .unwrap();
+
+    // full_sync_every = 0: every round is a full sync. The round that
+    // caches the datum also claims it.
+    let w = BitdewNode::new(Arc::clone(&c));
+    while !w.has_cached(data.id) {
+        assert!(w.heartbeat_round().is_some(), "a round ran without a sync");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(w.fallback_syncs(), 0);
+    let claimed = Instant::now();
+
+    // ttl_factor = 0: the claim lives one heartbeat, not none.
+    let holds = || c.announce_holders(data.id).iter().any(|(h, _)| *h == w.uid);
+    wait_until("the claim cached", holds);
+    std::thread::sleep(Duration::from_millis(50));
+    if claimed.elapsed() < heartbeat / 2 {
+        assert!(holds(), "the claim expired within its heartbeat");
+    }
+    // Never refreshed, it expires.
+    wait_until("the claim expired", || !holds());
+}
+
+#[test]
+fn stale_holder_of_a_fully_rewritten_datum_is_demoted_and_repaired() {
+    // Both chunks are rewritten after the version the holder has, so no
+    // chunk of its replica is valid at the head. Its next claim must take
+    // it out of Ω as a partial holder of nothing, and the repair order
+    // that follows must give it the head bytes.
+    let c = ServiceContainer::start(RuntimeConfig {
+        heartbeat: Duration::from_millis(10),
+        announce: AnnounceConfig {
+            // A 400 ms TTL: a claim is due again after 200 ms, and no
+            // claim expires while the test runs.
+            ttl_factor: 40,
+            full_sync_every: 1,
+            ..AnnounceConfig::default()
+        },
+        ..RuntimeConfig::default()
+    });
+    let client = BitdewNode::new_client(Arc::clone(&c));
+    let content = payload(8_192);
+    let data = client.create_data("rewritten", &content).unwrap();
+    client.put_chunked(&data, &content, 4_096).unwrap();
+    client
+        .schedule(&data, DataAttributes::default().with_replica(1))
+        .unwrap();
+    let w = BitdewNode::new(Arc::clone(&c));
+    pump(
+        &[&w],
+        || w.has_cached(data.id) && c.owners_of(data.id).contains(&w.uid),
+        "the first replica",
+    );
+
+    let head: Vec<u8> = content.iter().map(|b| b ^ 0xFF).collect();
+    let version = client
+        .commit_update(&data, 1, &[(0, head.clone())])
+        .unwrap();
+    assert_eq!(version, 2);
+
+    // One round whose claim is due: the holder announces version 1.
+    std::thread::sleep(Duration::from_millis(250));
+    w.heartbeat_round();
+    wait_until("the stale holder leaving Ω", || {
+        !c.owners_of(data.id).contains(&w.uid)
+    });
+
+    // The next full sync orders a repair: the datum stays cached while
+    // both chunks move again.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut repair_started = false;
+    while !(w.read_local(&data).is_ok_and(|b| b == head) && c.owners_of(data.id).contains(&w.uid)) {
+        if let Some(summary) = w.heartbeat_round() {
+            assert!(!summary.deleted.contains(&data.id), "purged, not repaired");
+            repair_started |= summary.started.contains(&data.id);
+        }
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for the head bytes"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(repair_started, "a repair order moved the chunks");
+    assert!(w.has_cached(data.id));
+}
