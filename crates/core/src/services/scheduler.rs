@@ -64,7 +64,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use bitdew_util::Auid;
+use bitdew_util::{Auid, IdMap};
 
 use crate::attr::{DataAttributes, Lifetime};
 use crate::data::{Data, DataId};
@@ -144,8 +144,9 @@ pub struct DataScheduler {
     /// Pinned owners: host-declared ownership exempt from heartbeat eviction
     /// (`ActiveData::pin`, §3.3).
     pinned: HashMap<DataId, BTreeSet<HostUid>>,
-    /// Last synchronization instant per host (nanos).
-    last_seen: HashMap<HostUid, u64>,
+    /// Last synchronization instant per host (nanos). Written on every
+    /// heartbeat, so hashed by [`IdMap`]'s fast keyed hasher.
+    last_seen: IdMap<HostUid, u64>,
     /// Failure detection timeout (nanos) — 3 × heartbeat period in §4.4.
     timeout: u64,
     /// Cap on |Ψk \ Δk| per synchronization.
@@ -212,7 +213,7 @@ impl DataScheduler {
             theta: BTreeMap::new(),
             owners: HashMap::new(),
             pinned: HashMap::new(),
-            last_seen: HashMap::new(),
+            last_seen: IdMap::default(),
             timeout: timeout_nanos,
             max_data_schedule: max_data_schedule.max(1),
             expiries: BTreeSet::new(),

@@ -560,6 +560,16 @@ impl ShardedScheduler {
         }
     }
 
+    /// [`ShardedScheduler::touch_host`] through exclusive access, taking no
+    /// shard lock. The simulator owns its plane and touches every host every
+    /// heartbeat; there a lock's atomic read-modify-write would order the
+    /// heartbeat's cache misses one after another.
+    pub(crate) fn touch_host_mut(&mut self, host: HostUid, now: u64) {
+        for s in &mut self.shards {
+            s.get_mut().touch_host(host, now);
+        }
+    }
+
     /// Route an announce-plane complete-replica report to the datum's
     /// shard. See [`DataScheduler::announce_owner`].
     pub fn announce_owner(&self, host: HostUid, data: DataId) -> bool {

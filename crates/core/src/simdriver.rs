@@ -46,7 +46,7 @@ use std::time::Duration;
 use bitdew_sim::{
     every, FlowNet, FlowOutcome, HostId, Sim, SimDuration, SimTime, Trace, TraceEvent,
 };
-use bitdew_util::Auid;
+use bitdew_util::{Auid, IdMap};
 
 use crate::agent::{self, Cadence, Holding};
 use crate::announce::{HostCache, FLAG_SERVING};
@@ -159,7 +159,7 @@ struct AnnounceSimState {
     cache: HostCache,
     /// (host, datum) → last announce time; holdings re-announce past the
     /// TTL half-life, not every round.
-    announced_at: HashMap<(HostUid, DataId), u64>,
+    announced_at: IdMap<(HostUid, DataId), u64>,
     stats: SimSyncStats,
 }
 
@@ -221,7 +221,9 @@ struct SpaceEntry {
 
 struct DriverState {
     scheduler: ShardedScheduler,
-    nodes: HashMap<HostUid, NodeState>,
+    /// Looked up several times per heartbeat, so hashed by [`IdMap`]'s
+    /// fast keyed hasher (as are the other maps a heartbeat touches).
+    nodes: IdMap<HostUid, NodeState>,
     by_host: HashMap<HostId, HostUid>,
     copy_hook: Option<CopyHook>,
     data_names: HashMap<DataId, String>,
@@ -260,7 +262,7 @@ struct DriverState {
     pins: PinRegistry,
     /// (host, datum) → the version the host's bytes correspond to; a host
     /// behind the head announces stale and reads as a repair target.
-    held_versions: HashMap<(HostUid, DataId), u64>,
+    held_versions: IdMap<(HostUid, DataId), u64>,
     /// Chunk flows started from a peer replica (vs the service host) —
     /// the multi-source data plane's utilization counter.
     peer_chunk_flows: u64,
@@ -382,7 +384,7 @@ impl SimBitdew {
         SimBitdew {
             state: Rc::new(RefCell::new(DriverState {
                 scheduler: ShardedScheduler::new(shards, timeout, 64),
-                nodes: HashMap::new(),
+                nodes: IdMap::default(),
                 by_host: HashMap::new(),
                 copy_hook: None,
                 data_names: HashMap::new(),
@@ -397,7 +399,7 @@ impl SimBitdew {
                 version_rows: HashMap::new(),
                 preserved: HashMap::new(),
                 pins: PinRegistry::default(),
-                held_versions: HashMap::new(),
+                held_versions: IdMap::default(),
                 peer_chunk_flows: 0,
                 announce: None,
                 tcp_stats: SimSyncStats::default(),
@@ -438,7 +440,7 @@ impl SimBitdew {
             cadence: Cadence::new(self.heartbeat.as_nanos(), ttl_factor, full_sync_every),
             up: true,
             cache: HostCache::new(),
-            announced_at: HashMap::new(),
+            announced_at: IdMap::default(),
             stats: SimSyncStats::default(),
         });
     }
@@ -846,7 +848,7 @@ impl SimBitdew {
         let Some(mut a) = st.announce.take() else {
             return;
         };
-        st.scheduler.touch_host(uid, now);
+        st.scheduler.touch_host_mut(uid, now);
         a.stats.announce_datagrams += 1;
         a.stats.announce_bytes += SIM_ANNOUNCE_WIRE + SIM_UDP_OVERHEAD;
         let cached: Vec<DataId> = st

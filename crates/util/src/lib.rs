@@ -13,6 +13,8 @@
 //!   checkpoint-signature sabotage-tolerance scheme discussed in §2.2.
 //! * [`auid`] — AUID unique identifiers, "a variant of the DCE UID" (§3.5),
 //!   used to name every data, attribute, host and transfer in the system.
+//! * [`idhash`] — a fast keyed hasher ([`IdMap`]) for the maps hot paths
+//!   key by AUIDs.
 //! * [`hex`] — hexadecimal encoding/decoding for digests and identifiers.
 //! * [`stats`] — streaming min/max/mean/standard-deviation accumulators used
 //!   by the benchmark harness (Table 3 reports exactly these four columns).
@@ -24,9 +26,11 @@
 pub mod auid;
 pub mod fmt;
 pub mod hex;
+pub mod idhash;
 pub mod md5;
 pub mod stats;
 
 pub use auid::Auid;
+pub use idhash::IdMap;
 pub use md5::Md5Digest;
 pub use stats::RunningStats;
