@@ -556,9 +556,10 @@ impl AnnounceServer {
                 }
                 let expires = now.saturating_add(ttl_nanos);
                 cache.lock().insert(host, data, expires, flags, version);
-                let head = plane.version_head(data).unwrap_or(0);
+                let head_rv = plane.head(data).ok().flatten();
+                let head = head_rv.as_ref().map_or(0, |h| h.version);
                 let effect = agent::claim_effect(&Claim { flags, bitmap }, version, head, || {
-                    plane.resolve_version(data, head).ok().flatten()
+                    head_rv.map(|h| (*h).clone())
                 });
                 scheduler.apply_claim(host, data, effect);
             }

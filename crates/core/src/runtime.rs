@@ -56,7 +56,9 @@ use crate::services::repository::DataRepository;
 use crate::services::scheduler::{HostUid, SyncRole};
 use crate::services::transfer::{DataTransfer, TransferBuilder, TransferId, TransferState};
 use crate::shard::{ShardedPlane, SyncProfile};
-use crate::versions::{split_writes, versioned_object, GcReport, Snapshot, VersionedManifest};
+use crate::versions::{
+    check_republish, split_writes, versioned_object, GcReport, Snapshot, VersionedManifest,
+};
 
 /// Discovery-plane (UDP announce) tuning — see [`crate::announce`].
 #[derive(Debug, Clone)]
@@ -671,15 +673,20 @@ impl BitdewNode {
     /// chunk map (per-chunk CRC32 digests at `chunk_size`, 0 = default) is
     /// published through the catalog plane so any host can run a
     /// multi-source range fetch or chunk-level repair against it.
+    /// Once a version committed on top of the base, content other than the
+    /// head's is refused before any byte moves (see
+    /// [`crate::versions::check_republish`]).
     pub fn put_chunked(
         &self,
         data: &Data,
         content: &[u8],
         chunk_size: u64,
     ) -> Result<ChunkManifest> {
-        self.put(data, content)?;
+        let plane = &self.container.plane;
         let manifest = ChunkManifest::describe(data.id, chunk_size, content);
-        self.container.plane.put_manifest(&manifest)?;
+        check_republish(&manifest, plane.head(data.id)?.as_deref())?;
+        self.put(data, content)?;
+        plane.put_manifest(&manifest)?;
         self.manifests.lock().insert(data.id, manifest.clone());
         self.note_held_version(data.id);
         Ok(manifest)
@@ -968,16 +975,16 @@ impl BitdewNode {
     /// one of the same chunks first.
     pub fn commit_update(&self, data: &Data, base: u64, writes: &[(u64, Vec<u8>)]) -> Result<u64> {
         let plane = &self.container.plane;
-        let head = plane.version_head(data.id)?;
-        if base == 0 || head == 0 || base > head {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("version {base} of `{}` (head {head})", data.name),
-            });
-        }
-        let resolved = plane
-            .resolve_version(data.id, base)?
-            .ok_or_else(|| no_manifest(data))?;
-        let by_chunk = split_writes(resolved.chunk_size, resolved.total, writes)?;
+        let head = match plane.head(data.id)? {
+            Some(head) if base != 0 && base <= head.version => head,
+            head => {
+                let head = head.map_or(0, |h| h.version);
+                return Err(BitdewError::CatalogMiss {
+                    what: format!("version {base} of `{}` (head {head})", data.name),
+                });
+            }
+        };
+        let by_chunk = split_writes(head.chunk_size, head.total, writes)?;
         let state = plane.version_state();
         let store = self.container.repository.store();
         let object = data.object_name();
@@ -991,19 +998,22 @@ impl BitdewNode {
             .collect();
         let _guards: Vec<_> = locks.iter().map(|l| l.lock()).collect();
 
-        // Under the locks the canonical bytes of every touched chunk are
-        // settled; if any chunk's settled birth is newer than what `base`
-        // resolves, a later version already rewrote it — conflict now,
-        // before any byte moves.
+        // A chunk the head says was born after `base` was rewritten since:
+        // the head CAS would refuse this write, so conflict now. Otherwise
+        // its birth is the one `base` resolves too. Under the locks the
+        // canonical bytes of every touched chunk are settled; a settled
+        // birth other than the head's means a later version rewrote the
+        // chunk after `head` was read — conflict too, before any byte
+        // moves.
         for &index in by_chunk.keys() {
-            let birth = resolved
+            let birth = head
                 .birth_of(index)
                 .ok_or_else(|| BitdewError::CatalogMiss {
                     what: format!("chunk {index} of `{}`", data.name),
                 })?;
-            if state.settled_birth(data.id, index) != birth {
+            if birth > base || state.settled_birth(data.id, index) != birth {
                 return Err(BitdewError::VersionConflict {
-                    head,
+                    head: head.version,
                     attempted: base,
                 });
             }
@@ -1013,9 +1023,9 @@ impl BitdewNode {
         let mut changed = Vec::with_capacity(by_chunk.len());
         let mut patched_chunks = Vec::with_capacity(by_chunk.len());
         for (&index, segments) in &by_chunk {
-            let desc = *resolved.descriptor(index).expect("checked above");
-            let birth = resolved.birth_of(index).expect("checked above");
-            let chunk_off = index as u64 * resolved.chunk_size;
+            let desc = *head.descriptor(index).expect("checked above");
+            let birth = head.birth_of(index).expect("checked above");
+            let chunk_off = index as u64 * head.chunk_size;
             let current = store.read_at(&object, chunk_off, desc.len as usize)?;
             // Preserve the pre-image before anything overwrites it. The
             // claim is idempotent: if an earlier (conflicted or committed)
@@ -1041,14 +1051,17 @@ impl BitdewNode {
 
         // Publish through the head CAS. With the chunk locks held this can
         // only conflict against a writer that bypassed the node layer.
-        let committed = plane.publish_version(&VersionedManifest {
+        let row = VersionedManifest {
             data: data.id,
             version: base + 1,
             parent: base,
-            chunk_size: resolved.chunk_size,
-            total: resolved.total,
+            chunk_size: head.chunk_size,
+            total: head.total,
             changed,
-        })?;
+        };
+        // Unshared unless a snapshot holds it, the head advances in place.
+        drop(head);
+        let committed = plane.publish_version(&row)?;
 
         // Only a committed writer moves the canonical bytes; settle each
         // chunk at the new version before the locks release.
@@ -1068,15 +1081,9 @@ impl BitdewNode {
     /// [`BitdewNode::gc_versions`] until it drops.
     pub fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
         let plane = &self.container.plane;
-        let head = plane.version_head(data.id)?;
-        if head == 0 {
-            return Err(no_manifest(data));
-        }
-        let pin = plane.version_state().pin(data.id, head);
-        let resolved = plane
-            .resolve_version(data.id, head)?
-            .ok_or_else(|| no_manifest(data))?;
-        Ok(Snapshot::new(resolved, pin))
+        let head = plane.head(data.id)?.ok_or_else(|| no_manifest(data))?;
+        let pin = plane.version_state().pin(data.id, head.version);
+        Ok(Snapshot::new(head, pin))
     }
 
     /// Read bytes `[offset, offset+len)` of `data` *as of* `snap`'s pinned
@@ -1140,12 +1147,7 @@ impl BitdewNode {
             live_versions.push(head);
             live_versions.sort_unstable();
         }
-        let mut live = Vec::with_capacity(live_versions.len());
-        for &v in &live_versions {
-            if let Some(rv) = plane.resolve_version(data.id, v)? {
-                live.push(rv);
-            }
-        }
+        let live = plane.resolve_versions(data.id, &live_versions)?;
         let store = self.container.repository.store();
         let object = data.object_name();
         let mut report = GcReport {
@@ -1519,7 +1521,7 @@ impl BitdewNode {
                         // The bytes are the head's. (A chunked datum's head
                         // was loaded when its download launched.)
                         if let Some(head) = self.container.plane.version_state().head(id) {
-                            self.held_versions.lock().insert(id, head);
+                            self.held_versions.lock().insert(id, head.version);
                         }
                         summary.completed.push(id);
                         completed_data.push(data.clone());

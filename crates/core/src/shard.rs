@@ -38,6 +38,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::num::NonZeroUsize;
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -46,11 +47,13 @@ use bitdew_dht::id::{key_for_auid, RingPos};
 use crate::agent::ClaimEffect;
 use crate::api::Result;
 use crate::attr::{DataAttributes, Lifetime};
-use crate::chunks::ChunkHoldings;
+use crate::chunks::{ChunkHoldings, ChunkManifest};
 use crate::data::{Data, DataId, Locator};
 use crate::services::catalog::{DataCatalog, DbAccess};
 use crate::services::scheduler::{DataScheduler, HostUid, SyncReply, SyncRole};
-use crate::versions::{commit_version, ResolvedVersion, VersionState, VersionedManifest};
+use crate::versions::{
+    check_republish, commit_version, ResolvedVersion, VersionState, VersionedManifest,
+};
 
 /// Maps data identifiers onto shards by partitioning the DHT ring.
 ///
@@ -608,7 +611,7 @@ impl ShardedScheduler {
 
 /// The full sharded service plane: per-shard Data Catalogs (each on its own
 /// database) plus the [`ShardedScheduler`] and the version plane's shared
-/// mutable state ([`VersionState`]: head cache, snapshot pins, pre-image
+/// mutable state ([`VersionState`]: resolved heads, snapshot pins, pre-image
 /// preservation ledger).
 pub struct ShardedPlane {
     router: ShardRouter,
@@ -724,10 +727,20 @@ impl ShardedPlane {
     /// Publish a chunk manifest on its catalog shard, and record the chunk
     /// count with the owning scheduler shard so replica validation becomes
     /// chunk-aware (a host counts as owner only once it holds every chunk).
+    /// The manifest becomes the datum's version 1 and its head. Once a
+    /// version committed on top of the base, only the head's own chunk map
+    /// is accepted, as a no-op; anything else is a non-retryable error
+    /// ([`check_republish`]).
     pub fn put_manifest(&self, manifest: &crate::chunks::ChunkManifest) -> Result<()> {
+        let _commit = self.versions.commit_lock();
+        if !check_republish(manifest, self.head(manifest.data)?.as_deref())? {
+            return Ok(());
+        }
         self.catalog_for(manifest.data).put_manifest(manifest)?;
         self.scheduler
             .set_chunk_total(manifest.data, manifest.chunk_count());
+        self.versions
+            .replace_head(ResolvedVersion::resolve(manifest, &[], 1));
         Ok(())
     }
 
@@ -736,33 +749,47 @@ impl ShardedPlane {
         self.catalog_for(id).manifest(id)
     }
 
-    /// The version plane's shared mutable state (head cache, snapshot
+    /// The version plane's shared mutable state (resolved heads, snapshot
     /// pins, preservation ledger).
     pub fn version_state(&self) -> &VersionState {
         &self.versions
     }
 
+    /// The datum's resolved head, `None` with no published manifest. Held
+    /// in memory once loaded; a cold load is one manifest get plus one
+    /// `dc_version` scan (see [`crate::versions`]).
+    pub fn head(&self, id: DataId) -> Result<Option<Arc<ResolvedVersion>>> {
+        if let Some(head) = self.versions.head(id) {
+            return Ok(Some(head));
+        }
+        let generation = self.versions.generation();
+        Ok(self
+            .cold_head(id)?
+            .map(|head| self.versions.install_head(head, generation)))
+    }
+
+    /// The datum's base manifest and delta rows, read from its catalog
+    /// shard; `None` with no published manifest.
+    fn chain(&self, id: DataId) -> Result<Option<(ChunkManifest, Vec<VersionedManifest>)>> {
+        let catalog = self.catalog_for(id);
+        let Some(base) = catalog.manifest(id)? else {
+            return Ok(None);
+        };
+        Ok(Some((base, catalog.versions(id)?)))
+    }
+
+    /// The datum's head resolved from its catalog rows alone.
+    fn cold_head(&self, id: DataId) -> Result<Option<ResolvedVersion>> {
+        Ok(self.chain(id)?.map(|(base, rows)| {
+            let head = rows.last().map_or(1, |r| r.version);
+            ResolvedVersion::resolve(&base, &rows, head)
+        }))
+    }
+
     /// The datum's current head version: 0 with no published manifest,
     /// 1 with only the base, `1 + max(dc_version)` once deltas committed.
-    /// Heads are cached after the first catalog load and advanced by
-    /// [`publish_version`](ShardedPlane::publish_version).
     pub fn version_head(&self, id: DataId) -> Result<u64> {
-        if let Some(head) = self.versions.head(id) {
-            return Ok(head);
-        }
-        let head = if self.catalog_for(id).manifest(id)?.is_none() {
-            0
-        } else {
-            self.catalog_for(id)
-                .versions(id)?
-                .last()
-                .map(|r| r.version)
-                .unwrap_or(1)
-        };
-        if head > 0 {
-            self.versions.set_head(id, head);
-        }
-        Ok(head)
+        Ok(self.head(id)?.map_or(0, |head| head.version))
     }
 
     /// One row of a datum's version chain (1 = the base manifest).
@@ -770,14 +797,28 @@ impl ShardedPlane {
         self.catalog_for(id).version(id, version)
     }
 
-    /// Resolve `version` of a datum through its chain: the base manifest
-    /// plus every delta row ≤ `version`, with per-chunk birth versions.
-    pub fn resolve_version(&self, id: DataId, version: u64) -> Result<Option<ResolvedVersion>> {
-        let Some(base) = self.catalog_for(id).manifest(id)? else {
-            return Ok(None);
+    /// Resolve each of `versions` (ascending) of a datum: the head from
+    /// memory, any older version through the chain, loaded at most once.
+    /// Empty when the datum has no manifest.
+    pub fn resolve_versions(&self, id: DataId, versions: &[u64]) -> Result<Vec<ResolvedVersion>> {
+        let Some(head) = self.head(id)? else {
+            return Ok(Vec::new());
         };
-        let rows = self.catalog_for(id).versions(id)?;
-        Ok(Some(ResolvedVersion::resolve(&base, &rows, version)))
+        let mut chain = None;
+        let mut out = Vec::with_capacity(versions.len());
+        for &version in versions {
+            if version == head.version {
+                out.push((*head).clone());
+                continue;
+            }
+            if chain.is_none() {
+                chain = self.chain(id)?;
+            }
+            if let Some((base, rows)) = &chain {
+                out.push(ResolvedVersion::resolve(base, rows, version));
+            }
+        }
+        Ok(out)
     }
 
     /// The datum's chunk manifest *at the head version*: the base when no
@@ -787,49 +828,50 @@ impl ShardedPlane {
         &self,
         id: DataId,
     ) -> Result<Option<crate::chunks::ChunkManifest>> {
-        let head = self.version_head(id)?;
-        if head <= 1 {
-            return self.catalog_for(id).manifest(id);
-        }
-        Ok(self.resolve_version(id, head)?.map(|rv| rv.to_manifest()))
+        Ok(self.head(id)?.map(|head| head.to_manifest()))
     }
 
     /// The per-datum version-head CAS, the only writer of `dc_version`
     /// rows. `row.version` is advisory (the id is assigned here); `parent`
     /// is the base the writer resolved against. Under the plane-wide
-    /// commit lock: re-read the head, run [`commit_version`] against the
-    /// intervening rows' changed sets (fast path / auto-rebase /
+    /// commit lock: run [`commit_version`] against the resolved head's
+    /// chunk births (fast path / auto-rebase /
     /// [`VersionConflict`](crate::BitdewError::VersionConflict)), persist
-    /// the row and advance the head. Returns the committed row with its
-    /// assigned version id and effective parent.
+    /// the row, then advance the head by it. Returns the committed row
+    /// with its assigned version id and effective parent.
     pub fn publish_version(&self, row: &VersionedManifest) -> Result<VersionedManifest> {
         let _commit = self.versions.commit_lock();
-        let head = self.version_head(row.data)?;
-        let mut changed = row.changed_indices();
-        changed.sort_unstable();
-        let intervening: Vec<Vec<u32>> = self
-            .catalog_for(row.data)
-            .versions(row.data)?
-            .iter()
-            .filter(|r| r.version > row.parent && r.version <= head)
-            .map(|r| r.changed_indices())
-            .collect();
-        let version = commit_version(head, row.parent, &changed, intervening)?;
+        let Some(head) = self.head(row.data)? else {
+            return Err(crate::BitdewError::CatalogMiss {
+                what: format!("version {} to commit against (head 0)", row.parent),
+            });
+        };
+        let version = commit_version(&head, row.parent, &row.changed_indices())?;
         let committed = VersionedManifest {
             version,
-            parent: head,
+            parent: head.version,
             ..row.clone()
         };
         self.catalog_for(row.data).put_version(&committed)?;
-        self.versions.set_head(row.data, version);
+        self.versions.advance_head(&committed);
+        #[cfg(debug_assertions)]
+        if let Some(held) = self.versions.head(row.data) {
+            assert_eq!(
+                Some(&*held),
+                self.cold_head(row.data)?.as_ref(),
+                "the advanced head must equal the catalog's chain"
+            );
+        }
         Ok(committed)
     }
 
     /// Remove a datum and its locators from its catalog shard, and forget
-    /// its version-plane state.
+    /// its version-plane state (after the rows are gone, so no cold load
+    /// can bring them back).
     pub fn delete_catalog(&self, id: DataId) -> Result<bool> {
+        let deleted = self.catalog_for(id).delete(id);
         self.versions.forget(id);
-        self.catalog_for(id).delete(id)
+        deleted
     }
 
     /// Successful registrations across every catalog shard.
@@ -1489,7 +1531,7 @@ mod tests {
             rows.iter().map(|r| r.version).collect::<Vec<_>>(),
             vec![2, 3, 4]
         );
-        let head = plane.resolve_version(d.id, 4).unwrap().unwrap();
+        let head = plane.resolve_versions(d.id, &[4]).unwrap().remove(0);
         assert_eq!(head.birth_of(0), Some(2));
         assert_eq!(head.birth_of(1), Some(4));
         assert_eq!(head.birth_of(5), Some(3));

@@ -41,6 +41,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::num::NonZeroUsize;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bitdew_sim::{
@@ -64,8 +65,8 @@ use crate::services::scheduler::{HostUid, SyncRole};
 use crate::services::transfer::{TransferId, TransferState};
 use crate::shard::ShardedScheduler;
 use crate::versions::{
-    commit_version, gc_plan, split_writes, GcReport, PinRegistry, ResolvedVersion, Snapshot,
-    SnapshotPin, VersionedManifest,
+    check_republish, commit_version, gc_plan, split_writes, GcReport, PinRegistry, ResolvedVersion,
+    Snapshot, SnapshotPin, VersionedManifest,
 };
 
 /// A served sync's transfer orders: downloads, then chunk repairs.
@@ -250,9 +251,11 @@ struct DriverState {
     /// Ordered, so one host's holdings are a key range.
     partials: BTreeMap<(HostUid, DataId), BTreeSet<u32>>,
     /// Version chains of mutated chunked data: the `dc_version` rows
-    /// (versions ≥ 2), ascending. A manifest-backed datum with no rows is
-    /// at version 1; unchunked data have no versions at all.
+    /// (versions ≥ 2), ascending — what older versions resolve from.
     version_rows: HashMap<DataId, Vec<VersionedManifest>>,
+    /// Each chunked datum's resolved head (version 1 = its manifest),
+    /// advanced by every commit; unchunked data have none.
+    heads: HashMap<DataId, Arc<ResolvedVersion>>,
     /// Preserved pre-image chunk bytes keyed by (datum, birth version) —
     /// the sim face of the threaded runtime's per-chunk
     /// `object@v{birth}.c{index}` preservation objects.
@@ -284,16 +287,9 @@ struct DriverState {
 
 impl DriverState {
     /// The datum's version head: 0 = never chunked, 1 = base manifest
-    /// only, ≥ 2 = mutated (last `dc_version` row).
+    /// only, ≥ 2 = mutated.
     fn version_head(&self, id: DataId) -> u64 {
-        if !self.manifests.contains_key(&id) {
-            return 0;
-        }
-        self.version_rows
-            .get(&id)
-            .and_then(|rows| rows.last())
-            .map(|row| row.version)
-            .unwrap_or(1)
+        self.heads.get(&id).map_or(0, |head| head.version)
     }
 
     /// The live sync counters: the announce plane's when it is enabled,
@@ -397,6 +393,7 @@ impl SimBitdew {
                 manifests: HashMap::new(),
                 partials: BTreeMap::new(),
                 version_rows: HashMap::new(),
+                heads: HashMap::new(),
                 preserved: HashMap::new(),
                 pins: PinRegistry::default(),
                 held_versions: IdMap::default(),
@@ -599,6 +596,7 @@ impl SimBitdew {
         let mut st = self.state.borrow_mut();
         st.space.remove(&id);
         st.version_rows.remove(&id);
+        st.heads.remove(&id);
         st.preserved.retain(|(d, _), _| *d != id);
         st.held_versions.retain(|(_, d), _| *d != id);
         st.scheduler.delete_data(id);
@@ -648,12 +646,21 @@ impl SimBitdew {
 
     /// Publish a chunk manifest: the datum's transfers become per-chunk
     /// flows work-stolen across the service host and every live replica
-    /// owner, and its replica validation becomes chunk-aware.
+    /// owner, and its replica validation becomes chunk-aware. The head
+    /// becomes the manifest resolved through whatever rows the datum
+    /// already has (none, unless a caller bypassed `put_chunked`'s
+    /// refusal to republish a versioned datum).
     pub fn put_manifest(&self, manifest: &ChunkManifest) {
         let mut st = self.state.borrow_mut();
         st.scheduler
             .set_chunk_total(manifest.data, manifest.chunk_count());
         st.manifests.insert(manifest.data, manifest.clone());
+        let rows = st
+            .version_rows
+            .get(&manifest.data)
+            .map_or(&[][..], Vec::as_slice);
+        let head = ResolvedVersion::resolve(manifest, rows, rows.last().map_or(1, |r| r.version));
+        st.heads.insert(manifest.data, Arc::new(head));
     }
 
     /// The published manifest of a datum, if any.
@@ -873,7 +880,9 @@ impl SimBitdew {
             };
             let head = st.version_head(d);
             let held_v = st.held_versions.get(&(uid, d)).copied().unwrap_or(head);
-            let effect = agent::claim_effect(&claim, held_v, head, || st.resolve_version(d, head));
+            let effect = agent::claim_effect(&claim, held_v, head, || {
+                st.heads.get(&d).map(|h| (**h).clone())
+            });
             st.scheduler.apply_claim(uid, d, effect);
             let expires = now.saturating_add(a.cadence.ttl());
             a.cache.insert(uid, d, expires, claim.flags, held_v);
@@ -1732,19 +1741,23 @@ impl BitDewApi for SimNode {
     }
 
     fn put_chunked(&self, data: &Data, content: &[u8], chunk_size: u64) -> Result<ChunkManifest> {
-        self.put(data, content)?;
         let manifest = ChunkManifest::describe(data.id, chunk_size, content);
-        self.driver.put_manifest(&manifest);
-        self.driver
-            .state
-            .borrow_mut()
-            .held_versions
-            .insert((self.uid, data.id), 1);
+        let head = self.driver.state.borrow().heads.get(&data.id).cloned();
+        let publish = check_republish(&manifest, head.as_deref())?;
+        self.put(data, content)?;
+        if publish {
+            self.driver.put_manifest(&manifest);
+        }
+        let mut st = self.driver.state.borrow_mut();
+        let head = st.version_head(data.id);
+        st.held_versions.insert((self.uid, data.id), head);
         Ok(manifest)
     }
 
     fn chunk_manifest(&self, id: DataId) -> Result<Option<ChunkManifest>> {
-        Ok(self.driver.manifest_of(id))
+        // The head's digests, as on the threaded node.
+        let st = self.driver.state.borrow();
+        Ok(st.heads.get(&id).map(|head| head.to_manifest()))
     }
 
     fn held_chunks(&self, data: &Data) -> Result<Vec<u32>> {
@@ -1846,33 +1859,23 @@ impl BitDewApi for SimNode {
     fn commit_update(&self, data: &Data, base: u64, writes: &[(u64, Vec<u8>)]) -> Result<u64> {
         use bitdew_storage::codec::Encode;
         let mut st = self.driver.state.borrow_mut();
-        let head = st.version_head(data.id);
-        if base == 0 || head == 0 || base > head {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("version {base} of `{}` (head {head})", data.name),
-            });
-        }
-        let resolved = st
-            .resolve_version(data.id, base)
-            .ok_or_else(|| no_manifest(data))?;
-        let by_chunk = split_writes(resolved.chunk_size, resolved.total, writes)?;
+        let head_rv = match st.heads.get(&data.id) {
+            Some(head) if base != 0 && base <= head.version => Arc::clone(head),
+            head => {
+                let head = head.map_or(0, |h| h.version);
+                return Err(BitdewError::CatalogMiss {
+                    what: format!("version {base} of `{}` (head {head})", data.name),
+                });
+            }
+        };
+        let head = head_rv.version;
+        let by_chunk = split_writes(head_rv.chunk_size, head_rv.total, writes)?;
         let changed_idx: Vec<u32> = by_chunk.keys().copied().collect();
-        let intervening: Vec<Vec<u32>> = st
-            .version_rows
-            .get(&data.id)
-            .map(|rows| {
-                rows.iter()
-                    .filter(|r| r.version > base && r.version <= head)
-                    .map(|r| r.changed_indices())
-                    .collect()
-            })
-            .unwrap_or_default();
-        let version = commit_version(head, base, &changed_idx, intervening)?;
+        let version = commit_version(&head_rv, base, &changed_idx)?;
         // Single-threaded virtual time: no CAS race — apply the commit as
         // one atomic step against the head's resolution.
-        let head_rv = st.resolve_version(data.id, head).expect("head resolves");
-        let chunk_size = resolved.chunk_size;
-        let total = resolved.total as usize;
+        let chunk_size = head_rv.chunk_size;
+        let total = head_rv.total as usize;
         let entry = st
             .space
             .get_mut(&data.id)
@@ -1926,7 +1929,17 @@ impl BitDewApi for SimNode {
         let wire = SIM_SYNC_BASE_BYTES + row.to_bytes().len() as u64;
         st.stats_mut().version_publishes += 1;
         st.stats_mut().version_bytes += wire;
+        // Unshared unless a snapshot holds it, the head advances in place.
+        drop(head_rv);
+        if let Some(head) = st.heads.get_mut(&data.id) {
+            Arc::make_mut(head).advance(&row);
+        }
         st.version_rows.entry(data.id).or_default().push(row);
+        debug_assert_eq!(
+            st.heads.get(&data.id).map(|h| &**h),
+            st.resolve_version(data.id, version).as_ref(),
+            "the advanced head must equal the chain"
+        );
         st.held_versions.insert((self.uid, data.id), version);
         let contended = st.control_contention;
         drop(st);
@@ -1949,15 +1962,13 @@ impl BitDewApi for SimNode {
 
     fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
         let st = self.driver.state.borrow();
-        let head = st.version_head(data.id);
-        if head == 0 {
-            return Err(no_manifest(data));
-        }
-        let pin = SnapshotPin::new(st.pins.clone(), data.id, head);
-        let resolved = st
-            .resolve_version(data.id, head)
+        let head = st
+            .heads
+            .get(&data.id)
+            .cloned()
             .ok_or_else(|| no_manifest(data))?;
-        Ok(Snapshot::new(resolved, pin))
+        let pin = SnapshotPin::new(st.pins.clone(), data.id, head.version);
+        Ok(Snapshot::new(head, pin))
     }
 
     fn get_range_at(
@@ -2020,7 +2031,10 @@ impl BitDewApi for SimNode {
         live_versions.dedup();
         let live: Vec<ResolvedVersion> = live_versions
             .iter()
-            .filter_map(|&v| st.resolve_version(data.id, v))
+            .filter_map(|&v| match st.heads.get(&data.id) {
+                Some(h) if h.version == v => Some((**h).clone()),
+                _ => st.resolve_version(data.id, v),
+            })
             .collect();
         let mut inventory: Vec<(u64, u32, u32)> = Vec::new();
         for ((d, birth), chunks) in &st.preserved {

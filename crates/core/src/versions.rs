@@ -24,12 +24,24 @@
 //!   version that last wrote it). Unchanged chunks share their descriptor
 //!   with every later version — the structural sharing that makes a
 //!   version O(changed), not O(total).
+//! * **The head is held resolved.** Each datum's head lives in memory as
+//!   one `Arc<ResolvedVersion>` ([`VersionState::head`] on the threaded
+//!   plane, the driver state's head map in the simulator). It is loaded
+//!   cold once — one manifest get and one `dc_version` scan, replayed by
+//!   [`ResolvedVersion::resolve`] — and a commit then
+//!   [`advance`](ResolvedVersion::advance)s it by its own delta, O(changed).
+//!   Commits, snapshots at the head and the head manifest read it from
+//!   memory; only older versions (the GC's pinned set) are resolved cold.
+//!   Rows are still persisted first and stay the source of truth: a
+//!   restarted plane rebuilds the same head from them.
 //! * [`commit_version`] — the per-datum version-head CAS: a writer whose
 //!   `parent` still equals the head commits as `head + 1`; a writer whose
-//!   base went stale **auto-rebases** when its changed set is disjoint
-//!   from everything committed since (concurrent non-overlapping
-//!   `put_range` writers all land); overlapping writers get a retryable
-//!   [`BitdewError::VersionConflict`].
+//!   base went stale **auto-rebases** when none of its chunks was
+//!   rewritten since — every changed chunk's **birth** in the head is
+//!   still ≤ its base (concurrent non-overlapping `put_range` writers all
+//!   land); overlapping writers get a retryable
+//!   [`BitdewError::VersionConflict`]. Comparing births needs only the
+//!   head, not the rows committed since the base.
 //! * [`Snapshot`] — a reader pinned to a version id. The pin is
 //!   reference-counted in a shared [`PinRegistry`] and released on drop,
 //!   so the GC sweep ([`gc_plan`]) never reclaims a pre-image an open
@@ -184,21 +196,30 @@ impl ResolvedVersion {
         rows: &[VersionedManifest],
         version: u64,
     ) -> ResolvedVersion {
-        let mut chunks: Vec<(ChunkDescriptor, u64)> = base.chunks.iter().map(|c| (*c, 1)).collect();
-        for row in rows.iter().filter(|r| r.version <= version) {
-            for d in &row.changed {
-                if let Some(slot) = chunks.get_mut(d.index as usize) {
-                    *slot = (*d, row.version);
-                }
-            }
-        }
-        ResolvedVersion {
+        let mut rv = ResolvedVersion {
             data: base.data,
-            version,
+            version: 1,
             chunk_size: base.chunk_size,
             total: base.total,
-            chunks,
+            chunks: base.chunks.iter().map(|c| (*c, 1)).collect(),
+        };
+        for row in rows.iter().filter(|r| r.version <= version) {
+            rv.advance(row);
         }
+        rv.version = version;
+        rv
+    }
+
+    /// Apply one committed delta row: stamp every changed chunk with
+    /// `row.version` and move this resolution to that version. O(changed);
+    /// applying the same row twice is a no-op.
+    pub fn advance(&mut self, row: &VersionedManifest) {
+        for d in &row.changed {
+            if let Some(slot) = self.chunks.get_mut(d.index as usize) {
+                *slot = (*d, row.version);
+            }
+        }
+        self.version = row.version;
     }
 
     /// Number of chunks.
@@ -266,41 +287,69 @@ impl ResolvedVersion {
 
 /// The per-datum version-head CAS, shared by both backends.
 ///
-/// `head` is the datum's current head version, `parent` the base the
-/// writer resolved against, `changed` its sorted changed chunk indices and
-/// `intervening` the changed index sets of every version in
-/// `(parent, head]` (ascending). Returns the version id the writer commits
-/// as:
+/// `head` is the datum's resolved head, `parent` the base the writer
+/// resolved against and `changed` its changed chunk indices. Returns the
+/// version id the writer commits as:
 ///
 /// * `parent == head` — the fast path: commit as `head + 1`.
-/// * `parent < head`, `changed` disjoint from every intervening changed
-///   set — **auto-rebase**: the writer's chunks were untouched since its
-///   base, so its patch applies to the head verbatim; commit as
-///   `head + 1`.
-/// * any overlap — [`BitdewError::VersionConflict`], retryable: re-read
-///   the head and resubmit.
-pub fn commit_version(
-    head: u64,
-    parent: u64,
-    changed: &[u32],
-    intervening: impl IntoIterator<Item = Vec<u32>>,
-) -> Result<u64> {
-    if parent == 0 || parent > head {
+/// * `parent < head` and every changed chunk's birth in the head is
+///   ≤ `parent` — **auto-rebase**: no version in `(parent, head]` rewrote
+///   the writer's chunks, so its patch applies to the head verbatim;
+///   commit as `head + 1`.
+/// * some changed chunk born after `parent` —
+///   [`BitdewError::VersionConflict`], retryable: re-read the head and
+///   resubmit.
+///
+/// A version in `(parent, head]` rewrote chunk `i` exactly when the head's
+/// birth of `i` is later than `parent`, so this decides the same as
+/// intersecting `changed` with every intervening row's changed set, from
+/// the head alone.
+pub fn commit_version(head: &ResolvedVersion, parent: u64, changed: &[u32]) -> Result<u64> {
+    if parent == 0 || parent > head.version {
         return Err(BitdewError::CatalogMiss {
-            what: format!("version {parent} to commit against (head {head})"),
+            what: format!("version {parent} to commit against (head {})", head.version),
         });
     }
-    if parent < head {
-        for set in intervening {
-            if set.iter().any(|i| changed.binary_search(i).is_ok()) {
-                return Err(BitdewError::VersionConflict {
-                    head,
-                    attempted: parent,
-                });
-            }
-        }
+    if changed
+        .iter()
+        .any(|&i| head.birth_of(i).is_some_and(|birth| birth > parent))
+    {
+        return Err(BitdewError::VersionConflict {
+            head: head.version,
+            attempted: parent,
+        });
     }
-    Ok(head + 1)
+    Ok(head.version + 1)
+}
+
+/// Whether publishing `manifest` as a datum's base must write it, given
+/// the datum's resolved `head`; shared by both backends.
+///
+/// * No head, or head ≤ 1 — `true`: the base may be (re)published until a
+///   version commits on top of it.
+/// * Head > 1 and `manifest` is the head's own chunk map — `false`: the
+///   content is the head's, so there is nothing to publish.
+/// * Head > 1 otherwise — a non-retryable error. The delta rows would
+///   replay over the new base, and resetting the chain would orphan pinned
+///   snapshots and preserved pre-images; versioned content is replaced by
+///   a full-range commit.
+pub fn check_republish(manifest: &ChunkManifest, head: Option<&ResolvedVersion>) -> Result<bool> {
+    let Some(head) = head.filter(|h| h.version > 1) else {
+        return Ok(true);
+    };
+    let same = head.chunk_size == manifest.chunk_size
+        && head.total == manifest.total
+        && head.chunks.iter().map(|(d, _)| d).eq(&manifest.chunks);
+    if same {
+        return Ok(false);
+    }
+    Err(BitdewError::Scheduler {
+        what: format!(
+            "data {} is at version {}: replace versioned content with a \
+             full-range commit_update, not a new base manifest",
+            manifest.data, head.version
+        ),
+    })
 }
 
 /// Of the chunks a stale-version holder announced (`held`, head indices),
@@ -460,16 +509,16 @@ impl Drop for SnapshotPin {
 /// invisible to it. Dropping the snapshot releases its GC pin.
 #[derive(Debug)]
 pub struct Snapshot {
-    resolved: ResolvedVersion,
+    resolved: Arc<ResolvedVersion>,
     _pin: SnapshotPin,
 }
 
 impl Snapshot {
     /// Pair a resolution with its registry pin (backends construct this in
-    /// their `open_snapshot`).
-    pub fn new(resolved: ResolvedVersion, pin: SnapshotPin) -> Snapshot {
+    /// their `open_snapshot`, sharing the in-memory head's `Arc`).
+    pub fn new(resolved: impl Into<Arc<ResolvedVersion>>, pin: SnapshotPin) -> Snapshot {
         Snapshot {
-            resolved,
+            resolved: resolved.into(),
             _pin: pin,
         }
     }
@@ -509,9 +558,30 @@ type PreservedLedger = HashMap<DataId, HashMap<u64, HashMap<u32, Preserved>>>;
 /// Per-chunk commit locks, allocated on first touch.
 type ChunkLocks = HashMap<(DataId, u32), Arc<Mutex<()>>>;
 
+/// The in-memory resolved heads, and a generation that moves whenever a
+/// change leaves a datum with no head held (a delete, a commit to an
+/// unloaded head), so a cold load that read the catalog before that change
+/// cannot install what it read.
+#[derive(Default)]
+struct Heads {
+    by_data: HashMap<DataId, Arc<ResolvedVersion>>,
+    generation: u64,
+}
+
 /// The mutable version-plane state a deployment shares across its nodes:
-/// per-datum head cache, the snapshot [`PinRegistry`], and (on the
+/// each datum's resolved head, the snapshot [`PinRegistry`], and (on the
 /// threaded backend) the claim/ready ledger of preserved pre-image chunks.
+///
+/// The head is the one in-memory representation of where a datum's chain
+/// stands. The plane loads it cold from the catalog
+/// ([`install_head`](VersionState::install_head): one manifest get and one
+/// row scan, kept only if nothing newer landed meanwhile), replaces it
+/// when a base manifest is published
+/// ([`replace_head`](VersionState::replace_head)) and, under the commit
+/// lock, advances it by each committed row
+/// ([`advance_head`](VersionState::advance_head)) after the row persisted.
+/// Snapshots share the head's `Arc`; an advance copies the chunk map only
+/// while a snapshot still holds the old one.
 ///
 /// The preservation protocol is first-claimer-copies: a committing writer
 /// [`claim_preserve`](VersionState::claim_preserve)s every chunk it is
@@ -524,7 +594,7 @@ type ChunkLocks = HashMap<(DataId, u32), Arc<Mutex<()>>>;
 #[derive(Default)]
 pub struct VersionState {
     commit: Mutex<()>,
-    heads: Mutex<HashMap<DataId, u64>>,
+    heads: Mutex<Heads>,
     pins: PinRegistry,
     preserved: Mutex<PreservedLedger>,
     settled: Mutex<HashMap<DataId, HashMap<u32, u64>>>,
@@ -537,20 +607,53 @@ impl VersionState {
         VersionState::default()
     }
 
-    /// The cached head version of `id`, if loaded.
-    pub fn head(&self, id: DataId) -> Option<u64> {
-        self.heads.lock().get(&id).copied()
+    /// The resolved head of `id`, if loaded.
+    pub fn head(&self, id: DataId) -> Option<Arc<ResolvedVersion>> {
+        self.heads.lock().by_data.get(&id).cloned()
     }
 
-    /// Install (or advance) the cached head of `id`.
-    pub fn set_head(&self, id: DataId, version: u64) {
+    /// The generation a cold load must read *before* it reads the
+    /// catalog, and hand back to [`install_head`](VersionState::install_head).
+    pub fn generation(&self) -> u64 {
+        self.heads.lock().generation
+    }
+
+    /// Install a head loaded cold from the catalog, unless one is already
+    /// held (it is at least as new) or a datum was forgotten since
+    /// `generation` was read (the load may predate a delete). Returns the
+    /// head to use.
+    pub fn install_head(&self, head: ResolvedVersion, generation: u64) -> Arc<ResolvedVersion> {
         let mut heads = self.heads.lock();
-        let slot = heads.entry(id).or_insert(version);
-        *slot = (*slot).max(version);
+        if let Some(held) = heads.by_data.get(&head.data) {
+            return Arc::clone(held);
+        }
+        let head = Arc::new(head);
+        if heads.generation == generation {
+            heads.by_data.insert(head.data, Arc::clone(&head));
+        }
+        head
+    }
+
+    /// Replace the head of `head.data` outright (a base manifest was
+    /// published; called under the commit lock).
+    pub fn replace_head(&self, head: ResolvedVersion) {
+        self.heads.lock().by_data.insert(head.data, Arc::new(head));
+    }
+
+    /// Advance the held head of `row.data` by the committed `row` (called
+    /// under the commit lock, after the row persisted). With no head held
+    /// the generation moves instead, so a cold load that read the chain
+    /// before this row cannot install it; the next read loads the row.
+    pub fn advance_head(&self, row: &VersionedManifest) {
+        let mut heads = self.heads.lock();
+        match heads.by_data.get_mut(&row.data) {
+            Some(head) => Arc::make_mut(head).advance(row),
+            None => heads.generation += 1,
+        }
     }
 
     /// Serialize a CAS commit: held across read-head / check / persist /
-    /// bump so two writers cannot both commit the same successor.
+    /// advance so two writers cannot both commit the same successor.
     pub fn commit_lock(&self) -> parking_lot::MutexGuard<'_, ()> {
         self.commit.lock()
     }
@@ -698,7 +801,11 @@ impl VersionState {
 
     /// Forget every trace of `id` (the delete path).
     pub fn forget(&self, id: DataId) {
-        self.heads.lock().remove(&id);
+        {
+            let mut heads = self.heads.lock();
+            heads.by_data.remove(&id);
+            heads.generation += 1;
+        }
         self.preserved.lock().remove(&id);
         self.settled.lock().remove(&id);
         self.chunk_locks.lock().retain(|(d, _), _| *d != id);
@@ -797,17 +904,56 @@ mod tests {
         assert!(rv.overlapping(10, 0).is_empty());
     }
 
+    /// The CAS as it was decided before heads were held resolved: intersect
+    /// `changed` (sorted) with the changed set of every version in
+    /// `(parent, head]`. Kept verbatim as the oracle the birth-based
+    /// [`commit_version`] is held to.
+    fn commit_version_oracle(
+        head: u64,
+        parent: u64,
+        changed: &[u32],
+        intervening: impl IntoIterator<Item = Vec<u32>>,
+    ) -> Result<u64> {
+        if parent == 0 || parent > head {
+            return Err(BitdewError::CatalogMiss {
+                what: format!("version {parent} to commit against (head {head})"),
+            });
+        }
+        if parent < head {
+            for set in intervening {
+                if set.iter().any(|i| changed.binary_search(i).is_ok()) {
+                    return Err(BitdewError::VersionConflict {
+                        head,
+                        attempted: parent,
+                    });
+                }
+            }
+        }
+        Ok(head + 1)
+    }
+
+    /// A chain of `1 + deltas.len()` versions over `base`: version `k + 2`
+    /// rewrites `deltas[k]`.
+    fn chain(id: DataId, base: &ChunkManifest, deltas: &[&[u32]]) -> Vec<VersionedManifest> {
+        deltas
+            .iter()
+            .enumerate()
+            .map(|(k, idxs)| delta(id, k as u64 + 2, k as u64 + 1, base, idxs))
+            .collect()
+    }
+
     #[test]
     fn commit_version_cas_semantics() {
+        let id = an_id(8);
+        let base = base_manifest(id, 8, 64);
+        let rows = chain(id, &base, &[&[7], &[0], &[1, 2]]);
+        let head = ResolvedVersion::resolve(&base, &rows, 4);
         // Fast path.
-        assert_eq!(commit_version(3, 3, &[1], std::iter::empty()).unwrap(), 4);
-        // Auto-rebase: disjoint from everything since the base.
-        assert_eq!(
-            commit_version(4, 2, &[5, 6], vec![vec![0], vec![1, 2]]).unwrap(),
-            5
-        );
+        assert_eq!(commit_version(&head, 4, &[1]).unwrap(), 5);
+        // Auto-rebase: no chunk rewritten since the base.
+        assert_eq!(commit_version(&head, 2, &[5, 6]).unwrap(), 5);
         // Overlap → retryable conflict.
-        let err = commit_version(4, 2, &[1, 5], vec![vec![0], vec![1, 2]]).unwrap_err();
+        let err = commit_version(&head, 2, &[1, 5]).unwrap_err();
         assert!(matches!(
             err,
             BitdewError::VersionConflict {
@@ -817,10 +963,26 @@ mod tests {
         ));
         assert!(err.is_retryable());
         // A stale parent beyond the head is a miss, not a conflict.
+        let at2 = ResolvedVersion::resolve(&base, &rows, 2);
         assert!(matches!(
-            commit_version(2, 5, &[0], std::iter::empty()),
+            commit_version(&at2, 5, &[0]),
             Err(BitdewError::CatalogMiss { .. })
         ));
+    }
+
+    #[test]
+    fn advancing_the_head_matches_a_cold_resolution() {
+        let id = an_id(9);
+        let base = base_manifest(id, 6, 64);
+        let rows = chain(id, &base, &[&[0, 5], &[1], &[0, 3]]);
+        let mut head = ResolvedVersion::resolve(&base, &[], 1);
+        for row in &rows {
+            head.advance(row);
+            assert_eq!(head, ResolvedVersion::resolve(&base, &rows, row.version));
+        }
+        // Re-applying a row is a no-op.
+        head.advance(&rows[2]);
+        assert_eq!(head, ResolvedVersion::resolve(&base, &rows, 4));
     }
 
     #[test]
@@ -986,14 +1148,73 @@ mod tests {
         ) {
             // Whatever the interleaving, a successful commit is exactly
             // head + 1 — the chain can never fork or skip.
+            let id = an_id(head);
+            let base = base_manifest(id, 4, 64);
             let changed = vec![1u32, 3];
-            let intervening: Vec<Vec<u32>> = if disjoint { vec![vec![0], vec![2]] } else { vec![vec![3]] };
+            // Every version after 1 rewrites chunk 0 or 2; the last one
+            // also rewrites chunk 3 unless the writer is disjoint.
+            let rows: Vec<VersionedManifest> = (2..=head)
+                .map(|v| {
+                    let idxs: &[u32] = match (v == head, disjoint, v % 2) {
+                        (true, false, _) => &[3],
+                        (_, _, 0) => &[0],
+                        _ => &[2],
+                    };
+                    delta(id, v, v - 1, &base, idxs)
+                })
+                .collect();
+            let rv = ResolvedVersion::resolve(&base, &rows, head);
             let parent = 1u64;
-            match commit_version(head, parent, &changed, intervening.clone()) {
+            match commit_version(&rv, parent, &changed) {
                 Ok(v) => prop_assert_eq!(v, head + 1),
                 Err(e) => {
                     prop_assert!(head > parent && !disjoint, "conflict only on overlap: {e}");
                 }
+            }
+        }
+
+        // The birth comparison decides exactly what intersecting the
+        // intervening rows' changed sets decided, on any chain.
+        #[test]
+        fn prop_birth_cas_matches_the_intervening_sets_oracle(
+            seed in any::<u64>(),
+            chunks in 1u32..65,
+            deltas in 0u64..200,
+            parent_pick in any::<u64>(),
+            raw_changed in proptest::collection::vec(any::<u32>(), 1..8),
+        ) {
+            let id = an_id(seed);
+            let base = base_manifest(id, chunks, 64);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xCA5);
+            let rows: Vec<VersionedManifest> = (2..=1 + deltas)
+                .map(|v| {
+                    let n = 1 + rand::Rng::gen::<u32>(&mut rng) % chunks.min(4);
+                    let mut idxs: Vec<u32> =
+                        (0..n).map(|_| rand::Rng::gen::<u32>(&mut rng) % chunks).collect();
+                    idxs.sort_unstable();
+                    idxs.dedup();
+                    delta(id, v, v - 1, &base, &idxs)
+                })
+                .collect();
+            let head = 1 + deltas;
+            let rv = ResolvedVersion::resolve(&base, &rows, head);
+            let parent = 1 + parent_pick % head;
+            let mut changed: Vec<u32> = raw_changed.iter().map(|i| i % chunks).collect();
+            changed.sort_unstable();
+            changed.dedup();
+            let intervening = rows
+                .iter()
+                .filter(|r| r.version > parent && r.version <= head)
+                .map(|r| r.changed_indices());
+            let got = commit_version(&rv, parent, &changed);
+            let want = commit_version_oracle(head, parent, &changed, intervening);
+            match (got, want) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (
+                    Err(BitdewError::VersionConflict { head: h1, attempted: a1 }),
+                    Err(BitdewError::VersionConflict { head: h2, attempted: a2 }),
+                ) => prop_assert_eq!((h1, a1), (h2, a2)),
+                (got, want) => prop_assert!(false, "birth CAS {got:?} vs oracle {want:?}"),
             }
         }
     }

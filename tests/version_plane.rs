@@ -9,16 +9,26 @@
 //! live version or open snapshot resolves them.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use bitdew::core::api::BitDewApi;
+use bitdew::core::services::DbAccess;
 use bitdew::core::simdriver::{SimBitdew, SimNode};
 use bitdew::core::versions::Snapshot;
-use bitdew::core::{BitdewError, BitdewNode, Data, RuntimeConfig, ServiceContainer};
+use bitdew::core::{
+    BitdewError, BitdewNode, ChunkManifest, Data, ResolvedVersion, RuntimeConfig, ServiceContainer,
+    ShardedPlane,
+};
 use bitdew::sim::{topology, Sim, SimDuration, SimTime, Trace};
+use bitdew::storage::{
+    ConnectionPool, DbConnection, DbDriver, DbOp, DbReply, DbResult, DewDb, EmbeddedDriver,
+};
+use bitdew::transport::{Fabric, MemStore};
 
 const CHUNK: u64 = 16 * 1024;
 const TOTAL: usize = 8 * CHUNK as usize; // 8 chunks
@@ -350,4 +360,337 @@ proptest! {
         node.put_chunked(&data, &content, CHUNK).unwrap();
         random_batches_scenario(&node, &data, &content, &batches, snap_at);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Republishing: a new base manifest under committed versions is refused.
+// ---------------------------------------------------------------------------
+
+/// Re-put at head 1 replaces the base. Once a version committed, a new
+/// base is refused (its delta rows would replay over it) and nothing
+/// moves; re-putting the head's own bytes changes nothing; a full-range
+/// commit is the versioned way to replace content.
+fn republish_scenario<N: BitDewApi + ?Sized>(node: &N, data: &Data, content: &[u8]) {
+    let second: Vec<u8> = content.iter().map(|b| b ^ 0x5A).collect();
+    node.put_chunked(data, &second, CHUNK).unwrap();
+    assert_eq!(node.version_head(data.id).unwrap(), 1, "re-put at head 1");
+    let mut model = second;
+    let w = vec![(CHUNK + 7, vec![0xEEu8; 100])];
+    assert_eq!(node.commit_update(data, 1, &w).unwrap(), 2);
+    apply_model(&mut model, &w);
+
+    let third: Vec<u8> = content.iter().rev().copied().collect();
+    let err = node.put_chunked(data, &third, CHUNK).unwrap_err();
+    assert!(!err.is_retryable(), "refusal is final: {err}");
+    assert_eq!(node.version_head(data.id).unwrap(), 2);
+    assert_eq!(node.get_range(data, 0, TOTAL).unwrap(), model);
+    let head_manifest = ChunkManifest::describe(data.id, CHUNK, &model);
+    assert_eq!(
+        node.chunk_manifest(data.id).unwrap(),
+        Some(head_manifest.clone()),
+        "the head manifest digests the head's bytes"
+    );
+    assert_eq!(
+        node.put_chunked(data, &model, CHUNK).unwrap(),
+        head_manifest
+    );
+    assert_eq!(
+        node.version_head(data.id).unwrap(),
+        2,
+        "the head's own bytes"
+    );
+
+    assert_eq!(commit_retrying(node, data, &[(0, third.clone())]), 3);
+    assert_eq!(node.get_range(data, 0, TOTAL).unwrap(), third);
+    assert_eq!(
+        node.chunk_manifest(data.id).unwrap(),
+        Some(ChunkManifest::describe(data.id, CHUNK, &third))
+    );
+}
+
+#[test]
+fn threaded_republish_of_a_versioned_datum_is_refused() {
+    let c = ServiceContainer::start(RuntimeConfig::default());
+    let client = BitdewNode::new_client(Arc::clone(&c));
+    let content = payload(TOTAL);
+    let data = client.create_slot("republished", TOTAL as u64).unwrap();
+    client.put_chunked(&data, &content, CHUNK).unwrap();
+    republish_scenario(client.as_ref(), &data, &content);
+}
+
+#[test]
+fn sim_republish_of_a_versioned_datum_is_refused() {
+    let topo = topology::gdx_cluster(1);
+    let sim = Rc::new(RefCell::new(Sim::new(53)));
+    let driver = SimBitdew::new(
+        topo.net.clone(),
+        topo.service,
+        SimDuration::from_secs(1),
+        Trace::new(),
+    );
+    let node = SimNode::attach_client(&sim, &driver, topo.workers[0], SimTime::ZERO);
+    let content = payload(TOTAL);
+    let data = node.create_slot("republished", TOTAL as u64).unwrap();
+    node.put_chunked(&data, &content, CHUNK).unwrap();
+    republish_scenario(&node, &data, &content);
+}
+
+// ---------------------------------------------------------------------------
+// Coherence: the in-memory head always equals the catalog's chain.
+// ---------------------------------------------------------------------------
+
+/// Per-shard embedded databases that a container, and then a fresh plane
+/// (a restart on the same catalog), can be opened over.
+struct Restartable {
+    shards: NonZeroUsize,
+    dbs: Vec<Arc<EmbeddedDriver>>,
+}
+
+impl Restartable {
+    fn new(shards: usize) -> Restartable {
+        Restartable {
+            shards: NonZeroUsize::new(shards).expect("shards > 0"),
+            dbs: (0..shards)
+                .map(|_| Arc::new(EmbeddedDriver::new(DewDb::in_memory())))
+                .collect(),
+        }
+    }
+
+    fn access(&self, shard: usize) -> DbAccess {
+        let driver: Arc<dyn DbDriver> = self.dbs[shard].clone();
+        DbAccess::Pooled(ConnectionPool::new(driver, 2))
+    }
+
+    fn container(&self) -> Arc<ServiceContainer> {
+        let config = RuntimeConfig {
+            shards: self.shards,
+            ..RuntimeConfig::default()
+        };
+        ServiceContainer::start_with_db(Fabric::new(), MemStore::new(), config, |i| self.access(i))
+    }
+
+    fn fresh_plane(&self) -> ShardedPlane {
+        ShardedPlane::new(self.shards, 1_000_000_000, 64, |i| self.access(i))
+    }
+}
+
+/// The head held in memory equals the head resolved from the catalog's
+/// rows, and a fresh plane over the same databases loads it cold.
+fn assert_coherent(env: &Restartable, plane: &ShardedPlane, data: &Data) {
+    let catalog = plane.catalog_for(data.id);
+    let cold = catalog.manifest(data.id).unwrap().map(|base| {
+        let rows = catalog.versions(data.id).unwrap();
+        ResolvedVersion::resolve(&base, &rows, rows.last().map_or(1, |r| r.version))
+    });
+    let held = plane.version_state().head(data.id);
+    assert_eq!(held.as_deref(), cold.as_ref(), "held head vs catalog chain");
+    let restarted = env.fresh_plane().head(data.id).unwrap();
+    assert_eq!(
+        restarted.as_deref(),
+        cold.as_ref(),
+        "cold load after restart"
+    );
+}
+
+/// Random version-plane traffic, one datum at a time: commits from the
+/// head or a stale base (fast path, rebase or conflict), snapshots opened
+/// and dropped, GC sweeps, re-puts (accepted only at head 1) and deletes,
+/// with the coherence check after every operation.
+fn coherence_scenario(shards: usize, ops: &[(u8, u32)]) {
+    let env = Restartable::new(shards);
+    let c = env.container();
+    let client = BitdewNode::new_client(Arc::clone(&c));
+    let fresh_slot = |n: usize| {
+        let data = client
+            .create_slot(&format!("coherent-{n}"), TOTAL as u64)
+            .unwrap();
+        client.put_chunked(&data, &payload(TOTAL), CHUNK).unwrap();
+        data
+    };
+    let mut data = fresh_slot(0);
+    let mut model = payload(TOTAL);
+    let mut snaps: Vec<Snapshot> = Vec::new();
+    assert_coherent(&env, &c.plane, &data);
+    for (n, &(kind, arg)) in ops.iter().enumerate() {
+        let head = client.version_head(data.id).unwrap();
+        match kind % 6 {
+            0 | 1 => {
+                let chunk = (arg % 8) as u64;
+                let base = head.saturating_sub(((arg >> 8) % 3) as u64).max(1);
+                let offset = chunk * CHUNK + (arg >> 16) as u64 % 1000;
+                let writes = vec![(offset, vec![arg as u8; 64])];
+                match client.commit_update(&data, base, &writes) {
+                    Ok(v) => {
+                        assert_eq!(v, head + 1);
+                        apply_model(&mut model, &writes);
+                    }
+                    Err(BitdewError::VersionConflict { .. }) => assert!(base < head),
+                    Err(e) => panic!("commit: {e}"),
+                }
+            }
+            2 => {
+                snaps.push(client.open_snapshot(&data).unwrap());
+                if snaps.len() > 4 {
+                    snaps.remove(0);
+                }
+            }
+            3 => {
+                if !snaps.is_empty() {
+                    snaps.remove(0);
+                }
+                client.gc_versions(&data).unwrap();
+            }
+            4 => {
+                let content = vec![arg as u8; TOTAL];
+                match client.put_chunked(&data, &content, CHUNK) {
+                    Ok(_) => {
+                        assert!(head <= 1 || content == model, "re-put at head {head}");
+                        model = content;
+                    }
+                    Err(e) => assert!(head > 1 && !e.is_retryable(), "re-put: {e}"),
+                }
+            }
+            _ => {
+                snaps.clear();
+                client.delete(&data).unwrap();
+                assert_coherent(&env, &c.plane, &data);
+                data = fresh_slot(n + 1);
+                model = payload(TOTAL);
+            }
+        }
+        assert_coherent(&env, &c.plane, &data);
+        assert_eq!(client.get_range(&data, 0, TOTAL).unwrap(), model);
+    }
+}
+
+fn ops() -> impl Strategy<Value = Vec<(u8, u32)>> {
+    proptest::collection::vec((any::<u8>(), any::<u32>()), 1..40)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8 })]
+
+    #[test]
+    fn prop_held_head_matches_the_catalog_on_one_shard(ops in ops()) {
+        coherence_scenario(1, &ops);
+    }
+
+    #[test]
+    fn prop_held_head_matches_the_catalog_on_four_shards(ops in ops()) {
+        coherence_scenario(4, &ops);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Catalog traffic: a commit's cost does not grow with the chain.
+// ---------------------------------------------------------------------------
+
+/// Catalog operations by (kind, table), counted at the driver seam.
+#[derive(Default)]
+struct OpCounts(Mutex<BTreeMap<(&'static str, String), u64>>);
+
+impl OpCounts {
+    fn note(&self, op: &DbOp) {
+        let key = match op {
+            DbOp::Put { table, .. } => ("put", table.clone()),
+            DbOp::Get { table, .. } => ("get", table.clone()),
+            DbOp::Delete { table, .. } => ("delete", table.clone()),
+            DbOp::ScanPrefix { table, .. } => ("scan", table.clone()),
+        };
+        *self.0.lock().unwrap().entry(key).or_insert(0) += 1;
+    }
+
+    fn take(&self) -> BTreeMap<(&'static str, String), u64> {
+        std::mem::take(&mut *self.0.lock().unwrap())
+    }
+}
+
+/// A `DbDriver` whose connections count what they execute.
+struct CountingDriver {
+    inner: Arc<dyn DbDriver>,
+    counts: Arc<OpCounts>,
+}
+
+impl DbDriver for CountingDriver {
+    fn connect(&self) -> DbResult<Box<dyn DbConnection>> {
+        Ok(Box::new(CountingConnection {
+            inner: self.inner.connect()?,
+            counts: Arc::clone(&self.counts),
+        }))
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+struct CountingConnection {
+    inner: Box<dyn DbConnection>,
+    counts: Arc<OpCounts>,
+}
+
+impl DbConnection for CountingConnection {
+    fn exec(&mut self, op: DbOp) -> DbResult<DbReply> {
+        self.counts.note(&op);
+        self.inner.exec(op)
+    }
+
+    fn exec_batch(&mut self, ops: Vec<DbOp>) -> DbResult<Vec<DbReply>> {
+        for op in &ops {
+            self.counts.note(op);
+        }
+        self.inner.exec_batch(ops)
+    }
+}
+
+#[test]
+fn commit_and_snapshot_catalog_traffic_does_not_grow_with_the_chain() {
+    const SMALL: u64 = 1024;
+    const ROWS: u64 = 2_000;
+    let counts = Arc::new(OpCounts::default());
+    let driver: Arc<dyn DbDriver> = Arc::new(CountingDriver {
+        inner: Arc::new(EmbeddedDriver::new(DewDb::in_memory())),
+        counts: Arc::clone(&counts),
+    });
+    let c = ServiceContainer::start_with_db(
+        Fabric::new(),
+        MemStore::new(),
+        RuntimeConfig::default(),
+        |_| DbAccess::PerOperation(Arc::clone(&driver)),
+    );
+    let client = BitdewNode::new_client(Arc::clone(&c));
+    let content = payload(8 * SMALL as usize);
+    let data = client
+        .create_slot("long-chain", content.len() as u64)
+        .unwrap();
+    client.put_chunked(&data, &content, SMALL).unwrap();
+    for v in 1..=ROWS {
+        let writes = [((v % 8) * SMALL + v % 100, vec![v as u8; 16])];
+        assert_eq!(client.commit_update(&data, v, &writes).unwrap(), v + 1);
+        if v % 500 == 0 {
+            client.gc_versions(&data).unwrap();
+        }
+    }
+    let rows = c.plane.catalog_for(data.id).versions(data.id).unwrap();
+    assert_eq!(rows.len(), ROWS as usize);
+
+    counts.take();
+    let head = client.version_head(data.id).unwrap();
+    client
+        .commit_update(&data, head, &[(3, vec![0xABu8; 32])])
+        .unwrap();
+    let mut expected = BTreeMap::from([(("put", "dc_version".to_string()), 1)]);
+    if cfg!(debug_assertions) {
+        // `publish_version` checks the advanced head against the chain.
+        expected.insert(("get", "dc_manifest".to_string()), 1);
+        expected.insert(("scan", "dc_version".to_string()), 1);
+    }
+    assert_eq!(counts.take(), expected, "one commit at a {ROWS}-row chain");
+
+    let snap = client.open_snapshot(&data).unwrap();
+    assert_eq!(snap.version(), ROWS + 2);
+    assert!(
+        counts.take().is_empty(),
+        "open_snapshot reads no catalog row"
+    );
 }
