@@ -154,7 +154,7 @@ pub use pool::{ExecutorConfig, ExecutorPool, PoolHandle};
 
 use std::time::Duration;
 
-use bitdew_storage::DbError;
+use bitdew_storage::{CodecError, DbError};
 use bitdew_transport::{StoreError, TransportError};
 
 use crate::attr::DataAttributes;
@@ -295,6 +295,13 @@ impl From<TransportError> for BitdewError {
 impl From<DbError> for BitdewError {
     fn from(e: DbError) -> BitdewError {
         BitdewError::Storage(e)
+    }
+}
+
+/// A stored record that does not decode is a storage failure.
+impl From<CodecError> for BitdewError {
+    fn from(e: CodecError) -> BitdewError {
+        BitdewError::Storage(e.into())
     }
 }
 

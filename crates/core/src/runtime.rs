@@ -56,9 +56,7 @@ use crate::services::repository::DataRepository;
 use crate::services::scheduler::{HostUid, SyncRole};
 use crate::services::transfer::{DataTransfer, TransferBuilder, TransferId, TransferState};
 use crate::shard::{ShardedPlane, SyncProfile};
-use crate::versions::{
-    check_republish, split_writes, versioned_object, GcReport, Snapshot, VersionedManifest,
-};
+use crate::versions::{check_republish, GcReport, Snapshot, VersionPlane, VersionedManifest};
 
 /// Discovery-plane (UDP announce) tuning — see [`crate::announce`].
 #[derive(Debug, Clone)]
@@ -624,17 +622,9 @@ impl BitdewNode {
     /// Delete a datum everywhere: catalog, repository, scheduler. Reservoir
     /// caches purge it on their next synchronization.
     pub fn delete(&self, data: &Data) -> Result<()> {
-        // Sweep the version plane's pre-image objects before the state
-        // that knows about them is forgotten.
-        let state = self.container.plane.version_state();
-        let store = self.container.repository.store();
-        let object = data.object_name();
-        for (birth, index, _) in state.preserved_inventory(data.id) {
-            let _ = store.remove(&versioned_object(&object, birth, index));
-        }
+        self.versions().delete(data)?;
         self.manifests.lock().remove(&data.id);
         self.held_versions.lock().remove(&data.id);
-        self.container.plane.delete_catalog(data.id)?;
         let _ = self.container.repository.remove(data);
         self.container.plane.scheduler().delete_data(data.id);
         Ok(())
@@ -965,110 +955,12 @@ impl BitdewNode {
     }
 
     /// Commit `writes` against version `base` of a chunked datum — the
-    /// version plane's write face (see [`crate::versions`] for the full
-    /// protocol). Only the chunks the writes touch are read back, patched
-    /// and re-digested; their pre-images are preserved under per-chunk
-    /// `object@v{birth}.c{index}` names before the head CAS publishes the
-    /// new [`VersionedManifest`] row and the canonical bytes move. Returns
-    /// the committed version id; a retryable
+    /// version plane's write face (see [`crate::versions`] for the
+    /// protocol). Returns the committed version id; a retryable
     /// [`BitdewError::VersionConflict`] means a concurrent writer touched
     /// one of the same chunks first.
     pub fn commit_update(&self, data: &Data, base: u64, writes: &[(u64, Vec<u8>)]) -> Result<u64> {
-        let plane = &self.container.plane;
-        let head = match plane.head(data.id)? {
-            Some(head) if base != 0 && base <= head.version => head,
-            head => {
-                let head = head.map_or(0, |h| h.version);
-                return Err(BitdewError::CatalogMiss {
-                    what: format!("version {base} of `{}` (head {head})", data.name),
-                });
-            }
-        };
-        let by_chunk = split_writes(head.chunk_size, head.total, writes)?;
-        let state = plane.version_state();
-        let store = self.container.repository.store();
-        let object = data.object_name();
-
-        // Take the per-chunk commit locks in ascending index order:
-        // disjoint writers proceed in parallel, same-chunk writers
-        // serialize here instead of racing the byte I/O.
-        let locks: Vec<_> = by_chunk
-            .keys()
-            .map(|&i| state.chunk_lock(data.id, i))
-            .collect();
-        let _guards: Vec<_> = locks.iter().map(|l| l.lock()).collect();
-
-        // A chunk the head says was born after `base` was rewritten since:
-        // the head CAS would refuse this write, so conflict now. Otherwise
-        // its birth is the one `base` resolves too. Under the locks the
-        // canonical bytes of every touched chunk are settled; a settled
-        // birth other than the head's means a later version rewrote the
-        // chunk after `head` was read — conflict too, before any byte
-        // moves.
-        for &index in by_chunk.keys() {
-            let birth = head
-                .birth_of(index)
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk {index} of `{}`", data.name),
-                })?;
-            if birth > base || state.settled_birth(data.id, index) != birth {
-                return Err(BitdewError::VersionConflict {
-                    head: head.version,
-                    attempted: base,
-                });
-            }
-        }
-
-        let crc = bitdew_storage::crc32::crc32;
-        let mut changed = Vec::with_capacity(by_chunk.len());
-        let mut patched_chunks = Vec::with_capacity(by_chunk.len());
-        for (&index, segments) in &by_chunk {
-            let desc = *head.descriptor(index).expect("checked above");
-            let birth = head.birth_of(index).expect("checked above");
-            let chunk_off = index as u64 * head.chunk_size;
-            let current = store.read_at(&object, chunk_off, desc.len as usize)?;
-            // Preserve the pre-image before anything overwrites it. The
-            // claim is idempotent: if an earlier (conflicted or committed)
-            // writer already copied birth's bytes, that copy is still
-            // valid — canonical chunk bytes only move under this lock.
-            if state.claim_preserve(data.id, birth, index, desc.len) {
-                store.write_at(&versioned_object(&object, birth, index), 0, &current)?;
-                state.mark_preserved(data.id, birth, index);
-            }
-            let mut patched = current.to_vec();
-            for seg in segments {
-                let (_, bytes) = &writes[seg.write];
-                patched[seg.chunk_offset..seg.chunk_offset + (seg.end - seg.start)]
-                    .copy_from_slice(&bytes[seg.start..seg.end]);
-            }
-            changed.push(crate::chunks::ChunkDescriptor {
-                index,
-                len: desc.len,
-                crc32: crc(&patched),
-            });
-            patched_chunks.push((index, chunk_off, patched));
-        }
-
-        // Publish through the head CAS. With the chunk locks held this can
-        // only conflict against a writer that bypassed the node layer.
-        let row = VersionedManifest {
-            data: data.id,
-            version: base + 1,
-            parent: base,
-            chunk_size: head.chunk_size,
-            total: head.total,
-            changed,
-        };
-        // Unshared unless a snapshot holds it, the head advances in place.
-        drop(head);
-        let committed = plane.publish_version(&row)?;
-
-        // Only a committed writer moves the canonical bytes; settle each
-        // chunk at the new version before the locks release.
-        for (index, chunk_off, bytes) in patched_chunks {
-            store.write_at(&object, chunk_off, &bytes)?;
-            state.settle(data.id, index, committed.version);
-        }
+        let committed = self.versions().commit(data, base, writes)?;
         self.manifests.lock().remove(&data.id);
         self.held_versions.lock().insert(data.id, committed.version);
         Ok(committed.version)
@@ -1080,19 +972,13 @@ impl BitdewNode {
     /// pin keeps the snapshot's pre-image chunks from
     /// [`BitdewNode::gc_versions`] until it drops.
     pub fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
-        let plane = &self.container.plane;
-        let head = plane.head(data.id)?.ok_or_else(|| no_manifest(data))?;
-        let pin = plane.version_state().pin(data.id, head.version);
-        Ok(Snapshot::new(head, pin))
+        self.versions().open_snapshot(data)
     }
 
     /// Read bytes `[offset, offset+len)` of `data` *as of* `snap`'s pinned
-    /// version (short only at EOF). Each overlapping chunk resolves
-    /// through the version tree: a chunk superseded since the snapshot
-    /// reads from its preserved per-chunk pre-image object, an unchanged
-    /// chunk from the shared canonical object — with a preserve re-check
-    /// after the canonical read, so a commit racing this read can never
-    /// leak post-snapshot bytes.
+    /// version (short only at EOF): a chunk superseded since the snapshot
+    /// reads from its preserved pre-image object, an unchanged chunk from
+    /// the canonical object.
     pub fn get_range_at(
         &self,
         data: &Data,
@@ -1100,36 +986,7 @@ impl BitdewNode {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        let state = self.container.plane.version_state();
-        let store = self.container.repository.store();
-        let object = data.object_name();
-        let pieces = snap.resolved().pieces(offset, len);
-        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len).sum());
-        for p in pieces {
-            // Pre-image objects hold only their chunk's bytes, offset 0.
-            let bytes = if state.is_preserved(data.id, p.birth, p.index) {
-                store.read_at(
-                    &versioned_object(&object, p.birth, p.index),
-                    p.within,
-                    p.len,
-                )?
-            } else {
-                let canonical = store.read_at(&object, p.start, p.len)?;
-                if state.is_preserved(data.id, p.birth, p.index) {
-                    // A commit preserved (and possibly overwrote) the chunk
-                    // while we read it — the pre-image is authoritative.
-                    store.read_at(
-                        &versioned_object(&object, p.birth, p.index),
-                        p.within,
-                        p.len,
-                    )?
-                } else {
-                    canonical
-                }
-            };
-            out.extend_from_slice(&bytes);
-        }
-        Ok(out)
+        self.versions().get_range_at(data, snap, offset, len)
     }
 
     /// Reference-counted GC sweep over the datum's preserved pre-image
@@ -1137,33 +994,15 @@ impl BitdewNode {
     /// snapshot is reclaimed, and each reclaimed chunk's pre-image object
     /// is removed from the repository store.
     pub fn gc_versions(&self, data: &Data) -> Result<GcReport> {
-        let plane = &self.container.plane;
-        let state = plane.version_state();
-        // No commits move the head (or preserve new chunks) mid-sweep.
-        let _commit = state.commit_lock();
-        let head = plane.version_head(data.id)?;
-        let mut live_versions: Vec<u64> = state.pinned(data.id);
-        if head > 0 && !live_versions.contains(&head) {
-            live_versions.push(head);
-            live_versions.sort_unstable();
+        self.versions().gc(data)
+    }
+
+    /// The version plane over the container's catalog and repository store.
+    fn versions(&self) -> VersionPlane<'_> {
+        VersionPlane {
+            plane: &self.container.plane,
+            store: self.container.repository.store().as_ref(),
         }
-        let live = plane.resolve_versions(data.id, &live_versions)?;
-        let store = self.container.repository.store();
-        let object = data.object_name();
-        let mut report = GcReport {
-            live_versions,
-            ..GcReport::default()
-        };
-        for (birth, index, len) in
-            crate::versions::gc_plan(&live, &state.preserved_inventory(data.id))
-        {
-            report.chunks_reclaimed += 1;
-            report.bytes_reclaimed += len as u64;
-            state.reclaim(data.id, birth, index);
-            let _ = store.remove(&versioned_object(&object, birth, index));
-            report.objects_removed += 1;
-        }
-        Ok(report)
     }
 
     /// Manifest-aware partial pin: verify which of the claimed chunk

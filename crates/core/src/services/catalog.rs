@@ -30,7 +30,7 @@ const T_VERSION: &str = "dc_version";
 /// Key of a `dc_version` row: the datum id (little-endian, the scan
 /// prefix) followed by the version id big-endian so `ScanPrefix` returns
 /// the chain in ascending version order.
-fn version_key(id: DataId, version: u64) -> Vec<u8> {
+pub(crate) fn version_key(id: DataId, version: u64) -> Vec<u8> {
     let mut key = id.0.to_le_bytes().to_vec();
     key.extend_from_slice(&version.to_be_bytes());
     key
@@ -225,13 +225,14 @@ impl DataCatalog {
         Ok(())
     }
 
-    /// The published chunk manifest of a datum, if any.
+    /// The published chunk manifest of a datum, if any. A row that does
+    /// not decode is an error, not "never chunked".
     pub fn manifest(&self, id: DataId) -> Result<Option<ChunkManifest>> {
         match self.db.exec(DbOp::Get {
             table: T_MANIFEST.into(),
             key: id.0.to_le_bytes().to_vec(),
         })? {
-            DbReply::Value(Some(bytes)) => Ok(ChunkManifest::from_bytes(&bytes).ok()),
+            DbReply::Value(Some(bytes)) => Ok(Some(ChunkManifest::from_bytes(&bytes)?)),
             _ => Ok(None),
         }
     }
@@ -259,13 +260,14 @@ impl DataCatalog {
             table: T_VERSION.into(),
             key: version_key(id, version),
         })? {
-            DbReply::Value(Some(bytes)) => Ok(VersionedManifest::from_bytes(&bytes).ok()),
+            DbReply::Value(Some(bytes)) => Ok(Some(VersionedManifest::from_bytes(&bytes)?)),
             _ => Ok(None),
         }
     }
 
     /// Every persisted delta row of a datum's chain (versions ≥ 2),
-    /// ascending by version.
+    /// ascending by version. One row that does not decode fails the whole
+    /// read: a chain with a hole would resolve to wrong digests.
     pub fn versions(&self, id: DataId) -> Result<Vec<VersionedManifest>> {
         let rows = match self.db.exec(DbOp::ScanPrefix {
             table: T_VERSION.into(),
@@ -274,10 +276,10 @@ impl DataCatalog {
             DbReply::Rows(rows) => rows,
             _ => Vec::new(),
         };
-        let mut out: Vec<VersionedManifest> = rows
+        let mut out = rows
             .into_iter()
-            .filter_map(|(_, v)| VersionedManifest::from_bytes(&v).ok())
-            .collect();
+            .map(|(_, v)| VersionedManifest::from_bytes(&v))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
         out.sort_by_key(|r| r.version);
         Ok(out)
     }

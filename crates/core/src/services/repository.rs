@@ -65,8 +65,8 @@ impl DataRepository {
     }
 
     /// The repository's backing store.
-    pub fn store(&self) -> Arc<dyn FileStore> {
-        Arc::clone(&self.store)
+    pub fn store(&self) -> &Arc<dyn FileStore> {
+        &self.store
     }
 
     /// The FTP daemon serving the repository (session counts, fault
@@ -75,13 +75,16 @@ impl DataRepository {
         &self.ftp
     }
 
-    /// Copy `content` into the slot for `data`, verifying the declared
-    /// checksum when the datum has one.
+    /// Replace the content of the slot for `data` with `content`, verifying
+    /// the declared checksum when the datum has one.
     pub fn put_bytes(&self, data: &Data, content: &[u8]) -> Result<()> {
         if data.has_checksum() && bitdew_util::md5::md5(content) != data.checksum {
             return Err(TransportError::ChecksumMismatch.into());
         }
-        self.store.write_at(&data.object_name(), 0, content)?;
+        // A shorter `put` must not leave the previous content's tail.
+        let name = data.object_name();
+        self.store.remove(&name)?;
+        self.store.write_at(&name, 0, content)?;
         Ok(())
     }
 

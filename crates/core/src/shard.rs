@@ -655,6 +655,12 @@ impl ShardedPlane {
         &self.scheduler
     }
 
+    /// The scheduler through exclusive access, for
+    /// [`ShardedScheduler::touch_host_mut`].
+    pub(crate) fn scheduler_mut(&mut self) -> &mut ShardedScheduler {
+        &mut self.scheduler
+    }
+
     /// The catalog shard owning `id`.
     pub fn catalog_for(&self, id: DataId) -> &DataCatalog {
         &self.catalogs[self.router.shard_of(id)]
@@ -1557,6 +1563,42 @@ mod tests {
         // databases) must rediscover head 2 from the dc_version scan.
         plane.version_state().forget(d.id);
         assert_eq!(plane.version_head(d.id).unwrap(), 2);
+    }
+
+    #[test]
+    fn undecodable_catalog_rows_fail_the_cold_load() {
+        let driver = Arc::new(EmbeddedDriver::new(DewDb::in_memory()));
+        let fresh_plane = || {
+            ShardedPlane::new(nz(1), 3 * SEC, 64, |_| {
+                DbAccess::Pooled(ConnectionPool::new(driver.clone(), 2))
+            })
+        };
+        let plane = fresh_plane();
+        let mut f = Fixture::new(94);
+        let d = f.datum("corrupt");
+        plane.register(&d).unwrap();
+        let base = crate::chunks::ChunkManifest::describe(d.id, 64, &vec![5u8; 256]);
+        plane.put_manifest(&base).unwrap();
+        for (parent, chunk) in [(1, 0), (2, 1), (3, 2)] {
+            plane
+                .publish_version(&delta_row(&base, parent, &[chunk]))
+                .unwrap();
+        }
+        let garbage = b"not a catalog row";
+        // Version 3 sits between the valid rows 2 and 4: skipping it
+        // would resolve a head with chunk 1's digest missing.
+        let key = crate::services::catalog::version_key(d.id, 3);
+        driver.db().lock().put("dc_version", &key, garbage).unwrap();
+        assert!(fresh_plane().head(d.id).is_err(), "a hole in the chain");
+        // An undecodable manifest is an error, not "never chunked".
+        let key = d.id.0.to_le_bytes();
+        driver
+            .db()
+            .lock()
+            .put("dc_manifest", &key, garbage)
+            .unwrap();
+        assert!(fresh_plane().version_head(d.id).is_err());
+        assert!(fresh_plane().manifest(d.id).is_err());
     }
 
     #[test]

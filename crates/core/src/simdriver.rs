@@ -1,22 +1,25 @@
-//! Virtual-time driver: the BitDew control plane under the simulator.
+//! Virtual-time driver: the BitDew services under the simulator.
 //!
-//! Runs the *same* [`DataScheduler`](crate::DataScheduler) plane (Algorithm 1)
-//! and the *same* host-agent decisions (the `agent` module: cadence, claims
-//! and their effect, fetch-source order, sync-reply triage) as the threaded
-//! runtime; what it simulates is everything around them. Reservoir
-//! heartbeats are virtual-clock events, downloads are max-min-fair flows on
-//! a [`FlowNet`], announces are byte counters, and host churn comes from a
-//! scripted plan. This is how the paper's testbed experiments are
+//! The simulator runs the *real* service plane: the same
+//! [`ShardedPlane`] the threaded runtime's container holds — Data Catalog
+//! on one in-memory DewDB per shard, the sharded Data Scheduler
+//! (Algorithm 1), and the version plane's operations
+//! ([`crate::versions`]) over a [`MemStore`] standing in for the
+//! repository — and the *same* host-agent decisions (the `agent` module:
+//! cadence, claims and their effect, fetch-source order, sync-reply
+//! triage). What it simulates is time, flows, churn and cost. Reservoir
+//! heartbeats are virtual-clock events, downloads are max-min-fair flows
+//! on a [`FlowNet`], announces are byte counters, and host churn comes
+//! from a scripted plan. This is how the paper's testbed experiments are
 //! regenerated without the testbed — most directly Fig. 4 (the DSL-Lab
 //! fault-tolerance scenario), whose waiting times are produced by the
-//! genuine failure-detector/heartbeat machinery below, not by a closed-form
-//! model.
+//! genuine failure-detector/heartbeat machinery below, not by a
+//! closed-form model.
 //!
-//! The control plane is the same sharded DC+DS plane the threaded runtime
-//! uses ([`crate::shard::ShardedScheduler`]); [`SimBitdew::with_shards`]
-//! partitions it over N consistent-hash shards and charges per-shard
-//! service latency (a queue per shard, slices processed in parallel), so
-//! the service plane's horizontal scaling is measurable in virtual time.
+//! [`SimBitdew::with_shards`] partitions the plane over N consistent-hash
+//! shards and charges per-shard service latency (a queue per shard, slices
+//! processed in parallel), so the service plane's horizontal scaling is
+//! measurable in virtual time.
 //!
 //! [`SimBitdew`] is the scenario-scripting face (hosts, churn, traces).
 //! [`SimNode`] wraps one simulated host behind the three API traits of
@@ -37,7 +40,7 @@
 //! on itself), so the threaded runtime's publish-deferral machinery has
 //! nothing to defer in virtual time.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::num::NonZeroUsize;
 use std::rc::Rc;
@@ -47,6 +50,9 @@ use std::time::Duration;
 use bitdew_sim::{
     every, FlowNet, FlowOutcome, HostId, Sim, SimDuration, SimTime, Trace, TraceEvent,
 };
+use bitdew_storage::codec::Encode;
+use bitdew_storage::{ConnectionPool, DewDb, EmbeddedDriver};
+use bitdew_transport::{FileStore, MemStore, StoreError};
 use bitdew_util::{Auid, IdMap};
 
 use crate::agent::{self, Cadence, Holding};
@@ -57,16 +63,16 @@ use crate::api::{
 };
 use crate::attr::DataAttributes;
 use crate::attrparse;
-use crate::chunks::{ChunkDescriptor, ChunkHoldings, ChunkManifest};
+use crate::chunks::{ChunkHoldings, ChunkManifest};
 use crate::data::{Data, DataId};
 use crate::events::ActiveDataEventHandler;
 use crate::runtime::no_manifest;
+use crate::services::catalog::DbAccess;
 use crate::services::scheduler::{HostUid, SyncRole};
 use crate::services::transfer::{TransferId, TransferState};
-use crate::shard::ShardedScheduler;
+use crate::shard::ShardedPlane;
 use crate::versions::{
-    check_republish, commit_version, gc_plan, split_writes, GcReport, PinRegistry, ResolvedVersion,
-    Snapshot, SnapshotPin, VersionedManifest,
+    check_republish, GcReport, ResolvedVersion, Snapshot, VersionPlane, VersionedManifest,
 };
 
 /// A served sync's transfer orders: downloads, then chunk repairs.
@@ -213,24 +219,21 @@ struct NodeState {
     rounds: u64,
 }
 
-/// A datum registered in the simulated data space: metadata plus (when the
-/// application `put` real bytes) its content.
-struct SpaceEntry {
-    data: Data,
-    content: Option<Vec<u8>>,
-}
+/// Why a catalog call on the simulator's plane does not fail: its shards
+/// are in-memory DewDBs holding only rows this process encoded.
+const IN_MEMORY: &str = "the simulated catalog is in memory";
 
 struct DriverState {
-    scheduler: ShardedScheduler,
+    /// The service plane: catalog, scheduler and version state.
+    plane: ShardedPlane,
+    /// The data space's content (the threaded runtime's repository store):
+    /// `put` bytes and version pre-images.
+    store: MemStore,
     /// Looked up several times per heartbeat, so hashed by [`IdMap`]'s
     /// fast keyed hasher (as are the other maps a heartbeat touches).
     nodes: IdMap<HostUid, NodeState>,
     by_host: HashMap<HostId, HostUid>,
     copy_hook: Option<CopyHook>,
-    data_names: HashMap<DataId, String>,
-    /// The simulated data space (what the DC + DR hold in the threaded
-    /// runtime): registered data and their `put` content.
-    space: HashMap<DataId, SpaceEntry>,
     /// Monotonic ids for direct (`get`) transfers.
     next_transfer: u64,
     /// Per-shard service cost charged per synchronization item (cache
@@ -243,26 +246,10 @@ struct DriverState {
     shard_busy: Vec<SimTime>,
     /// Synchronizations fully served (their shard work finished).
     syncs_served: u64,
-    /// Published chunk manifests: data listed here move as per-chunk flows
-    /// work-stolen across every live replica owner.
-    manifests: HashMap<DataId, ChunkManifest>,
     /// Partial holdings (host, datum) → exact held chunk set, for the
     /// chunk-level repair loop and the compute plane's locality checks.
     /// Ordered, so one host's holdings are a key range.
     partials: BTreeMap<(HostUid, DataId), BTreeSet<u32>>,
-    /// Version chains of mutated chunked data: the `dc_version` rows
-    /// (versions ≥ 2), ascending — what older versions resolve from.
-    version_rows: HashMap<DataId, Vec<VersionedManifest>>,
-    /// Each chunked datum's resolved head (version 1 = its manifest),
-    /// advanced by every commit; unchunked data have none.
-    heads: HashMap<DataId, Arc<ResolvedVersion>>,
-    /// Preserved pre-image chunk bytes keyed by (datum, birth version) —
-    /// the sim face of the threaded runtime's per-chunk
-    /// `object@v{birth}.c{index}` preservation objects.
-    preserved: HashMap<(DataId, u64), HashMap<u32, Vec<u8>>>,
-    /// Snapshot pin registry shared with [`SnapshotPin`] guards; pinned
-    /// versions survive [`crate::api::BitDewApi::gc_versions`] sweeps.
-    pins: PinRegistry,
     /// (host, datum) → the version the host's bytes correspond to; a host
     /// behind the head announces stale and reads as a repair target.
     held_versions: IdMap<(HostUid, DataId), u64>,
@@ -286,10 +273,9 @@ struct DriverState {
 }
 
 impl DriverState {
-    /// The datum's version head: 0 = never chunked, 1 = base manifest
-    /// only, ≥ 2 = mutated.
-    fn version_head(&self, id: DataId) -> u64 {
-        self.heads.get(&id).map_or(0, |head| head.version)
+    /// The datum's resolved head; `None` when it was never chunked.
+    fn head(&self, id: DataId) -> Option<Arc<ResolvedVersion>> {
+        self.plane.head(id).expect(IN_MEMORY)
     }
 
     /// The live sync counters: the announce plane's when it is enabled,
@@ -304,9 +290,8 @@ impl DriverState {
     /// Record that `uid`'s bytes of `id` are the head's (a chunked datum
     /// only).
     fn note_held_version(&mut self, uid: HostUid, id: DataId) {
-        let head = self.version_head(id);
-        if head > 0 {
-            self.held_versions.insert((uid, id), head);
+        if let Some(head) = self.head(id) {
+            self.held_versions.insert((uid, id), head.version);
         }
     }
 
@@ -324,18 +309,6 @@ impl DriverState {
             .map(|(_, n)| (n.host, n.host))
             .collect();
         agent::source_order(&dest, vec![service_host], peers)
-    }
-
-    /// Walk the datum's version chain up to `version` (see
-    /// [`ResolvedVersion::resolve`]); `None` when no manifest exists.
-    fn resolve_version(&self, id: DataId, version: u64) -> Option<ResolvedVersion> {
-        let base = self.manifests.get(&id)?;
-        let rows = self
-            .version_rows
-            .get(&id)
-            .map(|rows| rows.as_slice())
-            .unwrap_or(&[]);
-        Some(ResolvedVersion::resolve(base, rows, version))
     }
 }
 
@@ -377,25 +350,23 @@ impl SimBitdew {
         shards: NonZeroUsize,
     ) -> SimBitdew {
         let timeout = heartbeat.as_nanos().saturating_mul(3);
+        let plane = ShardedPlane::new(shards, timeout, 64, |_| {
+            let driver = Arc::new(EmbeddedDriver::new(DewDb::in_memory()));
+            DbAccess::Pooled(ConnectionPool::new(driver, 1))
+        });
         SimBitdew {
             state: Rc::new(RefCell::new(DriverState {
-                scheduler: ShardedScheduler::new(shards, timeout, 64),
+                plane,
+                store: MemStore::default(),
                 nodes: IdMap::default(),
                 by_host: HashMap::new(),
                 copy_hook: None,
-                data_names: HashMap::new(),
-                space: HashMap::new(),
                 next_transfer: 1,
                 service_cost_per_item: SimDuration::ZERO,
                 service_cost_base: SimDuration::ZERO,
                 shard_busy: vec![SimTime::ZERO; shards.get()],
                 syncs_served: 0,
-                manifests: HashMap::new(),
                 partials: BTreeMap::new(),
-                version_rows: HashMap::new(),
-                heads: HashMap::new(),
-                preserved: HashMap::new(),
-                pins: PinRegistry::default(),
                 held_versions: IdMap::default(),
                 peer_chunk_flows: 0,
                 announce: None,
@@ -525,7 +496,7 @@ impl SimBitdew {
 
     /// Number of service-plane shards.
     pub fn shard_count(&self) -> usize {
-        self.state.borrow().scheduler.shard_count()
+        self.state.borrow().plane.shard_count()
     }
 
     /// Install a hook fired on every completed copy (the MW workloads use
@@ -539,89 +510,52 @@ impl SimBitdew {
         &self.trace
     }
 
-    /// Schedule a datum (the ActiveData `schedule` call).
+    /// Schedule a datum (the ActiveData `schedule` call), registering it
+    /// in the catalog first when it is not there yet.
     pub fn schedule_data(&self, data: Data, attrs: DataAttributes) {
-        let mut st = self.state.borrow_mut();
-        st.data_names.insert(data.id, data.name.clone());
-        st.space.entry(data.id).or_insert_with(|| SpaceEntry {
-            data: data.clone(),
-            content: None,
-        });
-        st.scheduler.schedule(data, attrs);
-    }
-
-    /// Register a datum in the simulated data space without scheduling it
-    /// (the BitDew `createData` call).
-    pub fn register_data(&self, data: &Data) {
-        let mut st = self.state.borrow_mut();
-        st.data_names.insert(data.id, data.name.clone());
-        st.space.insert(
-            data.id,
-            SpaceEntry {
-                data: data.clone(),
-                content: None,
-            },
-        );
-    }
-
-    /// Store content for a registered datum (the BitDew `put` call).
-    pub fn put_content(&self, id: DataId, content: Vec<u8>) -> Result<()> {
-        let mut st = self.state.borrow_mut();
-        match st.space.get_mut(&id) {
-            Some(entry) => {
-                entry.content = Some(content);
-                Ok(())
-            }
-            None => Err(BitdewError::CatalogMiss {
-                what: format!("data {id}"),
-            }),
-        }
-    }
-
-    /// Registered data whose name equals `name` (the `searchData` call).
-    pub fn search_space(&self, name: &str) -> Vec<Data> {
         let st = self.state.borrow();
-        let mut hits: Vec<Data> = st
-            .space
-            .values()
-            .filter(|e| e.data.name == name)
-            .map(|e| e.data.clone())
-            .collect();
-        hits.sort_by_key(|d| d.id);
-        hits
+        if st.plane.get(data.id).expect(IN_MEMORY).is_none() {
+            st.plane.register(&data).expect(IN_MEMORY);
+        }
+        st.plane.scheduler().schedule(data, attrs);
     }
 
-    /// Remove a datum from the space and the scheduler (the `delete` call).
-    pub fn delete_data(&self, id: DataId) {
-        let mut st = self.state.borrow_mut();
-        st.space.remove(&id);
-        st.version_rows.remove(&id);
-        st.heads.remove(&id);
-        st.preserved.retain(|(d, _), _| *d != id);
-        st.held_versions.retain(|(_, d), _| *d != id);
-        st.scheduler.delete_data(id);
+    /// Register (or overwrite) a datum in the catalog without scheduling
+    /// it (the BitDew `createData` call).
+    pub fn register_data(&self, data: &Data) {
+        self.state.borrow().plane.register(data).expect(IN_MEMORY);
     }
 
     /// Metadata and scheduling attributes of a datum, when known.
     fn lookup(&self, id: DataId) -> Option<(Data, DataAttributes)> {
         let st = self.state.borrow();
-        if let Some(attrs) = st.scheduler.attributes_of(id) {
-            if let Some(entry) = st.space.get(&id) {
-                return Some((entry.data.clone(), attrs));
-            }
-        }
-        st.space
-            .get(&id)
-            .map(|e| (e.data.clone(), DataAttributes::default()))
+        let data = st.plane.get(id).expect(IN_MEMORY)?;
+        let attrs = st.plane.scheduler().attributes_of(id).unwrap_or_default();
+        Some((data, attrs))
     }
 
-    /// Content previously `put` for a datum, if any.
-    fn content_of(&self, id: DataId) -> Option<Vec<u8>> {
-        self.state
-            .borrow()
-            .space
-            .get(&id)
-            .and_then(|e| e.content.clone())
+    /// Bytes `[offset, offset + len)` of `data`'s content, short at EOF. A
+    /// datum never `put` models its `size` bytes as zeros without storing
+    /// them, so a manifest-only blob stays metadata.
+    fn read_content(&self, data: &Data, size: u64, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let st = self.state.borrow();
+        let object = data.object_name();
+        if !st.store.exists(&object) {
+            return Ok(vec![0; len.min(size.saturating_sub(offset) as usize)]);
+        }
+        let end = st.store.size(&object)?;
+        Ok(st.store.read_at(&object, offset.min(end), len)?.to_vec())
+    }
+
+    /// Store the `size` modeled zero bytes of a datum never `put`, so a
+    /// write can patch them.
+    fn materialize(&self, data: &Data, size: u64) -> Result<()> {
+        let st = self.state.borrow();
+        let object = data.object_name();
+        if !st.store.exists(&object) {
+            st.store.write_at(&object, 0, &vec![0; size as usize])?;
+        }
+        Ok(())
     }
 
     /// Pending scheduled downloads of a node.
@@ -637,35 +571,26 @@ impl SimBitdew {
     /// Pin a datum to a node (the ActiveData `pin` call).
     pub fn pin(&self, data: DataId, uid: HostUid) {
         let mut st = self.state.borrow_mut();
-        st.scheduler.pin(data, uid);
+        st.plane.scheduler().pin(data, uid);
         st.note_held_version(uid, data);
         if let Some(n) = st.nodes.get_mut(&uid) {
             n.cache.insert(data);
         }
     }
 
-    /// Publish a chunk manifest: the datum's transfers become per-chunk
-    /// flows work-stolen across the service host and every live replica
-    /// owner, and its replica validation becomes chunk-aware. The head
-    /// becomes the manifest resolved through whatever rows the datum
-    /// already has (none, unless a caller bypassed `put_chunked`'s
-    /// refusal to republish a versioned datum).
+    /// Publish a chunk manifest through the catalog: the datum's transfers
+    /// become per-chunk flows work-stolen across the service host and every
+    /// live replica owner, its replica validation becomes chunk-aware, and
+    /// the manifest becomes its version 1 and head.
+    ///
+    /// # Panics
+    /// When the datum has committed versions and `manifest` is not its
+    /// head's chunk map (see [`check_republish`]).
     pub fn put_manifest(&self, manifest: &ChunkManifest) {
-        let mut st = self.state.borrow_mut();
-        st.scheduler
-            .set_chunk_total(manifest.data, manifest.chunk_count());
-        st.manifests.insert(manifest.data, manifest.clone());
-        let rows = st
-            .version_rows
-            .get(&manifest.data)
-            .map_or(&[][..], Vec::as_slice);
-        let head = ResolvedVersion::resolve(manifest, rows, rows.last().map_or(1, |r| r.version));
-        st.heads.insert(manifest.data, Arc::new(head));
-    }
-
-    /// The published manifest of a datum, if any.
-    pub fn manifest_of(&self, id: DataId) -> Option<ChunkManifest> {
-        self.state.borrow().manifests.get(&id).cloned()
+        let st = self.state.borrow();
+        st.plane
+            .put_manifest(manifest)
+            .expect("a base manifest under no committed version");
     }
 
     /// Chunk flows served by peer replicas (rather than the service host)
@@ -680,13 +605,13 @@ impl SimBitdew {
     /// moves only the missing chunks.
     pub fn lose_chunks(&self, uid: HostUid, data: DataId, lost: u32) {
         let mut st = self.state.borrow_mut();
-        let Some(total) = st.manifests.get(&data).map(|m| m.chunk_count()) else {
+        let Some(total) = st.head(data).map(|h| h.chunk_count()) else {
             return;
         };
         let held: BTreeSet<u32> = (0..total.saturating_sub(lost)).collect();
         let report: Vec<u32> = held.iter().copied().collect();
         st.partials.insert((uid, data), held);
-        st.scheduler.report_chunk_set(uid, data, &report);
+        st.plane.scheduler().report_chunk_set(uid, data, &report);
     }
 
     /// Register a *partial* pin: `uid` holds the first `held` of the
@@ -700,10 +625,7 @@ impl SimBitdew {
     /// (the SimNode face of `pin_chunks`). A full complement is an
     /// ordinary pin.
     pub fn pin_partial_set(&self, data: DataId, uid: HostUid, held: &[u32]) {
-        let total = {
-            let st = self.state.borrow();
-            st.manifests.get(&data).map(|m| m.chunk_count())
-        };
+        let total = self.state.borrow().head(data).map(|h| h.chunk_count());
         let Some(total) = total else { return };
         let set: BTreeSet<u32> = held.iter().copied().filter(|&i| i < total).collect();
         if set.len() as u32 >= total {
@@ -713,7 +635,7 @@ impl SimBitdew {
         let report: Vec<u32> = set.iter().copied().collect();
         let mut st = self.state.borrow_mut();
         st.partials.insert((uid, data), set);
-        st.scheduler.report_chunk_set(uid, data, &report);
+        st.plane.scheduler().report_chunk_set(uid, data, &report);
         st.note_held_version(uid, data);
         if let Some(n) = st.nodes.get_mut(&uid) {
             n.cache.insert(data);
@@ -728,7 +650,7 @@ impl SimBitdew {
         if let Some(set) = st.partials.get(&(uid, data)) {
             return set.iter().copied().collect();
         }
-        let Some(total) = st.manifests.get(&data).map(|m| m.chunk_count()) else {
+        let Some(total) = st.head(data).map(|h| h.chunk_count()) else {
             return Vec::new();
         };
         let cached = st.nodes.get(&uid).is_some_and(|n| n.cache.contains(&data));
@@ -745,7 +667,7 @@ impl SimBitdew {
     /// the node's next heartbeat, as it would on the threaded runtime.
     fn absorb_chunks(&self, uid: HostUid, data: DataId, chunks: &[u32]) {
         let mut st = self.state.borrow_mut();
-        let Some(total) = st.manifests.get(&data).map(|m| m.chunk_count()) else {
+        let Some(total) = st.head(data).map(|h| h.chunk_count()) else {
             return;
         };
         let already_full = !st.partials.contains_key(&(uid, data))
@@ -759,7 +681,7 @@ impl SimBitdew {
 
     /// Current owner set of a datum.
     pub fn owners_of(&self, data: DataId) -> Vec<HostUid> {
-        self.state.borrow().scheduler.owners_of(data)
+        self.state.borrow().plane.scheduler().owners_of(data)
     }
 
     /// Node's cache contents.
@@ -842,7 +764,7 @@ impl SimBitdew {
         let driver = self.clone();
         every(sim, start_at, self.heartbeat, move |sim| {
             let now = sim.now().as_nanos();
-            driver.state.borrow_mut().scheduler.detect_failures(now);
+            driver.state.borrow().plane.scheduler().detect_failures(now);
             true
         });
     }
@@ -852,14 +774,21 @@ impl SimBitdew {
     /// landed in the host cache. Claims are never encoded: their effect on
     /// the scheduler is applied directly.
     fn announce_refresh(&self, st: &mut DriverState, uid: HostUid, now: u64) {
-        let Some(mut a) = st.announce.take() else {
+        let DriverState {
+            plane,
+            nodes,
+            partials,
+            held_versions,
+            announce,
+            ..
+        } = st;
+        let Some(a) = announce.as_mut() else {
             return;
         };
-        st.scheduler.touch_host_mut(uid, now);
+        plane.scheduler_mut().touch_host_mut(uid, now);
         a.stats.announce_datagrams += 1;
         a.stats.announce_bytes += SIM_ANNOUNCE_WIRE + SIM_UDP_OVERHEAD;
-        let cached: Vec<DataId> = st
-            .nodes
+        let cached: Vec<DataId> = nodes
             .get(&uid)
             .map_or_else(Vec::new, |n| n.cache.iter().copied().collect());
         for d in cached {
@@ -867,23 +796,20 @@ impl SimBitdew {
             if !a.cadence.claim_due(last, now) {
                 continue;
             }
-            let partial: Option<Vec<u32>> = st
-                .partials
-                .get(&(uid, d))
-                .map(|s| s.iter().copied().collect());
+            let partial: Option<Vec<u32>> =
+                partials.get(&(uid, d)).map(|s| s.iter().copied().collect());
             let holding = partial
                 .as_deref()
                 .map_or(Holding::Complete, Holding::Partial);
-            let chunks = st.manifests.get(&d).map_or(0, |m| m.chunk_count());
+            let head = plane.head(d).expect(IN_MEMORY);
+            let chunks = head.as_ref().map_or(0, |h| h.chunk_count());
             let Some(claim) = agent::claim(holding, chunks, FLAG_SERVING) else {
                 continue;
             };
-            let head = st.version_head(d);
-            let held_v = st.held_versions.get(&(uid, d)).copied().unwrap_or(head);
-            let effect = agent::claim_effect(&claim, held_v, head, || {
-                st.heads.get(&d).map(|h| (**h).clone())
-            });
-            st.scheduler.apply_claim(uid, d, effect);
+            let head_v = head.as_ref().map_or(0, |h| h.version);
+            let held_v = held_versions.get(&(uid, d)).copied().unwrap_or(head_v);
+            let effect = agent::claim_effect(&claim, held_v, head_v, || head.as_deref().cloned());
+            plane.scheduler().apply_claim(uid, d, effect);
             let expires = now.saturating_add(a.cadence.ttl());
             a.cache.insert(uid, d, expires, claim.flags, held_v);
             a.announced_at.insert((uid, d), now);
@@ -891,7 +817,6 @@ impl SimBitdew {
             a.stats.announce_bytes +=
                 SIM_ANNOUNCE_WIRE + SIM_UDP_OVERHEAD + claim.bitmap.len() as u64;
         }
-        st.announce = Some(a);
     }
 
     /// One heartbeat for node `uid`: sync with the sharded scheduler, purge
@@ -921,7 +846,7 @@ impl SimBitdew {
                 let evicted = a.cache.sweep(now);
                 a.stats.cache_evictions += evicted.len() as u64;
                 for (h, d) in evicted {
-                    stm.scheduler.drop_host_holding(h, d);
+                    stm.plane.scheduler().drop_host_holding(h, d);
                 }
             }
             let announce = stm.announce.as_ref().map(|a| (a.up, a.cadence));
@@ -952,9 +877,9 @@ impl SimBitdew {
                 .map(|((_, d), s)| (*d, s.iter().copied().collect()))
                 .collect();
             for (d, held) in partial_sets {
-                st.scheduler.report_chunk_set(uid, d, &held);
+                st.plane.scheduler().report_chunk_set(uid, d, &held);
             }
-            let (reply, profile) = st.scheduler.sync_profiled(uid, &cache, now, role);
+            let (reply, profile) = st.plane.scheduler().sync_profiled(uid, &cache, now, role);
             // Charge the sync's wire cost under the SOAP transport model
             // (see the discovery-plane cost model constants above).
             let reply_entries =
@@ -1080,9 +1005,9 @@ impl SimBitdew {
                     bytes: data.size as f64,
                 },
             );
-            let manifest = self.manifest_of(data.id).filter(|m| m.chunk_count() > 0);
-            match manifest {
-                Some(m) => self.start_chunked_fetch(sim, uid, host, data, &m, None),
+            let head = self.state.borrow().head(data.id);
+            match head.filter(|h| h.chunk_count() > 0) {
+                Some(h) => self.start_chunked_fetch(sim, uid, host, data, &h, None),
                 None => {
                     let driver = self.clone();
                     self.net.start_flow(
@@ -1115,17 +1040,14 @@ impl SimBitdew {
         repairs: Vec<(Data, DataAttributes)>,
     ) {
         for (data, _attrs) in repairs {
-            let (manifest, held) = {
-                let st = self.state.borrow();
-                (
-                    st.manifests.get(&data.id).cloned(),
-                    st.partials
-                        .get(&(uid, data.id))
-                        .map(|s| s.len() as u32)
-                        .unwrap_or(0),
-                )
-            };
-            let Some(m) = manifest else {
+            let head = self.state.borrow().head(data.id);
+            let held = self
+                .state
+                .borrow()
+                .partials
+                .get(&(uid, data.id))
+                .map_or(0, |s| s.len() as u32);
+            let Some(m) = head else {
                 self.state
                     .borrow_mut()
                     .nodes
@@ -1158,12 +1080,10 @@ impl SimBitdew {
         uid: HostUid,
         dest: HostId,
         data: Data,
-        manifest: &ChunkManifest,
+        head: &ResolvedVersion,
         only: Option<u32>,
     ) {
-        let take = only
-            .unwrap_or(manifest.chunk_count())
-            .min(manifest.chunk_count());
+        let take = only.unwrap_or(head.chunk_count()).min(head.chunk_count());
         let repair = only.is_some();
         let sources = {
             let mut st = self.state.borrow_mut();
@@ -1183,11 +1103,11 @@ impl SimBitdew {
             }
             sources
         };
-        let lens: Vec<f64> = manifest
+        let lens: Vec<f64> = head
             .chunks
             .iter()
             .take(take as usize)
-            .map(|c| c.len as f64)
+            .map(|(c, _)| c.len as f64)
             .collect();
         if lens.is_empty() {
             self.finish_download(sim, uid, dest, &data, repair, 0.0);
@@ -1346,8 +1266,8 @@ impl SimBitdew {
             st.note_held_version(uid, data.id);
             if repair {
                 st.partials.remove(&(uid, data.id));
-                let total = st.manifests.get(&data.id).map_or(0, |m| m.chunk_count());
-                st.scheduler.report_chunks(uid, data.id, total);
+                let total = st.head(data.id).map_or(0, |h| h.chunk_count());
+                st.plane.scheduler().report_chunks(uid, data.id, total);
             }
             self.trace.push(
                 sim.now(),
@@ -1559,6 +1479,29 @@ impl SimNode {
             .now()
             .saturating_add(SimDuration::from_secs_f64(timeout.as_secs_f64()))
     }
+
+    /// The driver's service plane.
+    fn plane(&self) -> Ref<'_, ShardedPlane> {
+        Ref::map(self.driver.state.borrow(), |st| &st.plane)
+    }
+
+    /// Run `op` on the version plane over the driver's plane and store.
+    fn with_versions<R>(&self, op: impl FnOnce(VersionPlane<'_>) -> R) -> R {
+        let st = self.driver.state.borrow();
+        op(VersionPlane {
+            plane: &st.plane,
+            store: &st.store,
+        })
+    }
+
+    /// The datum as the catalog registered it.
+    fn registered(&self, id: DataId) -> Result<Data> {
+        self.plane()
+            .get(id)?
+            .ok_or_else(|| BitdewError::CatalogMiss {
+                what: format!("data {id}"),
+            })
+    }
 }
 
 impl BitDewApi for SimNode {
@@ -1587,7 +1530,10 @@ impl BitDewApi for SimNode {
         if data.has_checksum() && bitdew_util::md5::md5(content) != data.checksum {
             return Err(bitdew_transport::TransportError::ChecksumMismatch.into());
         }
-        self.driver.put_content(data.id, content.to_vec())
+        self.registered(data.id)?;
+        let st = self.driver.state.borrow();
+        st.store.put(&data.object_name(), content);
+        Ok(())
     }
 
     fn put_many(&self, items: &[(Data, &[u8])]) -> Result<()> {
@@ -1603,14 +1549,7 @@ impl BitDewApi for SimNode {
         // (Metadata-only modeling still works: `put` an empty payload — a
         // slot has no checksum to violate — and the flow moves `data.size`
         // modeled bytes regardless.)
-        let has_content = self
-            .driver
-            .state
-            .borrow()
-            .space
-            .get(&data.id)
-            .is_some_and(|e| e.content.is_some());
-        if !has_content {
+        if !self.driver.state.borrow().store.exists(&data.object_name()) {
             return Err(BitdewError::CatalogMiss {
                 what: format!("locator for `{}`", data.name),
             });
@@ -1655,17 +1594,23 @@ impl BitDewApi for SimNode {
     }
 
     fn search(&self, name: &str) -> Result<Vec<Data>> {
-        Ok(self.driver.search_space(name))
+        self.plane().search(name)
     }
 
     fn delete(&self, data: &Data) -> Result<()> {
-        self.driver.delete_data(data.id);
+        self.with_versions(|v| v.delete(data))?;
+        let mut st = self.driver.state.borrow_mut();
+        st.store.remove(&data.object_name())?;
+        st.partials.retain(|(_, d), _| *d != data.id);
+        st.held_versions.retain(|(_, d), _| *d != data.id);
+        st.plane.scheduler().delete_data(data.id);
         Ok(())
     }
 
     fn create_attribute(&self, src: &str) -> Result<DataAttributes> {
         attrparse::parse_single_resolving(src, self.sim.borrow().now().as_nanos(), &|name| {
-            self.driver.search_space(name).first().map(|d| d.id)
+            let hits = self.plane().search(name).ok()?;
+            hits.first().map(|d| d.id)
         })
     }
 
@@ -1676,88 +1621,49 @@ impl BitDewApi for SimNode {
                 what: format!("local copy of `{}`", data.name),
             });
         }
-        // Real bytes when the application `put` them; otherwise the
-        // simulation only moved modeled bytes, so synthesize the size.
-        Ok(self
-            .driver
-            .content_of(data.id)
-            .unwrap_or_else(|| vec![0u8; data.size as usize]))
+        self.driver.read_content(data, data.size, 0, usize::MAX)
     }
 
     fn put_range(&self, data: &Data, offset: u64, content: &[u8]) -> Result<()> {
         // Chunked data mutates through the version plane: each in-place
         // write becomes a copy-on-write child of the current head. Only
         // un-chunked (legacy) data is patched directly.
-        let head = self.driver.state.borrow().version_head(data.id);
+        let head = self.plane().version_head(data.id)?;
         if head > 0 {
             return self
                 .commit_update(data, head, &[(offset, content.to_vec())])
                 .map(|_| ());
         }
-        let mut st = self.driver.state.borrow_mut();
-        let entry = st
-            .space
-            .get_mut(&data.id)
-            .ok_or_else(|| BitdewError::CatalogMiss {
-                what: format!("data {}", data.id),
-            })?;
+        let size = self.registered(data.id)?.size;
+        offset
+            .checked_add(content.len() as u64)
+            .ok_or(StoreError::OutOfRange)?;
         // A metadata-only datum models as `size` zero bytes (read_local /
         // get_range agree); materialize that before patching, or the write
         // would silently truncate everything past it.
-        let size = entry.data.size as usize;
-        let end = (offset as usize)
-            .checked_add(content.len())
-            .ok_or(bitdew_transport::StoreError::OutOfRange)?;
-        let buf = entry.content.get_or_insert_with(|| vec![0u8; size]);
-        if buf.len() < end {
-            buf.resize(end, 0);
-        }
-        buf[offset as usize..end].copy_from_slice(content);
-        Ok(())
+        self.driver.materialize(data, size)?;
+        let st = self.driver.state.borrow();
+        Ok(st.store.write_at(&data.object_name(), offset, content)?)
     }
 
     fn get_range(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let st = self.driver.state.borrow();
-        let entry = st
-            .space
-            .get(&data.id)
-            .ok_or_else(|| BitdewError::CatalogMiss {
-                what: format!("data {}", data.id),
-            })?;
-        match &entry.content {
-            Some(buf) => {
-                let from = (offset as usize).min(buf.len());
-                let to = from.saturating_add(len).min(buf.len());
-                Ok(buf[from..to].to_vec())
-            }
-            // Metadata-only datum: the modeled bytes are zeros.
-            None => {
-                let size = entry.data.size as usize;
-                let from = (offset as usize).min(size);
-                let to = from.saturating_add(len).min(size);
-                Ok(vec![0u8; to - from])
-            }
-        }
+        let size = self.registered(data.id)?.size;
+        self.driver.read_content(data, size, offset, len)
     }
 
     fn put_chunked(&self, data: &Data, content: &[u8], chunk_size: u64) -> Result<ChunkManifest> {
         let manifest = ChunkManifest::describe(data.id, chunk_size, content);
-        let head = self.driver.state.borrow().heads.get(&data.id).cloned();
-        let publish = check_republish(&manifest, head.as_deref())?;
+        check_republish(&manifest, self.plane().head(data.id)?.as_deref())?;
         self.put(data, content)?;
-        if publish {
-            self.driver.put_manifest(&manifest);
-        }
+        self.plane().put_manifest(&manifest)?;
         let mut st = self.driver.state.borrow_mut();
-        let head = st.version_head(data.id);
-        st.held_versions.insert((self.uid, data.id), head);
+        st.note_held_version(self.uid, data.id);
         Ok(manifest)
     }
 
     fn chunk_manifest(&self, id: DataId) -> Result<Option<ChunkManifest>> {
         // The head's digests, as on the threaded node.
-        let st = self.driver.state.borrow();
-        Ok(st.heads.get(&id).map(|head| head.to_manifest()))
+        self.plane().materialized_manifest(id)
     }
 
     fn held_chunks(&self, data: &Data) -> Result<Vec<u32>> {
@@ -1766,8 +1672,7 @@ impl BitDewApi for SimNode {
 
     fn fetch_chunks(&self, data: &Data, chunks: &[u32]) -> Result<u64> {
         let manifest = self
-            .driver
-            .manifest_of(data.id)
+            .chunk_manifest(data.id)?
             .ok_or_else(|| no_manifest(data))?;
         let held: BTreeSet<u32> = self
             .driver
@@ -1804,14 +1709,14 @@ impl BitDewApi for SimNode {
     }
 
     fn chunk_holdings(&self, id: DataId) -> Result<ChunkHoldings> {
-        Ok(self.driver.state.borrow().scheduler.chunk_holdings(id))
+        Ok(self.plane().scheduler().chunk_holdings(id))
     }
 
     fn get_range_local(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
         // "Local" means the covering chunks are verifiably held here (the
         // threaded node reads its chunk store); a miss is an error, not a
         // silent network read.
-        if let Some(m) = self.driver.manifest_of(data.id) {
+        if let Some(m) = self.chunk_manifest(data.id)? {
             if len > 0 && m.chunk_size > 0 && m.chunk_count() > 0 {
                 let held: BTreeSet<u32> = self
                     .driver
@@ -1841,108 +1746,29 @@ impl BitDewApi for SimNode {
     }
 
     fn version_head(&self, id: DataId) -> Result<u64> {
-        Ok(self.driver.state.borrow().version_head(id))
+        self.plane().version_head(id)
     }
 
     fn version_manifest(&self, id: DataId, version: u64) -> Result<Option<VersionedManifest>> {
-        let st = self.driver.state.borrow();
-        if version == 1 {
-            return Ok(st.manifests.get(&id).map(VersionedManifest::from_base));
-        }
-        Ok(st
-            .version_rows
-            .get(&id)
-            .and_then(|rows| rows.iter().find(|r| r.version == version))
-            .cloned())
+        self.plane().version_manifest(id, version)
     }
 
     fn commit_update(&self, data: &Data, base: u64, writes: &[(u64, Vec<u8>)]) -> Result<u64> {
-        use bitdew_storage::codec::Encode;
-        let mut st = self.driver.state.borrow_mut();
-        let head_rv = match st.heads.get(&data.id) {
-            Some(head) if base != 0 && base <= head.version => Arc::clone(head),
-            head => {
-                let head = head.map_or(0, |h| h.version);
-                return Err(BitdewError::CatalogMiss {
-                    what: format!("version {base} of `{}` (head {head})", data.name),
-                });
-            }
-        };
-        let head = head_rv.version;
-        let by_chunk = split_writes(head_rv.chunk_size, head_rv.total, writes)?;
-        let changed_idx: Vec<u32> = by_chunk.keys().copied().collect();
-        let version = commit_version(&head_rv, base, &changed_idx)?;
-        // Single-threaded virtual time: no CAS race — apply the commit as
-        // one atomic step against the head's resolution.
-        let chunk_size = head_rv.chunk_size;
-        let total = head_rv.total as usize;
-        let entry = st
-            .space
-            .get_mut(&data.id)
-            .ok_or_else(|| BitdewError::CatalogMiss {
-                what: format!("data {}", data.id),
-            })?;
-        let buf = entry.content.get_or_insert_with(|| vec![0u8; total]);
-        if buf.len() < total {
-            buf.resize(total, 0);
+        if let Some(head) = self.plane().head(data.id)? {
+            self.driver.materialize(data, head.total)?;
         }
-        let mut changed = Vec::with_capacity(by_chunk.len());
-        let mut preserves: Vec<(u64, u32, Vec<u8>)> = Vec::new();
-        for (&index, segs) in &by_chunk {
-            let off = index as usize * chunk_size as usize;
-            let len = head_rv
-                .descriptor(index)
-                .map(|d| d.len as usize)
-                .unwrap_or(0);
-            let birth = head_rv.birth_of(index).unwrap_or(1);
-            // Preserve the pre-image before patching — snapshot readers
-            // pinned at or before `head` resolve this chunk to `birth`.
-            preserves.push((birth, index, buf[off..off + len].to_vec()));
-            for seg in segs {
-                let bytes = &writes[seg.write].1;
-                let dst = off + seg.chunk_offset;
-                buf[dst..dst + (seg.end - seg.start)].copy_from_slice(&bytes[seg.start..seg.end]);
-            }
-            changed.push(ChunkDescriptor {
-                index,
-                len: len as u32,
-                crc32: bitdew_storage::crc32::crc32(&buf[off..off + len]),
-            });
-        }
-        for (birth, index, pre) in preserves {
-            st.preserved
-                .entry((data.id, birth))
-                .or_default()
-                .entry(index)
-                .or_insert(pre);
-        }
-        let row = VersionedManifest {
-            data: data.id,
-            version,
-            parent: head,
-            chunk_size,
-            total: total as u64,
-            changed,
-        };
+        let row = self.with_versions(|v| v.commit(data, base, writes))?;
         // Version publication is a small metadata flow: the encoded delta
         // row inside one SOAP envelope pair.
         let wire = SIM_SYNC_BASE_BYTES + row.to_bytes().len() as u64;
-        st.stats_mut().version_publishes += 1;
-        st.stats_mut().version_bytes += wire;
-        // Unshared unless a snapshot holds it, the head advances in place.
-        drop(head_rv);
-        if let Some(head) = st.heads.get_mut(&data.id) {
-            Arc::make_mut(head).advance(&row);
-        }
-        st.version_rows.entry(data.id).or_default().push(row);
-        debug_assert_eq!(
-            st.heads.get(&data.id).map(|h| &**h),
-            st.resolve_version(data.id, version).as_ref(),
-            "the advanced head must equal the chain"
-        );
-        st.held_versions.insert((self.uid, data.id), version);
-        let contended = st.control_contention;
-        drop(st);
+        let contended = {
+            let mut st = self.driver.state.borrow_mut();
+            let stats = st.stats_mut();
+            stats.version_publishes += 1;
+            stats.version_bytes += wire;
+            st.held_versions.insert((self.uid, data.id), row.version);
+            st.control_contention
+        };
         if contended {
             // Under contended control the publication's bytes travel the
             // writer's uplink and the service downlink for real —
@@ -1957,18 +1783,11 @@ impl BitDewApi for SimNode {
                 Box::new(|_, _| {}),
             );
         }
-        Ok(version)
+        Ok(row.version)
     }
 
     fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
-        let st = self.driver.state.borrow();
-        let head = st
-            .heads
-            .get(&data.id)
-            .cloned()
-            .ok_or_else(|| no_manifest(data))?;
-        let pin = SnapshotPin::new(st.pins.clone(), data.id, head.version);
-        Ok(Snapshot::new(head, pin))
+        self.with_versions(|v| v.open_snapshot(data))
     }
 
     fn get_range_at(
@@ -1978,94 +1797,16 @@ impl BitDewApi for SimNode {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        let st = self.driver.state.borrow();
-        let pieces = snap.resolved().pieces(offset, len);
-        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len).sum());
-        for p in pieces {
-            let (start, within, len) = (p.start as usize, p.within as usize, p.len);
-            let pre = st
-                .preserved
-                .get(&(data.id, p.birth))
-                .and_then(|chunks| chunks.get(&p.index));
-            match pre {
-                // Superseded since the snapshot: the preserved pre-image
-                // holds the whole chunk at its canonical offsets.
-                Some(bytes) => out.extend_from_slice(&bytes[within..within + len]),
-                None => {
-                    let entry = st
-                        .space
-                        .get(&data.id)
-                        .ok_or_else(|| BitdewError::CatalogMiss {
-                            what: format!("data {}", data.id),
-                        })?;
-                    match &entry.content {
-                        Some(buf) => {
-                            let from = start.min(buf.len());
-                            let to = (from + len).min(buf.len());
-                            out.extend_from_slice(&buf[from..to]);
-                            out.resize(out.len() + len - (to - from), 0);
-                        }
-                        // Metadata-only datum: the modeled bytes are zeros.
-                        None => out.resize(out.len() + len, 0),
-                    }
-                }
-            }
+        if self.driver.state.borrow().store.exists(&data.object_name()) {
+            return self.with_versions(|v| v.get_range_at(data, snap, offset, len));
         }
-        Ok(out)
+        // A manifest-only datum reads as zeros at every version.
+        self.driver
+            .read_content(data, snap.resolved().total, offset, len)
     }
 
     fn gc_versions(&self, data: &Data) -> Result<GcReport> {
-        let mut st = self.driver.state.borrow_mut();
-        let head = st.version_head(data.id);
-        let mut live_versions: Vec<u64> = st
-            .pins
-            .lock()
-            .iter()
-            .filter(|((d, _), &n)| *d == data.id && n > 0)
-            .map(|((_, v), _)| *v)
-            .collect();
-        if head > 0 {
-            live_versions.push(head);
-        }
-        live_versions.sort_unstable();
-        live_versions.dedup();
-        let live: Vec<ResolvedVersion> = live_versions
-            .iter()
-            .filter_map(|&v| match st.heads.get(&data.id) {
-                Some(h) if h.version == v => Some((**h).clone()),
-                _ => st.resolve_version(data.id, v),
-            })
-            .collect();
-        let mut inventory: Vec<(u64, u32, u32)> = Vec::new();
-        for ((d, birth), chunks) in &st.preserved {
-            if *d != data.id {
-                continue;
-            }
-            for (&index, bytes) in chunks {
-                inventory.push((*birth, index, bytes.len() as u32));
-            }
-        }
-        inventory.sort_unstable();
-        let mut report = GcReport {
-            live_versions,
-            ..GcReport::default()
-        };
-        for (birth, index, len) in gc_plan(&live, &inventory) {
-            let Some(chunks) = st.preserved.get_mut(&(data.id, birth)) else {
-                continue;
-            };
-            if chunks.remove(&index).is_some() {
-                report.chunks_reclaimed += 1;
-                report.bytes_reclaimed += len as u64;
-                // Pre-image objects are per-chunk on the threaded backend;
-                // the sim reports the same object-per-chunk accounting.
-                report.objects_removed += 1;
-                if chunks.is_empty() {
-                    st.preserved.remove(&(data.id, birth));
-                }
-            }
-        }
-        Ok(report)
+        self.with_versions(|v| v.gc(data))
     }
 }
 
@@ -2100,8 +1841,7 @@ impl ActiveData for SimNode {
 
     fn pin_chunks(&self, data: &Data, attrs: DataAttributes, held: &[u32]) -> Result<()> {
         let manifest = self
-            .driver
-            .manifest_of(data.id)
+            .chunk_manifest(data.id)?
             .ok_or_else(|| no_manifest(data))?;
         // Keep unique, in-range indices — mirroring the threaded node,
         // which verifies every claimed index (duplicates or out-of-range
@@ -2460,6 +2200,36 @@ mod tests {
             topo.net.active_flows(),
             flows_before + 1,
             "publication rides the writer's uplink as a real flow"
+        );
+    }
+
+    #[test]
+    fn manifest_only_datum_reads_as_zeros_and_commits_over_them() {
+        let topo = topology::gdx_cluster(1);
+        let sim = Rc::new(RefCell::new(Sim::new(33)));
+        let bd = SimBitdew::new(
+            topo.net.clone(),
+            topo.service,
+            SimDuration::from_secs(1),
+            Trace::new(),
+        );
+        let node = SimNode::attach(&sim, &bd, topo.workers[0], SimTime::ZERO);
+        let data = node.create_slot("modeled", 4096).unwrap();
+        bd.put_manifest(&ChunkManifest::describe(data.id, 1024, &[0u8; 4096]));
+        assert!(node.get(&data).is_err(), "never put: no locator");
+        let snap = node.open_snapshot(&data).unwrap();
+        assert_eq!(node.get_range(&data, 1000, 100).unwrap(), vec![0; 100]);
+        assert_eq!(
+            node.get_range_at(&data, &snap, 4000, 500).unwrap(),
+            vec![0; 96]
+        );
+        node.commit_update(&data, 1, &[(1024, vec![9; 8])]).unwrap();
+        let patched = [vec![0; 4], vec![9; 8], vec![0; 4]].concat();
+        assert_eq!(node.get_range(&data, 1020, 16).unwrap(), patched);
+        assert_eq!(
+            node.get_range_at(&data, &snap, 1020, 16).unwrap(),
+            vec![0; 16],
+            "the snapshot still reads the modeled zeros"
         );
     }
 

@@ -25,8 +25,7 @@
 //!   with every later version — the structural sharing that makes a
 //!   version O(changed), not O(total).
 //! * **The head is held resolved.** Each datum's head lives in memory as
-//!   one `Arc<ResolvedVersion>` ([`VersionState::head`] on the threaded
-//!   plane, the driver state's head map in the simulator). It is loaded
+//!   one `Arc<ResolvedVersion>` ([`VersionState::head`]). It is loaded
 //!   cold once — one manifest get and one `dc_version` scan, replayed by
 //!   [`ResolvedVersion::resolve`] — and a commit then
 //!   [`advance`](ResolvedVersion::advance)s it by its own delta, O(changed).
@@ -53,12 +52,14 @@
 //!   or a pinned snapshot) still resolves chunk `i` to birth `b`;
 //!   everything else is reclaimed.
 //!
-//! Both deployments drive the same logic: the threaded
-//! [`BitdewNode`](crate::BitdewNode) persists rows through the sharded
-//! catalog and preserves pre-images in the repository store, the
-//! simulator keeps them in its modeled space and charges version
-//! publication as small metadata flows — the proptest suite in
-//! `tests/version_plane.rs` runs the same interleavings against both.
+//! `VersionPlane` carries out the operations — commit, snapshot, read at a
+//! version, GC sweep, delete — over one service plane and content store.
+//! Both backends call the same operations: the threaded
+//! [`BitdewNode`](crate::BitdewNode) over its container's catalog and
+//! repository store, the simulator over a `MemStore` and in-memory DewDB
+//! (it adds only the cost of a publication, as a small metadata flow). The
+//! proptest suite in `tests/version_plane.rs` runs the same interleavings
+//! against both.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -67,10 +68,13 @@ use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use bitdew_storage::codec::{decode_vec, encode_vec, CodecError, Decode, Encode};
+use bitdew_transport::FileStore;
 
 use crate::api::{BitdewError, Result};
 use crate::chunks::{ChunkDescriptor, ChunkManifest};
-use crate::data::DataId;
+use crate::data::{Data, DataId};
+use crate::runtime::no_manifest;
+use crate::shard::ShardedPlane;
 
 /// Magic prefix of a [`VersionedManifest`] row. A PR 3 [`ChunkManifest`]
 /// row starts with a raw [`DataId`] instead, which is how
@@ -285,7 +289,8 @@ impl ResolvedVersion {
     }
 }
 
-/// The per-datum version-head CAS, shared by both backends.
+/// The per-datum version-head CAS, run under the commit lock by
+/// [`ShardedPlane::publish_version`].
 ///
 /// `head` is the datum's resolved head, `parent` the base the writer
 /// resolved against and `changed` its changed chunk indices. Returns the
@@ -456,10 +461,10 @@ pub struct GcReport {
     pub live_versions: Vec<u64>,
 }
 
-/// The reference-counting sweep, shared by both backends: of the preserved
-/// pre-image chunks `(birth, index, len)`, return those unreachable from
-/// every live resolution — no live version still resolves that chunk index
-/// to that birth. The caller deletes the returned entries from its store.
+/// The reference-counting sweep: of the preserved pre-image chunks
+/// `(birth, index, len)`, return those unreachable from every live
+/// resolution — no live version still resolves that chunk index to that
+/// birth. The caller deletes the returned entries from its store.
 pub fn gc_plan(live: &[ResolvedVersion], preserved: &[(u64, u32, u32)]) -> Vec<(u64, u32, u32)> {
     preserved
         .iter()
@@ -469,7 +474,7 @@ pub fn gc_plan(live: &[ResolvedVersion], preserved: &[(u64, u32, u32)]) -> Vec<(
 }
 
 /// The shared registry of open snapshot pins: `(datum, version)` →
-/// open-snapshot count. Both backends consult it in their GC sweep.
+/// open-snapshot count, which the GC sweep consults.
 pub type PinRegistry = Arc<Mutex<HashMap<(DataId, u64), usize>>>;
 
 /// A reference-counted hold on one version, released on drop. Carried by
@@ -514,8 +519,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Pair a resolution with its registry pin (backends construct this in
-    /// their `open_snapshot`, sharing the in-memory head's `Arc`).
+    /// Pair a resolution with its registry pin (the version plane's
+    /// `open_snapshot` shares the in-memory head's `Arc`).
     pub fn new(resolved: impl Into<Arc<ResolvedVersion>>, pin: SnapshotPin) -> Snapshot {
         Snapshot {
             resolved: resolved.into(),
@@ -569,8 +574,8 @@ struct Heads {
 }
 
 /// The mutable version-plane state a deployment shares across its nodes:
-/// each datum's resolved head, the snapshot [`PinRegistry`], and (on the
-/// threaded backend) the claim/ready ledger of preserved pre-image chunks.
+/// each datum's resolved head, the snapshot [`PinRegistry`], and the
+/// claim/ready ledger of preserved pre-image chunks.
 ///
 /// The head is the one in-memory representation of where a datum's chain
 /// stands. The plane loads it cold from the catalog
@@ -658,14 +663,9 @@ impl VersionState {
         self.commit.lock()
     }
 
-    /// The shared snapshot pin registry.
-    pub fn pins(&self) -> PinRegistry {
-        Arc::clone(&self.pins)
-    }
-
     /// Open a pin on `(id, version)`.
     pub fn pin(&self, id: DataId, version: u64) -> SnapshotPin {
-        SnapshotPin::new(self.pins(), id, version)
+        SnapshotPin::new(Arc::clone(&self.pins), id, version)
     }
 
     /// Versions of `id` open snapshots currently pin, ascending.
@@ -762,7 +762,7 @@ impl VersionState {
         emptied
     }
 
-    /// The per-chunk commit lock: a threaded writer holds the locks of
+    /// The per-chunk commit lock: a writer holds the locks of
     /// every chunk it patches (acquired in ascending index order) across
     /// read-current / preserve / CAS / write-canonical, so disjoint
     /// writers run fully parallel while same-chunk writers serialize and
@@ -810,6 +810,217 @@ impl VersionState {
         self.settled.lock().remove(&id);
         self.chunk_locks.lock().retain(|(d, _), _| *d != id);
         self.pins.lock().retain(|(d, _), _| *d != id);
+    }
+}
+
+/// The version plane's operations over one deployment: `plane` holds the
+/// rows, the resolved heads, the pins and the preservation ledger, `store`
+/// the canonical objects and their per-chunk pre-image objects.
+pub(crate) struct VersionPlane<'a> {
+    pub plane: &'a ShardedPlane,
+    pub store: &'a dyn FileStore,
+}
+
+impl VersionPlane<'_> {
+    /// Commit `writes` against version `base` of a chunked datum. Only the
+    /// chunks the writes touch are read back, patched and re-digested;
+    /// their pre-images are preserved under per-chunk
+    /// [`versioned_object`] names before the head CAS publishes the new
+    /// row and the canonical bytes move. Returns the committed row; a
+    /// retryable [`BitdewError::VersionConflict`] means a concurrent
+    /// writer touched one of the same chunks first.
+    pub fn commit(
+        &self,
+        data: &Data,
+        base: u64,
+        writes: &[(u64, Vec<u8>)],
+    ) -> Result<VersionedManifest> {
+        let head = match self.plane.head(data.id)? {
+            Some(head) if base != 0 && base <= head.version => head,
+            head => {
+                let head = head.map_or(0, |h| h.version);
+                return Err(BitdewError::CatalogMiss {
+                    what: format!("version {base} of `{}` (head {head})", data.name),
+                });
+            }
+        };
+        let by_chunk = split_writes(head.chunk_size, head.total, writes)?;
+        let state = self.plane.version_state();
+        let object = data.object_name();
+
+        // Take the per-chunk commit locks in ascending index order:
+        // disjoint writers proceed in parallel, same-chunk writers
+        // serialize here instead of racing the byte I/O.
+        let locks: Vec<_> = by_chunk
+            .keys()
+            .map(|&i| state.chunk_lock(data.id, i))
+            .collect();
+        let _guards: Vec<_> = locks.iter().map(|l| l.lock()).collect();
+
+        // A chunk the head says was born after `base` was rewritten since:
+        // the head CAS would refuse this write, so conflict now. Otherwise
+        // its birth is the one `base` resolves too. Under the locks the
+        // canonical bytes of every touched chunk are settled; a settled
+        // birth other than the head's means a later version rewrote the
+        // chunk after `head` was read — conflict too, before any byte
+        // moves.
+        for &index in by_chunk.keys() {
+            let birth = head
+                .birth_of(index)
+                .ok_or_else(|| BitdewError::CatalogMiss {
+                    what: format!("chunk {index} of `{}`", data.name),
+                })?;
+            if birth > base || state.settled_birth(data.id, index) != birth {
+                return Err(BitdewError::VersionConflict {
+                    head: head.version,
+                    attempted: base,
+                });
+            }
+        }
+
+        let crc = bitdew_storage::crc32::crc32;
+        let mut changed = Vec::with_capacity(by_chunk.len());
+        let mut patched_chunks = Vec::with_capacity(by_chunk.len());
+        for (&index, segments) in &by_chunk {
+            let desc = *head.descriptor(index).expect("checked above");
+            let birth = head.birth_of(index).expect("checked above");
+            let chunk_off = index as u64 * head.chunk_size;
+            let current = self.store.read_at(&object, chunk_off, desc.len as usize)?;
+            // Preserve the pre-image before anything overwrites it. The
+            // claim is idempotent: if an earlier (conflicted or committed)
+            // writer already copied birth's bytes, that copy is still
+            // valid — canonical chunk bytes only move under this lock.
+            if state.claim_preserve(data.id, birth, index, desc.len) {
+                self.store
+                    .write_at(&versioned_object(&object, birth, index), 0, &current)?;
+                state.mark_preserved(data.id, birth, index);
+            }
+            let mut patched = current.to_vec();
+            for seg in segments {
+                let (_, bytes) = &writes[seg.write];
+                patched[seg.chunk_offset..seg.chunk_offset + (seg.end - seg.start)]
+                    .copy_from_slice(&bytes[seg.start..seg.end]);
+            }
+            changed.push(ChunkDescriptor {
+                index,
+                len: desc.len,
+                crc32: crc(&patched),
+            });
+            patched_chunks.push((index, chunk_off, patched));
+        }
+
+        // Publish through the head CAS. With the chunk locks held this can
+        // only conflict against a writer that bypassed this plane.
+        let row = VersionedManifest {
+            data: data.id,
+            version: base + 1,
+            parent: base,
+            chunk_size: head.chunk_size,
+            total: head.total,
+            changed,
+        };
+        // Unshared unless a snapshot holds it, the head advances in place.
+        drop(head);
+        let committed = self.plane.publish_version(&row)?;
+
+        // Only a committed writer moves the canonical bytes; settle each
+        // chunk at the new version before the locks release.
+        for (index, chunk_off, bytes) in patched_chunks {
+            self.store.write_at(&object, chunk_off, &bytes)?;
+            state.settle(data.id, index, committed.version);
+        }
+        Ok(committed)
+    }
+
+    /// Open a [`Snapshot`] pinned to the datum's current head version.
+    pub fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
+        let head = self.plane.head(data.id)?.ok_or_else(|| no_manifest(data))?;
+        let pin = self.plane.version_state().pin(data.id, head.version);
+        Ok(Snapshot::new(head, pin))
+    }
+
+    /// Read bytes `[offset, offset+len)` of `data` as of `snap`'s version
+    /// (short only at EOF). A chunk superseded since the snapshot reads
+    /// from its preserved pre-image object, an unchanged chunk from the
+    /// canonical object — with a preserve re-check after the canonical
+    /// read, so a commit racing this read can never leak post-snapshot
+    /// bytes.
+    pub fn get_range_at(
+        &self,
+        data: &Data,
+        snap: &Snapshot,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<u8>> {
+        let state = self.plane.version_state();
+        let object = data.object_name();
+        let pieces = snap.resolved().pieces(offset, len);
+        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len).sum());
+        for p in pieces {
+            // Pre-image objects hold only their chunk's bytes, offset 0.
+            let preserved = || {
+                self.store.read_at(
+                    &versioned_object(&object, p.birth, p.index),
+                    p.within,
+                    p.len,
+                )
+            };
+            let bytes = if state.is_preserved(data.id, p.birth, p.index) {
+                preserved()?
+            } else {
+                let canonical = self.store.read_at(&object, p.start, p.len)?;
+                if state.is_preserved(data.id, p.birth, p.index) {
+                    // A commit preserved (and possibly overwrote) the chunk
+                    // while we read it — the pre-image is authoritative.
+                    preserved()?
+                } else {
+                    canonical
+                }
+            };
+            out.extend_from_slice(&bytes);
+        }
+        Ok(out)
+    }
+
+    /// Reference-counted GC sweep over the datum's preserved pre-image
+    /// chunks: everything unreachable from the head and from every open
+    /// snapshot is reclaimed, its pre-image object removed from the store.
+    pub fn gc(&self, data: &Data) -> Result<GcReport> {
+        let state = self.plane.version_state();
+        // No commits move the head (or preserve new chunks) mid-sweep.
+        let _commit = state.commit_lock();
+        let head = self.plane.version_head(data.id)?;
+        let mut live_versions: Vec<u64> = state.pinned(data.id);
+        if head > 0 && !live_versions.contains(&head) {
+            live_versions.push(head);
+            live_versions.sort_unstable();
+        }
+        let live = self.plane.resolve_versions(data.id, &live_versions)?;
+        let object = data.object_name();
+        let mut report = GcReport {
+            live_versions,
+            ..GcReport::default()
+        };
+        for (birth, index, len) in gc_plan(&live, &state.preserved_inventory(data.id)) {
+            report.chunks_reclaimed += 1;
+            report.bytes_reclaimed += len as u64;
+            state.reclaim(data.id, birth, index);
+            let _ = self.store.remove(&versioned_object(&object, birth, index));
+            report.objects_removed += 1;
+        }
+        Ok(report)
+    }
+
+    /// Remove the datum's pre-image objects, then its catalog rows and
+    /// version state (the sweep needs the ledger the catalog delete
+    /// forgets).
+    pub fn delete(&self, data: &Data) -> Result<()> {
+        let object = data.object_name();
+        for (birth, index, _) in self.plane.version_state().preserved_inventory(data.id) {
+            let _ = self.store.remove(&versioned_object(&object, birth, index));
+        }
+        self.plane.delete_catalog(data.id)?;
+        Ok(())
     }
 }
 

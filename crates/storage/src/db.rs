@@ -16,6 +16,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
+use crate::codec::CodecError;
 use crate::crc32::crc32;
 use crate::wal::{self, LogRecord, SyncPolicy, WalWriter};
 
@@ -26,6 +27,8 @@ pub enum DbError {
     Io(std::io::Error),
     /// Snapshot file failed validation.
     CorruptSnapshot(&'static str),
+    /// A stored record failed to decode.
+    Codec(CodecError),
 }
 
 impl From<std::io::Error> for DbError {
@@ -39,11 +42,18 @@ impl std::fmt::Display for DbError {
         match self {
             DbError::Io(e) => write!(f, "i/o error: {e}"),
             DbError::CorruptSnapshot(w) => write!(f, "corrupt snapshot: {w}"),
+            DbError::Codec(e) => write!(f, "undecodable record: {e}"),
         }
     }
 }
 
 impl std::error::Error for DbError {}
+
+impl From<CodecError> for DbError {
+    fn from(e: CodecError) -> Self {
+        DbError::Codec(e)
+    }
+}
 
 /// Convenience alias.
 pub type DbResult<T> = Result<T, DbError>;

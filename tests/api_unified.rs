@@ -13,7 +13,8 @@ use bitdew::core::api::{ActiveData, BitDewApi, BitdewError, TransferManager};
 use bitdew::core::services::transfer::{TransferId, TransferState};
 use bitdew::core::simdriver::{SimBitdew, SimNode};
 use bitdew::core::{
-    BitdewNode, Data, DataAttributes, Locator, RuntimeConfig, ServiceContainer, REPLICA_ALL,
+    BitdewNode, ChunkManifest, Data, DataAttributes, Locator, RuntimeConfig, ServiceContainer,
+    VersionedManifest, REPLICA_ALL,
 };
 use bitdew::sim::{topology, Sim, SimDuration, SimTime, Trace};
 use bitdew::transport::ProtocolId;
@@ -152,7 +153,8 @@ fn answer<T>(r: bitdew::core::Result<T>) -> Answer<T> {
     r.map_err(|e| e.to_string())
 }
 
-/// What one backend answers for ranges whose end overflows.
+/// What one backend answers for ranges whose end overflows, for a slot
+/// `put` twice, and for a versioned chunked datum after its delete.
 #[derive(Debug, PartialEq)]
 struct EdgeAnswers {
     get_range: Answer<Vec<u8>>,
@@ -160,11 +162,19 @@ struct EdgeAnswers {
     get_range_local_chunked: Answer<Vec<u8>>,
     put_range: Answer<()>,
     put_range_chunked: Answer<()>,
+    reput_get_range: Answer<Vec<u8>>,
+    deleted_chunk_manifest: Answer<Option<ChunkManifest>>,
+    deleted_version_head: Answer<u64>,
+    deleted_version_manifest: Answer<Option<VersionedManifest>>,
+    deleted_held_chunks: Answer<Vec<u32>>,
+    deleted_fetch_chunks: Answer<u64>,
 }
 
 /// The contract's edges, written once for both backends: `wait_all`
 /// completes three concurrent gets and rejects an unknown id as a catalog
-/// miss; ranges whose end overflows read short or fail, never panic.
+/// miss; ranges whose end overflows read short or fail, never panic; a
+/// second, shorter `put` replaces the content; a deleted datum keeps no
+/// manifest, version or chunk behind.
 fn edge_contract<N: BitDewApi + TransferManager>(node: &N, payload: &[u8]) -> EdgeAnswers {
     let data: Vec<Data> = (0..3)
         .map(|i| {
@@ -187,6 +197,16 @@ fn edge_contract<N: BitDewApi + TransferManager>(node: &N, payload: &[u8]) -> Ed
     node.put_chunked(&chunked, payload, 4_096).unwrap();
     node.fetch_chunks(&chunked, &[0, 1, 2]).unwrap();
 
+    let slot = node.create_slot("edge.slot", 64).unwrap();
+    node.put(&slot, &[1; 50]).unwrap();
+    node.put(&slot, &[2; 30]).unwrap();
+
+    let doomed = node.create_data("edge.doomed", payload).unwrap();
+    node.put_chunked(&doomed, payload, 4_096).unwrap();
+    node.fetch_chunks(&doomed, &[0]).unwrap();
+    node.commit_update(&doomed, 1, &[(0, vec![7; 16])]).unwrap();
+    node.delete(&doomed).unwrap();
+
     let plain = &data[0];
     EdgeAnswers {
         get_range: answer(node.get_range(plain, 1, usize::MAX)),
@@ -194,6 +214,12 @@ fn edge_contract<N: BitDewApi + TransferManager>(node: &N, payload: &[u8]) -> Ed
         get_range_local_chunked: answer(node.get_range_local(&chunked, 1, usize::MAX)),
         put_range: answer(node.put_range(plain, u64::MAX - 1, b"xy")),
         put_range_chunked: answer(node.put_range(&chunked, u64::MAX - 1, b"xy")),
+        reput_get_range: answer(node.get_range(&slot, 0, 64)),
+        deleted_chunk_manifest: answer(node.chunk_manifest(doomed.id)),
+        deleted_version_head: answer(node.version_head(doomed.id)),
+        deleted_version_manifest: answer(node.version_manifest(doomed.id, 1)),
+        deleted_held_chunks: answer(node.held_chunks(&doomed)),
+        deleted_fetch_chunks: answer(node.fetch_chunks(&doomed, &[0, 1])),
     }
 }
 
@@ -220,6 +246,9 @@ fn both_backends_answer_the_contract_edges_identically() {
     assert_eq!(threaded.get_range_local, Ok(payload[1..].to_vec()));
     assert_eq!(threaded.get_range_local_chunked, Ok(payload[1..].to_vec()));
     assert!(threaded.put_range.is_err() && threaded.put_range_chunked.is_err());
+    assert_eq!(threaded.reput_get_range, Ok(vec![2; 30]));
+    assert_eq!(threaded.deleted_version_head, Ok(0));
+    assert!(threaded.deleted_fetch_chunks.is_err());
     assert_eq!(threaded, simulated);
 }
 
