@@ -54,6 +54,13 @@
 //!
 //! `VersionPlane` carries out the operations — commit, snapshot, read at a
 //! version, GC sweep, delete — over one service plane and content store.
+//! A commit's bytes cost what it changes, plus one pre-image: per touched
+//! chunk it reads the chunk once if it is the first to supersede that
+//! chunk's birth (and copies it to the pre-image object), otherwise only
+//! the patched window; it digests only the window, patching the head
+//! descriptor's CRC-32 by linearity ([`crc32_patch`]); and it writes only
+//! the window back into the canonical object, which stays the head's bytes
+//! for every other reader (chunk serving, repair, `get_range`).
 //! Both backends call the same operations: the threaded
 //! [`BitdewNode`](crate::BitdewNode) over its container's catalog and
 //! repository store, the simulator over a `MemStore` and in-memory DewDB
@@ -68,7 +75,8 @@ use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use bitdew_storage::codec::{decode_vec, encode_vec, CodecError, Decode, Encode};
-use bitdew_transport::FileStore;
+use bitdew_storage::crc32::crc32_patch;
+use bitdew_transport::{FileStore, StoreError};
 
 use crate::api::{BitdewError, Result};
 use crate::chunks::{ChunkDescriptor, ChunkManifest};
@@ -822,13 +830,23 @@ pub(crate) struct VersionPlane<'a> {
 }
 
 impl VersionPlane<'_> {
-    /// Commit `writes` against version `base` of a chunked datum. Only the
-    /// chunks the writes touch are read back, patched and re-digested;
-    /// their pre-images are preserved under per-chunk
-    /// [`versioned_object`] names before the head CAS publishes the new
-    /// row and the canonical bytes move. Returns the committed row; a
-    /// retryable [`BitdewError::VersionConflict`] means a concurrent
-    /// writer touched one of the same chunks first.
+    /// Commit `writes` against version `base` of a chunked datum. Per
+    /// touched chunk, only the window `[lo, hi)` its segments span is
+    /// patched, digested and written back:
+    ///
+    /// * **read** — the whole chunk once when this writer wins the
+    ///   pre-image claim (it copies the chunk under its per-chunk
+    ///   [`versioned_object`] name and patches from that read), otherwise
+    ///   only the window;
+    /// * **digest** — the new descriptor's CRC is the head descriptor's
+    ///   patched by [`crc32_patch`] over the window, O(window);
+    /// * **write** — after the head CAS publishes the new row, only the
+    ///   patched window lands in the canonical object, which therefore
+    ///   always holds the head's bytes.
+    ///
+    /// Returns the committed row; a retryable
+    /// [`BitdewError::VersionConflict`] means a concurrent writer touched
+    /// one of the same chunks first.
     pub fn commit(
         &self,
         data: &Data,
@@ -878,35 +896,61 @@ impl VersionPlane<'_> {
             }
         }
 
-        let crc = bitdew_storage::crc32::crc32;
+        // A canonical object shorter than its manifest is out of range, not
+        // a short chunk.
+        let read_exact = |offset: u64, len: usize| -> Result<Bytes> {
+            let bytes = self.store.read_at(&object, offset, len)?;
+            if bytes.len() != len {
+                return Err(StoreError::OutOfRange.into());
+            }
+            Ok(bytes)
+        };
         let mut changed = Vec::with_capacity(by_chunk.len());
-        let mut patched_chunks = Vec::with_capacity(by_chunk.len());
+        let mut patched_windows = Vec::with_capacity(by_chunk.len());
         for (&index, segments) in &by_chunk {
             let desc = *head.descriptor(index).expect("checked above");
             let birth = head.birth_of(index).expect("checked above");
             let chunk_off = index as u64 * head.chunk_size;
-            let current = self.store.read_at(&object, chunk_off, desc.len as usize)?;
+            // The window `[lo, hi)` of the chunk the segments span.
+            let lo = segments.iter().map(|s| s.chunk_offset).min().unwrap_or(0);
+            let hi = segments
+                .iter()
+                .map(|s| s.chunk_offset + (s.end - s.start))
+                .max()
+                .unwrap_or(lo);
             // Preserve the pre-image before anything overwrites it. The
             // claim is idempotent: if an earlier (conflicted or committed)
             // writer already copied birth's bytes, that copy is still
-            // valid — canonical chunk bytes only move under this lock.
-            if state.claim_preserve(data.id, birth, index, desc.len) {
+            // valid — canonical chunk bytes only move under this lock. The
+            // winner reads the whole chunk once and patches from it; a
+            // loser reads only the window.
+            let old = if state.claim_preserve(data.id, birth, index, desc.len) {
+                let current = read_exact(chunk_off, desc.len as usize)?;
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    bitdew_storage::crc32::crc32(&current),
+                    desc.crc32,
+                    "the head's descriptor must describe the canonical chunk {index}"
+                );
                 self.store
                     .write_at(&versioned_object(&object, birth, index), 0, &current)?;
                 state.mark_preserved(data.id, birth, index);
-            }
-            let mut patched = current.to_vec();
+                current.slice(lo..hi)
+            } else {
+                read_exact(chunk_off + lo as u64, hi - lo)?
+            };
+            let mut patched = old.to_vec();
             for seg in segments {
                 let (_, bytes) = &writes[seg.write];
-                patched[seg.chunk_offset..seg.chunk_offset + (seg.end - seg.start)]
-                    .copy_from_slice(&bytes[seg.start..seg.end]);
+                let at = seg.chunk_offset - lo;
+                patched[at..at + (seg.end - seg.start)].copy_from_slice(&bytes[seg.start..seg.end]);
             }
             changed.push(ChunkDescriptor {
                 index,
                 len: desc.len,
-                crc32: crc(&patched),
+                crc32: crc32_patch(desc.crc32, desc.len as u64, lo as u64, &old, &patched),
             });
-            patched_chunks.push((index, chunk_off, patched));
+            patched_windows.push((index, chunk_off + lo as u64, patched));
         }
 
         // Publish through the head CAS. With the chunk locks held this can
@@ -923,10 +967,11 @@ impl VersionPlane<'_> {
         drop(head);
         let committed = self.plane.publish_version(&row)?;
 
-        // Only a committed writer moves the canonical bytes; settle each
-        // chunk at the new version before the locks release.
-        for (index, chunk_off, bytes) in patched_chunks {
-            self.store.write_at(&object, chunk_off, &bytes)?;
+        // Only a committed writer moves the canonical bytes, and only the
+        // patched windows; settle each chunk at the new version before the
+        // locks release.
+        for (index, window_off, bytes) in patched_windows {
+            self.store.write_at(&object, window_off, &bytes)?;
             state.settle(data.id, index, committed.version);
         }
         Ok(committed)
@@ -985,6 +1030,8 @@ impl VersionPlane<'_> {
     /// Reference-counted GC sweep over the datum's preserved pre-image
     /// chunks: everything unreachable from the head and from every open
     /// snapshot is reclaimed, its pre-image object removed from the store.
+    /// A pre-image whose object the store fails to remove stays in the
+    /// ledger, uncounted, for the next sweep.
     pub fn gc(&self, data: &Data) -> Result<GcReport> {
         let state = self.plane.version_state();
         // No commits move the head (or preserve new chunks) mid-sweep.
@@ -1002,10 +1049,19 @@ impl VersionPlane<'_> {
             ..GcReport::default()
         };
         for (birth, index, len) in gc_plan(&live, &state.preserved_inventory(data.id)) {
+            // The ledger is the only index of pre-image objects: drop an
+            // entry only once its object is gone, so a failed remove is
+            // retried by the next sweep instead of leaking the object.
+            if self
+                .store
+                .remove(&versioned_object(&object, birth, index))
+                .is_err()
+            {
+                continue;
+            }
+            state.reclaim(data.id, birth, index);
             report.chunks_reclaimed += 1;
             report.bytes_reclaimed += len as u64;
-            state.reclaim(data.id, birth, index);
-            let _ = self.store.remove(&versioned_object(&object, birth, index));
             report.objects_removed += 1;
         }
         Ok(report)
@@ -1027,10 +1083,13 @@ impl VersionPlane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::services::catalog::DbAccess;
+    use bitdew_storage::{ConnectionPool, DewDb, EmbeddedDriver};
     use bitdew_util::Auid;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
     fn an_id(n: u64) -> DataId {
         let mut rng = SmallRng::seed_from_u64(n);
@@ -1301,6 +1360,159 @@ mod tests {
         assert!(state.reclaim(id, 1, 3), "last chunk empties the version");
         assert!(state.preserved_inventory(id).is_empty());
         state.forget(id);
+    }
+
+    /// A [`MemStore`](bitdew_transport::MemStore) that counts the bytes
+    /// read and written through it and fails the next `fail_removes`
+    /// removes.
+    #[derive(Default)]
+    struct ProbeStore {
+        inner: bitdew_transport::MemStore,
+        read: AtomicU64,
+        written: AtomicU64,
+        fail_removes: AtomicU32,
+    }
+
+    impl ProbeStore {
+        /// `(bytes read, bytes written)` since the last call.
+        fn take_io(&self) -> (u64, u64) {
+            (
+                self.read.swap(0, Ordering::Relaxed),
+                self.written.swap(0, Ordering::Relaxed),
+            )
+        }
+    }
+
+    type StoreResult<T> = std::result::Result<T, StoreError>;
+
+    impl FileStore for ProbeStore {
+        fn read_at(&self, name: &str, offset: u64, len: usize) -> StoreResult<Bytes> {
+            let bytes = self.inner.read_at(name, offset, len)?;
+            self.read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            Ok(bytes)
+        }
+        fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> StoreResult<()> {
+            self.written.fetch_add(data.len() as u64, Ordering::Relaxed);
+            self.inner.write_at(name, offset, data)
+        }
+        fn size(&self, name: &str) -> StoreResult<u64> {
+            self.inner.size(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn remove(&self, name: &str) -> StoreResult<()> {
+            let failing =
+                self.fail_removes
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+            if failing.is_ok() {
+                return Err(StoreError::Io(std::io::Error::other("injected")));
+            }
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+    }
+
+    const CHUNK: u64 = 256 * 1024;
+
+    /// A published `chunks`-chunk datum of `CHUNK`-byte chunks (the last
+    /// one `short` bytes short) in `store`, I/O counters reset.
+    fn published(store: &ProbeStore, seed: u64, chunks: u64, short: u64) -> (ShardedPlane, Data) {
+        let plane = ShardedPlane::new(std::num::NonZeroUsize::MIN, 3_000_000_000, 64, |_| {
+            let driver = Arc::new(EmbeddedDriver::new(DewDb::in_memory()));
+            DbAccess::Pooled(ConnectionPool::new(driver, 1))
+        });
+        let content: Vec<u8> = (0..chunks * CHUNK - short)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let data = Data::from_bytes(an_id(seed), "probe", &content);
+        store.write_at(&data.object_name(), 0, &content).unwrap();
+        plane
+            .put_manifest(&ChunkManifest::describe(data.id, CHUNK, &content))
+            .unwrap();
+        store.take_io();
+        (plane, data)
+    }
+
+    /// The head's chunk map equals a fresh describe of the canonical object.
+    fn assert_head_describes_store(plane: &ShardedPlane, store: &ProbeStore, data: &Data) {
+        let object = data.object_name();
+        let content = store.read_at(&object, 0, usize::MAX).unwrap();
+        let head = plane.head(data.id).unwrap().unwrap();
+        assert_eq!(
+            head.to_manifest(),
+            ChunkManifest::describe(data.id, CHUNK, &content)
+        );
+        store.take_io();
+    }
+
+    #[test]
+    fn a_commit_moves_one_pre_image_and_the_patched_window() {
+        let store = ProbeStore::default();
+        let (plane, data) = published(&store, 21, 3, 1000);
+        let vp = VersionPlane {
+            plane: &plane,
+            store: &store,
+        };
+        // 4 KiB inside chunk 1: the chunk is read once, copied to its
+        // pre-image, and only the 4 KiB go back.
+        vp.commit(&data, 1, &[(CHUNK + 1000, vec![0xAB; 4096])])
+            .unwrap();
+        assert_eq!(store.take_io(), (CHUNK, CHUNK + 4096));
+        assert_head_describes_store(&plane, &store, &data);
+        // 4 KiB straddling chunks 0 and 1: two chunk reads, two pre-images.
+        vp.commit(&data, 2, &[(CHUNK - 2048, vec![0xCD; 4096])])
+            .unwrap();
+        assert_eq!(store.take_io(), (2 * CHUNK, 2 * CHUNK + 4096));
+        assert_head_describes_store(&plane, &store, &data);
+        // A writer whose pre-image another writer already claimed (one that
+        // then lost the CAS) reads only its window: here two writes into
+        // the short last chunk, spanning 100..5000.
+        let last = 2 * CHUNK;
+        let state = plane.version_state();
+        assert!(state.claim_preserve(data.id, 1, 2, (CHUNK - 1000) as u32));
+        vp.commit(
+            &data,
+            3,
+            &[(last + 100, vec![1; 900]), (last + 4000, vec![2; 1000])],
+        )
+        .unwrap();
+        assert_eq!(store.take_io(), (4900, 4900));
+        assert_head_describes_store(&plane, &store, &data);
+    }
+
+    #[test]
+    fn gc_keeps_a_pre_image_whose_remove_failed_until_a_sweep_removes_it() {
+        let store = ProbeStore::default();
+        let (plane, data) = published(&store, 22, 2, 0);
+        let vp = VersionPlane {
+            plane: &plane,
+            store: &store,
+        };
+        vp.commit(&data, 1, &[(10, vec![9; 64])]).unwrap();
+        let pre_image = versioned_object(&data.object_name(), 1, 0);
+        assert!(store.exists(&pre_image));
+
+        store.fail_removes.store(1, Ordering::Relaxed);
+        let first = vp.gc(&data).unwrap();
+        assert_eq!((first.chunks_reclaimed, first.objects_removed), (0, 0));
+        assert_eq!(
+            plane.version_state().preserved_inventory(data.id),
+            vec![(1, 0, CHUNK as u32)],
+            "the failed remove keeps its ledger entry"
+        );
+        assert!(store.exists(&pre_image));
+
+        let second = vp.gc(&data).unwrap();
+        assert_eq!((second.chunks_reclaimed, second.objects_removed), (1, 1));
+        assert_eq!(second.bytes_reclaimed, CHUNK);
+        assert!(plane
+            .version_state()
+            .preserved_inventory(data.id)
+            .is_empty());
+        assert!(!store.list().iter().any(|name| name.contains("@v")));
     }
 
     proptest! {

@@ -18,6 +18,8 @@ use bitdew::core::{
 };
 use bitdew::sim::{topology, Sim, SimDuration, SimTime, Trace};
 use bitdew::transport::ProtocolId;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// The generic scenario: create + put a replicated datum and a per-protocol
 /// one, schedule both (batched), pump everyone until the workers hold them,
@@ -250,6 +252,70 @@ fn both_backends_answer_the_contract_edges_identically() {
     assert_eq!(threaded.deleted_version_head, Ok(0));
     assert!(threaded.deleted_fetch_chunks.is_err());
     assert_eq!(threaded, simulated);
+}
+
+/// Random commits of one to three writes each, after three scripted ones:
+/// two overlapping writes in one commit, a write straddling a chunk
+/// boundary, and a write into the short last chunk. After every commit the
+/// head's chunk map equals a fresh describe of the model content, so each
+/// patched CRC equals a full recompute; at the end the canonical bytes are
+/// the model's.
+fn head_digests_follow_commits<N: BitDewApi>(node: &N, seed: u64) {
+    const CHUNK: u64 = 4_096;
+    let mut model: Vec<u8> = (0..5 * CHUNK + 1_000).map(|i| (i % 251) as u8).collect();
+    let total = model.len() as u64;
+    let data = node.create_data("digests", &model).unwrap();
+    node.put_chunked(&data, &model, CHUNK).unwrap();
+
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut commits: Vec<Vec<(u64, Vec<u8>)>> = vec![
+        vec![(100, vec![1; 300]), (250, vec![2; 300])],
+        vec![(CHUNK - 10, vec![3; 20])],
+        vec![(total - 500, vec![4; 200])],
+    ];
+    for _ in 0..40 {
+        let writes = (0..rng.gen_range(1..4))
+            .map(|_| {
+                let len = rng.gen_range(1..2 * CHUNK);
+                let offset = rng.gen_range(0..total - len);
+                (offset, (0..len).map(|_| rng.gen()).collect())
+            })
+            .collect();
+        commits.push(writes);
+    }
+
+    let mut version = 1;
+    for writes in &commits {
+        version = node.commit_update(&data, version, writes).unwrap();
+        for (offset, bytes) in writes {
+            let at = *offset as usize;
+            model[at..at + bytes.len()].copy_from_slice(bytes);
+        }
+        assert_eq!(
+            node.chunk_manifest(data.id).unwrap(),
+            Some(ChunkManifest::describe(data.id, CHUNK, &model)),
+            "head digests after version {version}"
+        );
+    }
+    assert_eq!(version, 1 + commits.len() as u64);
+    assert_eq!(node.get_range(&data, 0, model.len()).unwrap(), model);
+}
+
+#[test]
+fn head_digests_equal_a_fresh_describe_on_both_backends() {
+    let c = ServiceContainer::start(RuntimeConfig::default());
+    head_digests_follow_commits(&BitdewNode::new(Arc::clone(&c)), 31);
+
+    let topo = topology::gdx_cluster(1);
+    let sim = Rc::new(RefCell::new(Sim::new(31)));
+    let driver = SimBitdew::new(
+        topo.net.clone(),
+        topo.service,
+        SimDuration::from_secs(1),
+        Trace::new(),
+    );
+    let node = SimNode::attach(&sim, &driver, topo.workers[0], SimTime::ZERO);
+    head_digests_follow_commits(&node, 31);
 }
 
 #[test]
