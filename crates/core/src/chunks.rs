@@ -282,9 +282,11 @@ impl ChunkStore {
         Ok(())
     }
 
-    /// Read bytes `[offset, offset+len)` of `object`.
-    pub fn get_range(&self, object: &str, offset: u64, len: usize) -> Result<Bytes> {
-        Ok(self.inner.read_at(object, offset, len)?)
+    /// Read bytes `[offset, offset+len)` of `object` (short only at EOF).
+    pub fn get_range(&self, object: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.inner.read_into(object, offset, len, &mut out)?;
+        Ok(out)
     }
 
     /// Whether chunk `index` of `object` has been verified into the store.

@@ -645,10 +645,10 @@ impl BitdewNode {
     /// Read the locally cached content of `data` (after a completed `get`
     /// or a scheduled copy).
     pub fn read_local(&self, data: &Data) -> Result<Vec<u8>> {
-        let bytes = self
-            .local
-            .read_at(&data.object_name(), 0, data.size as usize)?;
-        Ok(bytes.to_vec())
+        let mut out = Vec::new();
+        self.local
+            .read_into(&data.object_name(), 0, data.size as usize, &mut out)?;
+        Ok(out)
     }
 
     // --- Chunked data plane -----------------------------------------------
@@ -774,10 +774,7 @@ impl BitdewNode {
     /// verified chunk store — the compute plane's data-local read path
     /// (no network; contrast [`BitdewNode::get_range`]).
     pub fn get_range_local(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
-        Ok(self
-            .chunk_store
-            .get_range(&data.object_name(), offset, len)?
-            .to_vec())
+        self.chunk_store.get_range(&data.object_name(), offset, len)
     }
 
     /// Start serving this node's local store to peers over the FTP range

@@ -89,20 +89,22 @@ impl DataRepository {
     }
 
     /// Read a datum's full content out of the repository: one sized
-    /// allocation and (for the in-process stores) one read — the loop only
-    /// fires on a short read, i.e. when the object shrank concurrently.
+    /// allocation and (for the in-process stores) one read straight into
+    /// it — the loop only fires on a short read, i.e. when the object
+    /// shrank concurrently.
     pub fn get_bytes(&self, data: &Data) -> Result<Vec<u8>> {
         let name = data.object_name();
         let size = self.store.size(&name)?;
         let mut out = Vec::with_capacity(size as usize);
         while (out.len() as u64) < size {
-            let chunk = self
+            let want = (size as usize) - out.len();
+            if self
                 .store
-                .read_at(&name, out.len() as u64, (size as usize) - out.len())?;
-            if chunk.is_empty() {
+                .read_into(&name, out.len() as u64, want, &mut out)?
+                == 0
+            {
                 break;
             }
-            out.extend_from_slice(&chunk);
         }
         Ok(out)
     }
@@ -120,10 +122,10 @@ impl DataRepository {
     /// Read a byte range of a datum out of the repository (short only at
     /// EOF).
     pub fn get_range(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
-        Ok(self
-            .store
-            .read_at(&data.object_name(), offset, len)?
-            .to_vec())
+        let mut out = Vec::new();
+        self.store
+            .read_into(&data.object_name(), offset, len, &mut out)?;
+        Ok(out)
     }
 
     /// Whether content for `data` is present.

@@ -544,7 +544,10 @@ impl SimBitdew {
             return Ok(vec![0; len.min(size.saturating_sub(offset) as usize)]);
         }
         let end = st.store.size(&object)?;
-        Ok(st.store.read_at(&object, offset.min(end), len)?.to_vec())
+        let mut out = Vec::new();
+        st.store
+            .read_into(&object, offset.min(end), len, &mut out)?;
+        Ok(out)
     }
 
     /// Store the `size` modeled zero bytes of a datum never `put`, so a

@@ -985,11 +985,12 @@ impl VersionPlane<'_> {
     }
 
     /// Read bytes `[offset, offset+len)` of `data` as of `snap`'s version
-    /// (short only at EOF). A chunk superseded since the snapshot reads
-    /// from its preserved pre-image object, an unchanged chunk from the
-    /// canonical object — with a preserve re-check after the canonical
-    /// read, so a commit racing this read can never leak post-snapshot
-    /// bytes.
+    /// (short only at EOF), copying each byte once: every piece is read
+    /// straight into the returned buffer. A chunk superseded since the
+    /// snapshot reads from its preserved pre-image object, an unchanged
+    /// chunk from the canonical object — with a preserve re-check after the
+    /// canonical read, so a commit racing this read can never leak
+    /// post-snapshot bytes.
     pub fn get_range_at(
         &self,
         data: &Data,
@@ -1003,26 +1004,27 @@ impl VersionPlane<'_> {
         let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len).sum());
         for p in pieces {
             // Pre-image objects hold only their chunk's bytes, offset 0.
-            let preserved = || {
-                self.store.read_at(
+            let preserved = |out: &mut Vec<u8>| {
+                self.store.read_into(
                     &versioned_object(&object, p.birth, p.index),
                     p.within,
                     p.len,
+                    out,
                 )
             };
-            let bytes = if state.is_preserved(data.id, p.birth, p.index) {
-                preserved()?
-            } else {
-                let canonical = self.store.read_at(&object, p.start, p.len)?;
-                if state.is_preserved(data.id, p.birth, p.index) {
-                    // A commit preserved (and possibly overwrote) the chunk
-                    // while we read it — the pre-image is authoritative.
-                    preserved()?
-                } else {
-                    canonical
-                }
-            };
-            out.extend_from_slice(&bytes);
+            if state.is_preserved(data.id, p.birth, p.index) {
+                preserved(&mut out)?;
+                continue;
+            }
+            let mark = out.len();
+            self.store.read_into(&object, p.start, p.len, &mut out)?;
+            if state.is_preserved(data.id, p.birth, p.index) {
+                // A commit preserved (and possibly overwrote) the chunk
+                // while we read it — drop what we read, the pre-image is
+                // authoritative.
+                out.truncate(mark);
+                preserved(&mut out)?;
+            }
         }
         Ok(out)
     }
@@ -1415,6 +1417,43 @@ mod tests {
         }
     }
 
+    /// A store over a [`ProbeStore`] whose first `read_at` of `object` at
+    /// `race_at` runs `race` before reading: a commit that lands while the
+    /// canonical read is in flight, so the read returns post-commit bytes.
+    /// `read_into` keeps the trait default, which reads through `read_at`.
+    struct RacingStore<'a> {
+        inner: &'a ProbeStore,
+        object: String,
+        race_at: u64,
+        race: Mutex<Option<Box<dyn FnOnce() + Send + 'a>>>,
+    }
+
+    impl FileStore for RacingStore<'_> {
+        fn read_at(&self, name: &str, offset: u64, len: usize) -> StoreResult<Bytes> {
+            if name == self.object && offset == self.race_at {
+                if let Some(race) = self.race.lock().take() {
+                    race();
+                }
+            }
+            self.inner.read_at(name, offset, len)
+        }
+        fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> StoreResult<()> {
+            self.inner.write_at(name, offset, data)
+        }
+        fn size(&self, name: &str) -> StoreResult<u64> {
+            self.inner.size(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn remove(&self, name: &str) -> StoreResult<()> {
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+    }
+
     const CHUNK: u64 = 256 * 1024;
 
     /// A published `chunks`-chunk datum of `CHUNK`-byte chunks (the last
@@ -1481,6 +1520,50 @@ mod tests {
         .unwrap();
         assert_eq!(store.take_io(), (4900, 4900));
         assert_head_describes_store(&plane, &store, &data);
+    }
+
+    #[test]
+    fn a_snapshot_read_racing_a_commit_returns_the_pre_image() {
+        let probe = ProbeStore::default();
+        let (plane, data) = published(&probe, 23, 3, 0);
+        let original = |at: u64| (at % 251) as u8;
+        // A read spanning chunks 0 and 1; the race hits the second piece,
+        // whose canonical read starts at `CHUNK`.
+        let (offset, len) = (CHUNK - 1000, 3000);
+        let racing = RacingStore {
+            inner: &probe,
+            object: data.object_name(),
+            race_at: CHUNK,
+            race: Mutex::new(None),
+        };
+        let reader = VersionPlane {
+            plane: &plane,
+            store: &racing,
+        };
+        let snap = reader.open_snapshot(&data).unwrap();
+        let writer = VersionPlane {
+            plane: &plane,
+            store: &probe,
+        };
+        let race_data = data.clone();
+        *racing.race.lock() = Some(Box::new(move || {
+            writer
+                .commit(&race_data, 1, &[(CHUNK + 500, vec![0xEE; 1000])])
+                .unwrap();
+        }));
+
+        let got = reader.get_range_at(&data, &snap, offset, len).unwrap();
+        assert!(racing.race.lock().is_none(), "the commit raced the read");
+        assert_eq!(got.len(), len, "no stale prefix, no short read");
+        let want: Vec<u8> = (offset..offset + len as u64).map(original).collect();
+        assert!(got == want, "the snapshot reads its own version's bytes");
+
+        // The commit landed: the head reads the patch.
+        let head = reader.open_snapshot(&data).unwrap();
+        assert_eq!(head.version(), 2);
+        let now = reader.get_range_at(&data, &head, CHUNK, 2000).unwrap();
+        assert_eq!(&now[..500], &want[1000..1500]);
+        assert_eq!(&now[500..1500], &[0xEE; 1000][..]);
     }
 
     #[test]

@@ -361,7 +361,10 @@ impl NonBlockingOobTransfer for HttpTransfer {}
 
 /// One-shot bounded range fetch: `GET /<object>` with `Range: bytes=from-to`
 /// (inclusive end), one request per connection in the module's stateless
-/// style. Returns exactly the window's bytes (short only at EOF).
+/// style. Returns exactly the window's bytes (short only at EOF). A reply
+/// that announces more than `len` bytes, or sends more than it announced,
+/// is [`TransportError::Protocol`]: the allocation is sized by the request,
+/// never by a number off the wire.
 pub fn fetch_range(
     fabric: &Fabric,
     remote: &str,
@@ -372,10 +375,12 @@ pub fn fetch_range(
     if len == 0 {
         return Ok(Bytes::new());
     }
+    let last = offset
+        .checked_add(u64::from(len) - 1) // inclusive end
+        .ok_or_else(|| TransportError::Protocol("range past the end of u64".into()))?;
     let conn = fabric
         .connect(remote)
         .map_err(|e| TransportError::ConnectFailed(e.to_string()))?;
-    let last = offset + len as u64 - 1; // inclusive end
     conn.send(Bytes::from(format!(
         "GET /{object}\nRange: bytes={offset}-{last}"
     )))?;
@@ -389,9 +394,21 @@ pub fn fetch_range(
         .find_map(|l| l.strip_prefix("Content-Length: "))
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| TransportError::Protocol("206 without Content-Length".into()))?;
-    let mut buf = Vec::with_capacity(total as usize);
-    while (buf.len() as u64) < total {
-        buf.extend_from_slice(&conn.recv()?);
+    if total > u64::from(len) {
+        return Err(TransportError::Protocol(format!(
+            "206 announces {total} bytes for a {len}-byte range"
+        )));
+    }
+    let total = total as usize; // ≤ len: u32
+    let mut buf = Vec::with_capacity(total);
+    while buf.len() < total {
+        let frame = conn.recv()?;
+        if frame.len() > total - buf.len() {
+            return Err(TransportError::Protocol(format!(
+                "206 body longer than its Content-Length of {total}"
+            )));
+        }
+        buf.extend_from_slice(&frame);
     }
     Ok(Bytes::from(buf))
 }
@@ -400,6 +417,7 @@ pub fn fetch_range(
 mod tests {
     use super::*;
     use crate::store::MemStore;
+    use std::thread::JoinHandle;
     use std::time::Duration;
 
     fn payload(n: usize) -> Vec<u8> {
@@ -492,6 +510,69 @@ mod tests {
         assert!(matches!(
             fetch_range(&fabric, "http", "ghost", 0, 8),
             Err(TransportError::NoSuchObject(_))
+        ));
+    }
+
+    /// A listener `name` that answers one request with `head` and then
+    /// `body`, as a misbehaving peer would.
+    fn lying_peer(fabric: &Fabric, name: &str, head: &str, body: Vec<u8>) -> JoinHandle<()> {
+        let listener = fabric.listen(name);
+        let head = head.to_string();
+        std::thread::spawn(move || {
+            let conn = listener.accept().unwrap();
+            conn.recv().unwrap();
+            conn.send(Bytes::from(head)).unwrap();
+            if !body.is_empty() {
+                // The client may hang up first; that is its answer.
+                let _ = conn.send(Bytes::from(body));
+            }
+        })
+    }
+
+    #[test]
+    fn range_reply_larger_than_the_request_is_refused() {
+        let fabric = Fabric::new();
+        // A length no allocator can give: refused before any allocation,
+        // not a capacity-overflow panic.
+        let peer = lying_peer(
+            &fabric,
+            "huge",
+            "206 Partial Content\nContent-Length: 18446744073709551615",
+            Vec::new(),
+        );
+        assert!(matches!(
+            fetch_range(&fabric, "huge", "obj", 0, 64),
+            Err(TransportError::Protocol(_))
+        ));
+        peer.join().unwrap();
+        // A valid length above the request's is refused too.
+        let peer = lying_peer(
+            &fabric,
+            "more",
+            "206 Partial Content\nContent-Length: 65",
+            vec![0; 65],
+        );
+        assert!(matches!(
+            fetch_range(&fabric, "more", "obj", 0, 64),
+            Err(TransportError::Protocol(_))
+        ));
+        peer.join().unwrap();
+        // A body longer than its own Content-Length.
+        let peer = lying_peer(
+            &fabric,
+            "over",
+            "206 Partial Content\nContent-Length: 8",
+            vec![7; 16],
+        );
+        assert!(matches!(
+            fetch_range(&fabric, "over", "obj", 0, 8),
+            Err(TransportError::Protocol(_))
+        ));
+        peer.join().unwrap();
+        // A window ending past u64::MAX never reaches the wire.
+        assert!(matches!(
+            fetch_range(&fabric, "over", "obj", u64::MAX, 2),
+            Err(TransportError::Protocol(_))
         ));
     }
 

@@ -11,6 +11,16 @@
 //! Both support partial writes at offsets, which is what makes interrupted
 //! transfers *resumable* — the Data Transfer service restarts a faulty
 //! transfer from the last verified offset instead of from zero.
+//!
+//! A read copies each byte once. [`FileStore::read_at`] copies the range
+//! into fresh shared storage (a [`Bytes`]) — the primitive for callers that
+//! hand the bytes on whole: the FTP `RANGE` and HTTP servers, the BitTorrent
+//! piece server, streaming verification and [`FileStore::checksum`].
+//! [`FileStore::read_into`] copies the range straight onto the end of the
+//! caller's `Vec` — the primitive for callers that assemble a `Vec`: the
+//! version plane's snapshot reads, the repository's `get_bytes` /
+//! `get_range`, and the runtime's and simulator's local reads. Neither path
+//! reads into a temporary and copies again.
 
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -52,9 +62,32 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// Random-access content storage by object name.
+///
+/// Copy contract: `read_at` is one copy into shared storage, `read_into` one
+/// copy into the caller's buffer (see the module docs for who uses which).
 pub trait FileStore: Send + Sync {
-    /// Bytes `[offset, offset+len)` of `name`. Short reads only at EOF.
+    /// Bytes `[offset, offset+len)` of `name`, copied once into a fresh
+    /// [`Bytes`]. Short reads only at EOF; an `offset` past EOF is
+    /// [`StoreError::OutOfRange`], a missing object [`StoreError::NotFound`].
     fn read_at(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, StoreError>;
+    /// Append bytes `[offset, offset+len)` of `name` to `out` and return how
+    /// many were appended: short only at EOF, and failing in exactly the
+    /// cases [`FileStore::read_at`] fails, with `out` then unchanged.
+    ///
+    /// The default reads through `read_at` (so a wrapper that overrides only
+    /// `read_at` still sees, and counts, every read); the stores override it
+    /// to copy straight into `out`.
+    fn read_into(
+        &self,
+        name: &str,
+        offset: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, StoreError> {
+        let bytes = self.read_at(name, offset, len)?;
+        out.extend_from_slice(&bytes);
+        Ok(bytes.len())
+    }
     /// Write `data` into `name` at `offset`, extending (zero-filling any gap)
     /// as needed. Creates the object if missing.
     fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), StoreError>;
@@ -114,21 +147,46 @@ impl MemStore {
             .write()
             .insert(name.to_string(), content.to_vec());
     }
-}
 
-impl FileStore for MemStore {
-    fn read_at(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, StoreError> {
+    /// Run `f` on bytes `[offset, offset+len)` of `name` (short at EOF)
+    /// under the read lock.
+    fn with_range<T>(
+        &self,
+        name: &str,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, StoreError> {
         let objects = self.objects.read();
         let data = objects
             .get(name)
             .ok_or_else(|| StoreError::NotFound(name.into()))?;
-        let off = offset as usize;
+        let off = usize::try_from(offset).map_err(|_| StoreError::OutOfRange)?;
         if off > data.len() {
             return Err(StoreError::OutOfRange);
         }
         // `len` can come straight off the wire (`RANGE <name> 1 <usize::MAX>`).
         let end = off.saturating_add(len).min(data.len());
-        Ok(Bytes::copy_from_slice(&data[off..end]))
+        Ok(f(&data[off..end]))
+    }
+}
+
+impl FileStore for MemStore {
+    fn read_at(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, StoreError> {
+        self.with_range(name, offset, len, Bytes::copy_from_slice)
+    }
+
+    fn read_into(
+        &self,
+        name: &str,
+        offset: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, StoreError> {
+        self.with_range(name, offset, len, |range| {
+            out.extend_from_slice(range);
+            range.len()
+        })
     }
 
     fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), StoreError> {
@@ -199,6 +257,18 @@ impl DiskStore {
 
 impl FileStore for DiskStore {
     fn read_at(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, StoreError> {
+        let mut buf = Vec::new();
+        self.read_into(name, offset, len, &mut buf)?;
+        Ok(Bytes::from(buf))
+    }
+
+    fn read_into(
+        &self,
+        name: &str,
+        offset: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, StoreError> {
         let path = self.path_for(name);
         let mut file = std::fs::File::open(&path).map_err(|_| StoreError::NotFound(name.into()))?;
         let size = file.metadata()?.len();
@@ -206,10 +276,14 @@ impl FileStore for DiskStore {
             return Err(StoreError::OutOfRange);
         }
         file.seek(SeekFrom::Start(offset))?;
-        let take = len.min((size - offset) as usize);
-        let mut buf = vec![0u8; take];
-        file.read_exact(&mut buf)?;
-        Ok(Bytes::from(buf))
+        let take = usize::try_from(size - offset).map_or(len, |rest| rest.min(len));
+        let start = out.len();
+        out.resize(start + take, 0);
+        if let Err(e) = file.read_exact(&mut out[start..]) {
+            out.truncate(start);
+            return Err(e.into());
+        }
+        Ok(take)
     }
 
     fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), StoreError> {
@@ -260,6 +334,7 @@ impl FileStore for DiskStore {
 mod tests {
     use super::*;
     use bitdew_storage::testutil::TempDir;
+    use proptest::prelude::*;
 
     fn exercise(store: &dyn FileStore) {
         assert!(!store.exists("f"));
@@ -287,9 +362,40 @@ mod tests {
         store.write_at("f", 0, b"HELLO").unwrap();
         assert_eq!(&store.read_at("f", 0, 5).unwrap()[..], b"HELLO");
 
+        exercise_read_into(store);
+
         store.remove("f").unwrap();
         assert!(!store.exists("f"));
         store.remove("f").unwrap(); // idempotent
+    }
+
+    /// The `read_into` contract on the 16-byte `f` that `exercise` leaves.
+    fn exercise_read_into(store: &dyn FileStore) {
+        // Appends after what `out` already holds and returns the count.
+        let mut out = b">>".to_vec();
+        assert_eq!(store.read_into("f", 0, 5, &mut out).unwrap(), 5);
+        assert_eq!(out, b">>HELLO");
+        assert_eq!(store.read_into("f", 5, 6, &mut out).unwrap(), 6);
+        assert_eq!(out, b">>HELLO world");
+        // Short at EOF, empty exactly at EOF, and a `usize::MAX` length is
+        // a short read, not an overflow.
+        let mut out = Vec::new();
+        assert_eq!(store.read_into("f", 12, 100, &mut out).unwrap(), 4);
+        assert_eq!(out, [0, 0, 0, b'!']);
+        assert_eq!(store.read_into("f", 16, 100, &mut out).unwrap(), 0);
+        assert_eq!(store.read_into("f", 15, usize::MAX, &mut out).unwrap(), 1);
+        assert_eq!(out, [0, 0, 0, b'!', b'!']);
+        // Past EOF and a missing object fail as `read_at` does, and leave
+        // `out` as it was.
+        assert!(matches!(
+            store.read_into("f", 17, 1, &mut out),
+            Err(StoreError::OutOfRange)
+        ));
+        assert!(matches!(
+            store.read_into("missing", 0, 1, &mut out),
+            Err(StoreError::NotFound(_))
+        ));
+        assert_eq!(out, [0, 0, 0, b'!', b'!']);
     }
 
     #[test]
@@ -344,6 +450,78 @@ mod tests {
         let disk = DiskStore::new(dir.path()).unwrap();
         disk.write_at("f", 0, b"abc").unwrap();
         assert_eq!(&disk.read_at("f", 1, usize::MAX).unwrap()[..], b"bc");
+    }
+
+    /// A store that overrides only the required methods, so `read_into`
+    /// keeps the trait default.
+    struct Forwarding(Arc<MemStore>);
+
+    impl FileStore for Forwarding {
+        fn read_at(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, StoreError> {
+            self.0.read_at(name, offset, len)
+        }
+        fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), StoreError> {
+            self.0.write_at(name, offset, data)
+        }
+        fn size(&self, name: &str) -> Result<u64, StoreError> {
+            self.0.size(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.0.exists(name)
+        }
+        fn remove(&self, name: &str) -> Result<(), StoreError> {
+            self.0.remove(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.0.list()
+        }
+    }
+
+    #[test]
+    fn default_read_into_keeps_the_contract() {
+        exercise(&Forwarding(MemStore::new()));
+    }
+
+    proptest! {
+        /// `read_into` appends exactly what `read_at` returns, and fails
+        /// where it fails, on both stores and on the trait default.
+        #[test]
+        fn read_into_equals_read_at(
+            content in proptest::collection::vec(any::<u8>(), 0..3000),
+            offset_pick in any::<u64>(),
+            len_pick in any::<u64>(),
+            prefix in proptest::collection::vec(any::<u8>(), 0..8),
+        ) {
+            // Offsets up to a few bytes past EOF; lengths short, long, huge.
+            let offset = offset_pick % (content.len() as u64 + 4);
+            let len = match len_pick % 4 {
+                0 => 0,
+                1 => (len_pick >> 2) as usize % (content.len() + 8),
+                2 => content.len(),
+                _ => usize::MAX,
+            };
+            let dir = TempDir::new("read-into-prop");
+            let stores: [Arc<dyn FileStore>; 3] = [
+                MemStore::new(),
+                DiskStore::new(dir.path()).unwrap(),
+                Arc::new(Forwarding(MemStore::new())),
+            ];
+            for store in &stores {
+                store.write_at("o", 0, &content).unwrap();
+                let mut out = prefix.clone();
+                match (store.read_at("o", offset, len), store.read_into("o", offset, len, &mut out)) {
+                    (Ok(bytes), Ok(n)) => {
+                        prop_assert_eq!(n, bytes.len());
+                        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+                        prop_assert_eq!(&out[prefix.len()..], &bytes[..]);
+                    }
+                    (Err(StoreError::OutOfRange), Err(StoreError::OutOfRange)) => {
+                        prop_assert_eq!(&out, &prefix);
+                    }
+                    (a, b) => prop_assert!(false, "read_at {a:?} vs read_into {b:?}"),
+                }
+            }
+        }
     }
 
     #[test]
