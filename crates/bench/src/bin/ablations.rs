@@ -90,7 +90,7 @@ fn ablate_pool_size() {
                     for i in 0..2000u32 {
                         let mut c = pool.checkout().expect("checkout");
                         c.exec(DbOp::Put {
-                            table: "t".into(),
+                            table: "t",
                             key: (t * 10_000 + i).to_le_bytes().to_vec(),
                             value: b"v".to_vec(),
                         })

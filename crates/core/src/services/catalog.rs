@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use bitdew_storage::codec::{Decode, Encode};
 use bitdew_storage::{ConnectionPool, DbDriver, DbOp, DbReply, DbResult};
+use bitdew_transport::ProtocolId;
 
 use crate::api::Result;
 use crate::chunks::ChunkManifest;
@@ -34,6 +35,44 @@ pub(crate) fn version_key(id: DataId, version: u64) -> Vec<u8> {
     let mut key = id.0.to_le_bytes().to_vec();
     key.extend_from_slice(&version.to_be_bytes());
     key
+}
+
+/// Key of a `dc_name` row: `<name>\0<id>`, so same-named data coexist.
+fn name_key(name: &str, id: DataId) -> Vec<u8> {
+    let id = id.0.to_le_bytes();
+    let mut key = Vec::with_capacity(name.len() + 1 + id.len());
+    key.extend_from_slice(name.as_bytes());
+    key.push(0);
+    key.extend_from_slice(&id);
+    key
+}
+
+/// Key of a `dc_locator` row: data id + protocol name, so one locator per
+/// (data, protocol).
+fn locator_key(id: DataId, protocol: &ProtocolId) -> Vec<u8> {
+    let id = id.0.to_le_bytes();
+    let mut key = Vec::with_capacity(id.len() + protocol.0.len());
+    key.extend_from_slice(&id);
+    key.extend_from_slice(protocol.0.as_bytes());
+    key
+}
+
+/// A datum's two rows: `dc_data` (id → datum) and the `dc_name` index
+/// (name key → id).
+fn register_ops(data: &Data) -> [DbOp; 2] {
+    let id = data.id.0.to_le_bytes().to_vec();
+    [
+        DbOp::Put {
+            table: T_DATA,
+            key: id.clone(),
+            value: data.encode_to_vec(),
+        },
+        DbOp::Put {
+            table: T_NAME,
+            key: name_key(&data.name, data.id),
+            value: id,
+        },
+    ]
 }
 
 /// How the DC reaches its database (Table 2's pooling axis).
@@ -89,20 +128,9 @@ impl DataCatalog {
     /// Register (or overwrite) a datum. This is the "data slot creation"
     /// operation Table 2 benchmarks.
     pub fn register(&self, data: &Data) -> Result<()> {
-        self.db.exec(DbOp::Put {
-            table: T_DATA.into(),
-            key: data.id.0.to_le_bytes().to_vec(),
-            value: data.to_bytes().to_vec(),
-        })?;
-        // Name index: `<name>\0<id>` → id, so same-named data coexist.
-        let mut key = data.name.as_bytes().to_vec();
-        key.push(0);
-        key.extend_from_slice(&data.id.0.to_le_bytes());
-        self.db.exec(DbOp::Put {
-            table: T_NAME.into(),
-            key,
-            value: data.id.0.to_le_bytes().to_vec(),
-        })?;
+        let [row, name] = register_ops(data);
+        self.db.exec(row)?;
+        self.db.exec(name)?;
         self.registered
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
@@ -110,36 +138,28 @@ impl DataCatalog {
 
     /// Batched [`DataCatalog::register`]: the whole batch (data rows plus
     /// name-index rows) goes through one database round-trip.
-    pub fn register_many(&self, data: &[Data]) -> Result<()> {
-        if data.is_empty() {
+    pub fn register_many<'a>(&self, data: impl IntoIterator<Item = &'a Data>) -> Result<()> {
+        let mut n = 0;
+        let ops: Vec<DbOp> = data
+            .into_iter()
+            .flat_map(|d| {
+                n += 1;
+                register_ops(d)
+            })
+            .collect();
+        if ops.is_empty() {
             return Ok(());
-        }
-        let mut ops = Vec::with_capacity(data.len() * 2);
-        for d in data {
-            ops.push(DbOp::Put {
-                table: T_DATA.into(),
-                key: d.id.0.to_le_bytes().to_vec(),
-                value: d.to_bytes().to_vec(),
-            });
-            let mut key = d.name.as_bytes().to_vec();
-            key.push(0);
-            key.extend_from_slice(&d.id.0.to_le_bytes());
-            ops.push(DbOp::Put {
-                table: T_NAME.into(),
-                key,
-                value: d.id.0.to_le_bytes().to_vec(),
-            });
         }
         self.db.exec_many(ops)?;
         self.registered
-            .fetch_add(data.len() as u64, std::sync::atomic::Ordering::Relaxed);
+            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
 
     /// Fetch a datum by id.
     pub fn get(&self, id: DataId) -> Result<Option<Data>> {
         match self.db.exec(DbOp::Get {
-            table: T_DATA.into(),
+            table: T_DATA,
             key: id.0.to_le_bytes().to_vec(),
         })? {
             DbReply::Value(Some(bytes)) => Ok(<Data as Decode>::from_bytes(&bytes).ok()),
@@ -152,7 +172,7 @@ impl DataCatalog {
         let mut prefix = name.as_bytes().to_vec();
         prefix.push(0);
         let rows = match self.db.exec(DbOp::ScanPrefix {
-            table: T_NAME.into(),
+            table: T_NAME,
             prefix,
         })? {
             DbReply::Rows(rows) => rows,
@@ -172,28 +192,22 @@ impl DataCatalog {
 
     /// Attach a locator to a datum.
     pub fn add_locator(&self, loc: &Locator) -> Result<()> {
-        self.add_locators(std::slice::from_ref(loc))
+        self.add_locators([loc])
     }
 
     /// Attach a batch of locators over one database connection.
-    pub fn add_locators(&self, locs: &[Locator]) -> Result<()> {
-        if locs.is_empty() {
-            return Ok(());
-        }
-        let ops = locs
-            .iter()
-            .map(|loc| {
-                // Key: data id + protocol name, so one locator per
-                // (data, protocol).
-                let mut key = loc.data.0.to_le_bytes().to_vec();
-                key.extend_from_slice(loc.protocol.0.as_bytes());
-                DbOp::Put {
-                    table: T_LOCATOR.into(),
-                    key,
-                    value: loc.to_bytes().to_vec(),
-                }
+    pub fn add_locators<'a>(&self, locs: impl IntoIterator<Item = &'a Locator>) -> Result<()> {
+        let ops: Vec<DbOp> = locs
+            .into_iter()
+            .map(|loc| DbOp::Put {
+                table: T_LOCATOR,
+                key: locator_key(loc.data, &loc.protocol),
+                value: loc.encode_to_vec(),
             })
             .collect();
+        if ops.is_empty() {
+            return Ok(());
+        }
         self.db.exec_many(ops)?;
         Ok(())
     }
@@ -201,7 +215,7 @@ impl DataCatalog {
     /// All locators for a datum.
     pub fn locators(&self, id: DataId) -> Result<Vec<Locator>> {
         let rows = match self.db.exec(DbOp::ScanPrefix {
-            table: T_LOCATOR.into(),
+            table: T_LOCATOR,
             prefix: id.0.to_le_bytes().to_vec(),
         })? {
             DbReply::Rows(rows) => rows,
@@ -218,9 +232,9 @@ impl DataCatalog {
     /// plan a multi-source range fetch.
     pub fn put_manifest(&self, manifest: &ChunkManifest) -> Result<()> {
         self.db.exec(DbOp::Put {
-            table: T_MANIFEST.into(),
+            table: T_MANIFEST,
             key: manifest.data.0.to_le_bytes().to_vec(),
-            value: manifest.to_bytes().to_vec(),
+            value: manifest.encode_to_vec(),
         })?;
         Ok(())
     }
@@ -229,7 +243,7 @@ impl DataCatalog {
     /// not decode is an error, not "never chunked".
     pub fn manifest(&self, id: DataId) -> Result<Option<ChunkManifest>> {
         match self.db.exec(DbOp::Get {
-            table: T_MANIFEST.into(),
+            table: T_MANIFEST,
             key: id.0.to_le_bytes().to_vec(),
         })? {
             DbReply::Value(Some(bytes)) => Ok(Some(ChunkManifest::from_bytes(&bytes)?)),
@@ -242,9 +256,9 @@ impl DataCatalog {
     /// a version id is written once by the head CAS and never rewritten.
     pub fn put_version(&self, row: &VersionedManifest) -> Result<()> {
         self.db.exec(DbOp::Put {
-            table: T_VERSION.into(),
+            table: T_VERSION,
             key: version_key(row.data, row.version),
-            value: row.to_bytes().to_vec(),
+            value: row.encode_to_vec(),
         })?;
         Ok(())
     }
@@ -257,7 +271,7 @@ impl DataCatalog {
             return Ok(self.manifest(id)?.map(|m| VersionedManifest::from_base(&m)));
         }
         match self.db.exec(DbOp::Get {
-            table: T_VERSION.into(),
+            table: T_VERSION,
             key: version_key(id, version),
         })? {
             DbReply::Value(Some(bytes)) => Ok(Some(VersionedManifest::from_bytes(&bytes)?)),
@@ -270,7 +284,7 @@ impl DataCatalog {
     /// read: a chain with a hole would resolve to wrong digests.
     pub fn versions(&self, id: DataId) -> Result<Vec<VersionedManifest>> {
         let rows = match self.db.exec(DbOp::ScanPrefix {
-            table: T_VERSION.into(),
+            table: T_VERSION,
             prefix: id.0.to_le_bytes().to_vec(),
         })? {
             DbReply::Rows(rows) => rows,
@@ -292,32 +306,26 @@ impl DataCatalog {
             return Ok(false);
         };
         self.db.exec(DbOp::Delete {
-            table: T_DATA.into(),
+            table: T_DATA,
             key: id.0.to_le_bytes().to_vec(),
         })?;
-        let mut nkey = data.name.as_bytes().to_vec();
-        nkey.push(0);
-        nkey.extend_from_slice(&id.0.to_le_bytes());
         self.db.exec(DbOp::Delete {
-            table: T_NAME.into(),
-            key: nkey,
+            table: T_NAME,
+            key: name_key(&data.name, id),
         })?;
-        let locs = self.locators(id)?;
-        for l in locs {
-            let mut key = id.0.to_le_bytes().to_vec();
-            key.extend_from_slice(l.protocol.0.as_bytes());
+        for l in self.locators(id)? {
             self.db.exec(DbOp::Delete {
-                table: T_LOCATOR.into(),
-                key,
+                table: T_LOCATOR,
+                key: locator_key(id, &l.protocol),
             })?;
         }
         self.db.exec(DbOp::Delete {
-            table: T_MANIFEST.into(),
+            table: T_MANIFEST,
             key: id.0.to_le_bytes().to_vec(),
         })?;
         for row in self.versions(id)? {
             self.db.exec(DbOp::Delete {
-                table: T_VERSION.into(),
+                table: T_VERSION,
                 key: version_key(id, row.version),
             })?;
         }

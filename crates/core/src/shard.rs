@@ -671,6 +671,16 @@ impl ShardedPlane {
         self.catalog_for(data.id).register(data)
     }
 
+    /// `items` grouped by the catalog shard owning each one's id, in one
+    /// routing pass, by reference.
+    fn route<'a, T>(&self, items: &'a [T], id: impl Fn(&T) -> DataId) -> Vec<Vec<&'a T>> {
+        let mut per_shard = vec![Vec::new(); self.catalogs.len()];
+        for item in items {
+            per_shard[self.router.shard_of(id(item))].push(item);
+        }
+        per_shard
+    }
+
     /// Register a batch of data, grouped per shard in one routing pass so
     /// each shard sees one batched database round-trip (the batch-creation
     /// face of the pipelined command plane).
@@ -678,14 +688,8 @@ impl ShardedPlane {
         if self.catalogs.len() == 1 {
             return self.catalogs[0].register_many(data);
         }
-        let mut per_shard: Vec<Vec<Data>> = (0..self.catalogs.len()).map(|_| Vec::new()).collect();
-        for d in data {
-            per_shard[self.router.shard_of(d.id)].push(d.clone());
-        }
-        for (i, batch) in per_shard.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.catalogs[i].register_many(&batch)?;
-            }
+        for (catalog, batch) in self.catalogs.iter().zip(self.route(data, |d| d.id)) {
+            catalog.register_many(batch)?;
         }
         Ok(())
     }
@@ -712,15 +716,8 @@ impl ShardedPlane {
         if self.catalogs.len() == 1 {
             return self.catalogs[0].add_locators(locs);
         }
-        let mut per_shard: Vec<Vec<Locator>> =
-            (0..self.catalogs.len()).map(|_| Vec::new()).collect();
-        for loc in locs {
-            per_shard[self.router.shard_of(loc.data)].push(loc.clone());
-        }
-        for (i, batch) in per_shard.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.catalogs[i].add_locators(&batch)?;
-            }
+        for (catalog, batch) in self.catalogs.iter().zip(self.route(locs, |l| l.data)) {
+            catalog.add_locators(batch)?;
         }
         Ok(())
     }

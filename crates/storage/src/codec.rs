@@ -44,6 +44,16 @@ pub trait Encode {
         self.encode(&mut buf);
         buf.freeze()
     }
+
+    /// Encode to a fresh `Vec<u8>`: one buffer, no `freeze` copy. The name
+    /// is not `to_vec`, which on `Vec<u8>` would shadow the slice method.
+    fn encode_to_vec(&self) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        self.encode(&mut buf);
+        let mut v = buf.into_vec();
+        v.shrink_to_fit();
+        v
+    }
 }
 
 /// Deserialize from a byte buffer.
@@ -222,6 +232,7 @@ mod tests {
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
+        assert_eq!(v.encode_to_vec(), bytes.to_vec());
         let back = T::from_bytes(&bytes).expect("decode");
         assert_eq!(back, v);
     }

@@ -10,7 +10,17 @@
 //! * optional durability: a [WAL](crate::wal) replayed on open plus a
 //!   snapshot-and-truncate checkpoint;
 //! * the torn-tail recovery semantics come from the WAL layer.
+//!
+//! A write finds its table by `&str` (allocating a name only for a new
+//! table), searches the row map once (`entry`), frames its WAL record from
+//! borrowed bytes, and moves the owned key and value into the map. A write
+//! that changes nothing — a put of the bytes the row already holds, a
+//! delete of an absent row — is a no-op: no record, no mutation, the same
+//! reply. [`DewDb::mutations`] counts real changes. Public
+//! [`DewDb::put`]/[`DewDb::delete`] commit the WAL per call; the engines
+//! stage a whole batch and commit it once (group commit).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -129,22 +139,12 @@ impl DewDb {
         }
     }
 
-    /// Insert or overwrite. Returns the previous value if any.
+    /// Insert or overwrite. Returns the previous value if any. A value
+    /// the WAL refuses (over [`crate::wal::MAX_RECORD_BYTES`]) is an error
+    /// and leaves the database unchanged.
     pub fn put(&mut self, table: &str, key: &[u8], value: &[u8]) -> DbResult<Option<Vec<u8>>> {
-        if let Some(d) = &mut self.durability {
-            d.wal.append(&LogRecord::Put {
-                table: table.to_string(),
-                key: key.to_vec(),
-                value: value.to_vec(),
-            })?;
-        }
-        let prev = self
-            .tables
-            .entry(table.to_string())
-            .or_default()
-            .insert(key.to_vec(), value.to_vec());
-        self.after_mutation()?;
-        Ok(prev)
+        let prev = self.put_staged(table, key.to_vec(), value.to_vec());
+        self.committed(prev)
     }
 
     /// Fetch a value.
@@ -154,15 +154,74 @@ impl DewDb {
 
     /// Remove a key. Returns the removed value if any.
     pub fn delete(&mut self, table: &str, key: &[u8]) -> DbResult<Option<Vec<u8>>> {
-        if let Some(d) = &mut self.durability {
-            d.wal.append(&LogRecord::Delete {
-                table: table.to_string(),
-                key: key.to_vec(),
-            })?;
-        }
-        let prev = self.tables.get_mut(table).and_then(|t| t.remove(key));
+        let prev = self.delete_staged(table, key.to_vec());
+        self.committed(prev)
+    }
+
+    /// [`DewDb::put`] with owned bytes and the WAL record staged, not
+    /// committed: the caller commits once per batch ([`DewDb::committed`]).
+    pub(crate) fn put_staged(
+        &mut self,
+        table: &str,
+        key: Vec<u8>,
+        value: Vec<u8>,
+    ) -> DbResult<Option<Vec<u8>>> {
+        let mut wal = self.durability.as_mut().map(|d| &mut d.wal);
+        let mut log = |key: &[u8], value: &[u8]| match &mut wal {
+            Some(wal) => wal.stage(table, key, Some(value)),
+            None => Ok(()),
+        };
+        let prev = match self.tables.get_mut(table) {
+            Some(rows) => match rows.entry(key) {
+                Entry::Occupied(row) if *row.get() == value => return Ok(Some(value)),
+                Entry::Occupied(mut row) => {
+                    log(row.key(), &value)?;
+                    Some(std::mem::replace(row.get_mut(), value))
+                }
+                Entry::Vacant(row) => {
+                    log(row.key(), &value)?;
+                    row.insert(value);
+                    None
+                }
+            },
+            None => {
+                log(&key, &value)?;
+                self.tables
+                    .insert(table.to_owned(), BTreeMap::from([(key, value)]));
+                None
+            }
+        };
         self.after_mutation()?;
         Ok(prev)
+    }
+
+    /// [`DewDb::delete`] with the WAL record staged, not committed.
+    pub(crate) fn delete_staged(&mut self, table: &str, key: Vec<u8>) -> DbResult<Option<Vec<u8>>> {
+        let Some(Entry::Occupied(row)) = self.tables.get_mut(table).map(|rows| rows.entry(key))
+        else {
+            return Ok(None);
+        };
+        if let Some(d) = &mut self.durability {
+            d.wal.stage(table, row.key(), None)?;
+        }
+        let prev = row.remove();
+        self.after_mutation()?;
+        Ok(Some(prev))
+    }
+
+    /// Apply the [`SyncPolicy`] once to every WAL record staged since the
+    /// last commit (free when nothing was staged), then return `result` —
+    /// or the commit's error. Commits on the error path too, so the records
+    /// staged before a failure reach the log with the same guarantee as a
+    /// success.
+    pub(crate) fn committed<T>(&mut self, result: DbResult<T>) -> DbResult<T> {
+        let commit = match &mut self.durability {
+            Some(d) => d.wal.commit(),
+            None => Ok(()),
+        };
+        let value = result?;
+        commit?;
+        Ok(value)
     }
 
     /// All `(key, value)` pairs in `table` whose key starts with `prefix`.
@@ -187,7 +246,8 @@ impl DewDb {
         self.tables.keys().cloned().collect()
     }
 
-    /// Total mutations performed through this handle.
+    /// Real changes made through this handle; a write that changes
+    /// nothing is not counted.
     pub fn mutations(&self) -> u64 {
         self.mutations
     }
@@ -239,6 +299,11 @@ impl DewDb {
             }
         }
         std::fs::rename(&tmp, &dst)?;
+        if d.policy == SyncPolicy::Fsync {
+            // The rename is a directory entry: durable only once the
+            // directory itself is synced.
+            File::open(&d.dir)?.sync_all()?;
+        }
         d.wal.truncate()?;
         d.ops_since_checkpoint = 0;
         Ok(())
@@ -261,7 +326,15 @@ impl DewDb {
         let mut head = [0u8; 12];
         r.read_exact(&mut head)?;
         let crc = u32::from_le_bytes(head[0..4].try_into().expect("4"));
-        let len = u64::from_le_bytes(head[4..12].try_into().expect("8")) as usize;
+        let len = u64::from_le_bytes(head[4..12].try_into().expect("8"));
+        // Bound the header's length by the bytes the file holds before
+        // allocating for it.
+        let header = (SNAPSHOT_MAGIC.len() + head.len()) as u64;
+        let remaining = r.get_ref().metadata()?.len().saturating_sub(header);
+        let len = usize::try_from(len)
+            .ok()
+            .filter(|_| len <= remaining)
+            .ok_or(DbError::CorruptSnapshot("length"))?;
         let mut body = vec![0u8; len];
         r.read_exact(&mut body)?;
         if crc32(&body) != crc {
@@ -405,6 +478,134 @@ mod tests {
             Err(other) => panic!("expected corrupt snapshot, got {other:?}"),
             Ok(_) => panic!("expected corrupt snapshot, got a database"),
         }
+    }
+
+    #[test]
+    fn corrupt_snapshot_length_is_an_error_not_an_abort() {
+        let dir = TempDir::new("db-snaplen");
+        {
+            let mut db = DewDb::open(dir.path(), SyncPolicy::EveryAppend).unwrap();
+            db.put("t", b"a", b"1").unwrap();
+            db.checkpoint().unwrap();
+        }
+        let snap = dir.path().join("snapshot.db");
+        let good = std::fs::read(&snap).unwrap();
+        // Bytes 12..20 hold the body length; the body is the rest.
+        let body = (good.len() - 20) as u64;
+        for len in [u64::MAX / 2, u64::MAX, body + 1] {
+            let mut bytes = good.clone();
+            bytes[12..20].copy_from_slice(&len.to_le_bytes());
+            std::fs::write(&snap, &bytes).unwrap();
+            match DewDb::open(dir.path(), SyncPolicy::EveryAppend) {
+                Err(DbError::CorruptSnapshot("length")) => {}
+                Err(other) => panic!("length {len}: expected a length error, got {other:?}"),
+                Ok(_) => panic!("length {len}: expected a length error, got a database"),
+            }
+        }
+        std::fs::write(&snap, &good).unwrap();
+        let db = DewDb::open(dir.path(), SyncPolicy::EveryAppend).unwrap();
+        assert_eq!(db.get("t", b"a"), Some(&b"1"[..]));
+    }
+
+    #[test]
+    fn oversize_put_is_refused_and_later_writes_survive() {
+        let dir = TempDir::new("db-oversize");
+        let big = vec![7u8; 65 << 20];
+        {
+            let mut db = DewDb::open(dir.path(), SyncPolicy::EveryAppend).unwrap();
+            db.put("t", b"before", b"1").unwrap();
+            for table in ["t", "new"] {
+                match db.put(table, b"big", &big) {
+                    Err(DbError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput => {}
+                    other => panic!("expected the WAL to refuse the row, got {other:?}"),
+                }
+                assert_eq!(db.get(table, b"big"), None);
+            }
+            assert_eq!(db.table_names(), ["t"], "no table made for a refused row");
+            assert_eq!(db.mutations(), 1);
+            db.put("t", b"after", b"2").unwrap();
+        }
+        let db = DewDb::open(dir.path(), SyncPolicy::EveryAppend).unwrap();
+        assert_eq!(db.get("t", b"before"), Some(&b"1"[..]));
+        assert_eq!(db.get("t", b"after"), Some(&b"2"[..]));
+        assert_eq!(db.get("t", b"big"), None);
+    }
+
+    #[test]
+    fn unchanged_rows_are_not_logged_again() {
+        let dir = TempDir::new("db-noop");
+        let mut db = DewDb::open(dir.path(), SyncPolicy::EveryAppend).unwrap();
+        let appended = |db: &DewDb| db.durability.as_ref().map(|d| d.wal.appended());
+        db.put("t", b"k", b"v").unwrap();
+        assert_eq!((appended(&db), db.mutations()), (Some(1), 1));
+        // Same bytes again, a delete of an absent row, a missing table:
+        // the same replies, and nothing logged or counted.
+        assert_eq!(db.put("t", b"k", b"v").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(db.delete("t", b"absent").unwrap(), None);
+        assert_eq!(db.delete("none", b"k").unwrap(), None);
+        assert_eq!((appended(&db), db.mutations()), (Some(1), 1));
+        // A changed value is a real change.
+        assert_eq!(db.put("t", b"k", b"w").unwrap(), Some(b"v".to_vec()));
+        assert_eq!((appended(&db), db.mutations()), (Some(2), 2));
+        assert_eq!(
+            wal::replay(dir.path().join("wal.log"))
+                .unwrap()
+                .records
+                .len(),
+            2
+        );
+    }
+
+    #[test]
+    fn a_log_and_snapshot_in_the_old_framing_open_unchanged() {
+        // The snapshot comes from `checkpoint`, whose format is unchanged;
+        // the log tail is framed the way the per-record writer always
+        // framed it: `[len][crc32][LogRecord::encode]`.
+        use crate::codec::Encode;
+        let dir = TempDir::new("db-compat");
+        {
+            let mut db = DewDb::open(dir.path(), SyncPolicy::EveryAppend).unwrap();
+            db.put("dc_data", b"a", b"1").unwrap();
+            db.put("dc_name", b"n\0a", b"a").unwrap();
+            db.checkpoint().unwrap();
+        }
+        let tail = [
+            LogRecord::Put {
+                table: "dc_data".into(),
+                key: b"b".to_vec(),
+                value: b"2".to_vec(),
+            },
+            LogRecord::Delete {
+                table: "dc_data".into(),
+                key: b"a".to_vec(),
+            },
+            LogRecord::Put {
+                table: "dc_locator".into(),
+                key: b"bftp".to_vec(),
+                value: vec![9; 40],
+            },
+        ];
+        let mut old = Vec::new();
+        for rec in &tail {
+            let payload = rec.to_bytes();
+            old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            old.extend_from_slice(&crc32(&payload).to_le_bytes());
+            old.extend_from_slice(&payload);
+        }
+        let wal_path = dir.path().join("wal.log");
+        let mut w = WalWriter::open(&wal_path, SyncPolicy::EveryAppend).unwrap();
+        for rec in &tail {
+            w.append(rec).unwrap();
+        }
+        drop(w);
+        assert_eq!(std::fs::read(&wal_path).unwrap(), old);
+
+        let db = DewDb::open(dir.path(), SyncPolicy::EveryAppend).unwrap();
+        let rows = |t: &str| db.scan_prefix(t, b"");
+        assert_eq!(rows("dc_data"), [(b"b".to_vec(), b"2".to_vec())]);
+        assert_eq!(rows("dc_name"), [(b"n\0a".to_vec(), b"a".to_vec())]);
+        assert_eq!(rows("dc_locator"), [(b"bftp".to_vec(), vec![9; 40])]);
+        assert_eq!(db.table_names(), ["dc_data", "dc_locator", "dc_name"]);
     }
 
     #[test]

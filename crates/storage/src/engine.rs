@@ -25,13 +25,15 @@ use parking_lot::Mutex;
 
 use crate::db::{DbError, DbResult, DewDb};
 
-/// A database operation (the subset of SQL the services use).
+/// A database operation (the subset of SQL the services use). Table names
+/// are constants of the services that own them, so an op carries a
+/// `&'static str`, not an allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DbOp {
     /// Insert or overwrite a row.
     Put {
         /// Table name.
-        table: String,
+        table: &'static str,
         /// Row key.
         key: Vec<u8>,
         /// Row value.
@@ -40,21 +42,21 @@ pub enum DbOp {
     /// Read a row.
     Get {
         /// Table name.
-        table: String,
+        table: &'static str,
         /// Row key.
         key: Vec<u8>,
     },
     /// Delete a row.
     Delete {
         /// Table name.
-        table: String,
+        table: &'static str,
         /// Row key.
         key: Vec<u8>,
     },
     /// Range scan by key prefix.
     ScanPrefix {
         /// Table name.
-        table: String,
+        table: &'static str,
         /// Key prefix.
         prefix: Vec<u8>,
     },
@@ -71,13 +73,27 @@ pub enum DbReply {
     Rows(Vec<(Vec<u8>, Vec<u8>)>),
 }
 
+/// Apply one op, its WAL record staged; the caller commits.
 fn apply(db: &mut DewDb, op: DbOp) -> DbResult<DbReply> {
     match op {
-        DbOp::Put { table, key, value } => Ok(DbReply::Previous(db.put(&table, &key, &value)?)),
-        DbOp::Get { table, key } => Ok(DbReply::Value(db.get(&table, &key).map(|v| v.to_vec()))),
-        DbOp::Delete { table, key } => Ok(DbReply::Previous(db.delete(&table, &key)?)),
-        DbOp::ScanPrefix { table, prefix } => Ok(DbReply::Rows(db.scan_prefix(&table, &prefix))),
+        DbOp::Put { table, key, value } => Ok(DbReply::Previous(db.put_staged(table, key, value)?)),
+        DbOp::Get { table, key } => Ok(DbReply::Value(db.get(table, &key).map(|v| v.to_vec()))),
+        DbOp::Delete { table, key } => Ok(DbReply::Previous(db.delete_staged(table, key)?)),
+        DbOp::ScanPrefix { table, prefix } => Ok(DbReply::Rows(db.scan_prefix(table, &prefix))),
     }
+}
+
+/// Apply one op and commit it.
+fn apply_one(db: &mut DewDb, op: DbOp) -> DbResult<DbReply> {
+    let reply = apply(db, op);
+    db.committed(reply)
+}
+
+/// Apply a batch with one commit (group commit). Stops at the first failing
+/// op, and commits the applied prefix before returning its error.
+fn apply_batch(db: &mut DewDb, ops: Vec<DbOp>) -> DbResult<Vec<DbReply>> {
+    let replies = ops.into_iter().map(|op| apply(db, op)).collect();
+    db.committed(replies)
 }
 
 /// A live database session.
@@ -91,7 +107,10 @@ pub trait DbConnection: Send {
     /// for the whole batch, the networked engine ships the batch in a
     /// single round trip (the multi-statement wire protocol). This is the
     /// storage face of the batched catalog entry points (`put_many`,
-    /// `register_many`).
+    /// `register_many`). Both engines also group-commit: the batch's WAL
+    /// records are flushed (or `fsync`ed) once, before the call returns —
+    /// on the error path too, so the ops applied before a failing one are
+    /// as durable as a successful batch.
     fn exec_batch(&mut self, ops: Vec<DbOp>) -> DbResult<Vec<DbReply>> {
         ops.into_iter().map(|op| self.exec(op)).collect()
     }
@@ -158,13 +177,12 @@ impl DbDriver for EmbeddedDriver {
 
 impl DbConnection for EmbeddedConnection {
     fn exec(&mut self, op: DbOp) -> DbResult<DbReply> {
-        apply(&mut self.db.lock(), op)
+        apply_one(&mut self.db.lock(), op)
     }
 
     fn exec_batch(&mut self, ops: Vec<DbOp>) -> DbResult<Vec<DbReply>> {
-        // One store-lock acquisition for the whole batch.
-        let mut db = self.db.lock();
-        ops.into_iter().map(|op| apply(&mut db, op)).collect()
+        // One store-lock acquisition and one WAL commit for the whole batch.
+        apply_batch(&mut self.db.lock(), ops)
     }
 }
 
@@ -200,11 +218,10 @@ impl NetworkedDriver {
                             let _ = reply.send(());
                         }
                         ServerMsg::Exec(op, reply) => {
-                            let _ = reply.send(apply(&mut db, op));
+                            let _ = reply.send(apply_one(&mut db, op));
                         }
                         ServerMsg::ExecBatch(ops, reply) => {
-                            let _ =
-                                reply.send(ops.into_iter().map(|op| apply(&mut db, op)).collect());
+                            let _ = reply.send(apply_batch(&mut db, ops));
                         }
                         ServerMsg::Shutdown => break,
                     }
@@ -283,12 +300,14 @@ impl DbConnection for NetworkedConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
+    use crate::wal::{self, LogRecord, SyncPolicy, MAX_RECORD_BYTES};
 
     fn crud(driver: &dyn DbDriver) {
         let mut conn = driver.connect().unwrap();
         let put = |c: &mut Box<dyn DbConnection>, k: &[u8], v: &[u8]| {
             c.exec(DbOp::Put {
-                table: "t".into(),
+                table: "t",
                 key: k.to_vec(),
                 value: v.to_vec(),
             })
@@ -299,9 +318,14 @@ mod tests {
             put(&mut conn, b"a", b"2"),
             DbReply::Previous(Some(b"1".to_vec()))
         );
+        // Re-putting the same bytes is a no-op with the same reply.
+        assert_eq!(
+            put(&mut conn, b"a", b"2"),
+            DbReply::Previous(Some(b"2".to_vec()))
+        );
         assert_eq!(
             conn.exec(DbOp::Get {
-                table: "t".into(),
+                table: "t",
                 key: b"a".to_vec()
             })
             .unwrap(),
@@ -309,7 +333,7 @@ mod tests {
         );
         assert_eq!(
             conn.exec(DbOp::ScanPrefix {
-                table: "t".into(),
+                table: "t",
                 prefix: b"a".to_vec()
             })
             .unwrap(),
@@ -317,7 +341,7 @@ mod tests {
         );
         assert_eq!(
             conn.exec(DbOp::Delete {
-                table: "t".into(),
+                table: "t",
                 key: b"a".to_vec()
             })
             .unwrap(),
@@ -325,7 +349,7 @@ mod tests {
         );
         assert_eq!(
             conn.exec(DbOp::Get {
-                table: "t".into(),
+                table: "t",
                 key: b"a".to_vec()
             })
             .unwrap(),
@@ -347,20 +371,107 @@ mod tests {
         crud(&driver);
     }
 
+    /// Both engines over one durable database each.
+    fn durable_drivers(tag: &str) -> Vec<(TempDir, Box<dyn DbDriver>)> {
+        let open = |dir: &TempDir| DewDb::open(dir.path(), SyncPolicy::EveryAppend).unwrap();
+        let (a, b) = (TempDir::new(tag), TempDir::new(tag));
+        let embedded = Box::new(EmbeddedDriver::new(open(&a)));
+        let networked = Box::new(NetworkedDriver::new(open(&b)));
+        vec![(a, embedded), (b, networked)]
+    }
+
+    fn put_op(key: &[u8], value: Vec<u8>) -> DbOp {
+        DbOp::Put {
+            table: "t",
+            key: key.to_vec(),
+            value,
+        }
+    }
+
+    fn logged(op: &DbOp) -> LogRecord {
+        match op.clone() {
+            DbOp::Put { table, key, value } => LogRecord::Put {
+                table: table.into(),
+                key,
+                value,
+            },
+            DbOp::Delete { table, key } => LogRecord::Delete {
+                table: table.into(),
+                key,
+            },
+            other => panic!("{other:?} is not logged"),
+        }
+    }
+
+    #[test]
+    fn exec_batch_is_durable_when_it_returns() {
+        for (dir, driver) in durable_drivers("engine-batch") {
+            let mut conn = driver.connect().unwrap();
+            // Small enough to sit in the file buffer unless committed.
+            let mut ops: Vec<DbOp> = (0..32u32)
+                .map(|i| put_op(&i.to_le_bytes(), vec![i as u8; 16]))
+                .collect();
+            ops.push(DbOp::Delete {
+                table: "t",
+                key: 5u32.to_le_bytes().to_vec(),
+            });
+            let replies = conn.exec_batch(ops.clone()).unwrap();
+            assert_eq!(replies.len(), ops.len());
+            // An independent reader, the database still open.
+            let seen = wal::replay(dir.path().join("wal.log")).unwrap();
+            let want: Vec<LogRecord> = ops.iter().map(logged).collect();
+            assert_eq!(seen.records, want, "{}", driver.name());
+        }
+    }
+
+    #[test]
+    fn failed_batch_commits_its_applied_prefix() {
+        for (dir, driver) in durable_drivers("engine-prefix") {
+            let mut conn = driver.connect().unwrap();
+            let ops = vec![
+                put_op(b"a", b"1".to_vec()),
+                put_op(b"b", b"2".to_vec()),
+                put_op(b"big", vec![0; MAX_RECORD_BYTES]),
+                put_op(b"c", b"3".to_vec()),
+            ];
+            let want: Vec<LogRecord> = ops[..2].iter().map(logged).collect();
+            match conn.exec_batch(ops) {
+                Err(DbError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput => {}
+                other => panic!(
+                    "{}: expected the WAL's refusal, got {other:?}",
+                    driver.name()
+                ),
+            }
+            let seen = wal::replay(dir.path().join("wal.log")).unwrap();
+            assert_eq!(seen.records, want, "{}", driver.name());
+            for (key, value) in [
+                (&b"a"[..], Some(b"1".to_vec())),
+                (b"big", None),
+                (b"c", None),
+            ] {
+                let get = DbOp::Get {
+                    table: "t",
+                    key: key.to_vec(),
+                };
+                assert_eq!(conn.exec(get).unwrap(), DbReply::Value(value));
+            }
+        }
+    }
+
     #[test]
     fn connections_share_state() {
         let driver = EmbeddedDriver::new(DewDb::in_memory());
         let mut c1 = driver.connect().unwrap();
         let mut c2 = driver.connect().unwrap();
         c1.exec(DbOp::Put {
-            table: "t".into(),
+            table: "t",
             key: b"k".to_vec(),
             value: b"v".to_vec(),
         })
         .unwrap();
         assert_eq!(
             c2.exec(DbOp::Get {
-                table: "t".into(),
+                table: "t",
                 key: b"k".to_vec()
             })
             .unwrap(),
@@ -379,7 +490,7 @@ mod tests {
                 for i in 0..50u32 {
                     let key = (t * 1000 + i).to_le_bytes().to_vec();
                     conn.exec(DbOp::Put {
-                        table: "t".into(),
+                        table: "t",
                         key,
                         value: b"v".to_vec(),
                     })
@@ -393,7 +504,7 @@ mod tests {
         let mut conn = driver.connect().unwrap();
         match conn
             .exec(DbOp::ScanPrefix {
-                table: "t".into(),
+                table: "t",
                 prefix: vec![],
             })
             .unwrap()

@@ -188,7 +188,7 @@ mod tests {
         {
             let mut c = p.checkout().unwrap();
             c.exec(DbOp::Put {
-                table: "t".into(),
+                table: "t",
                 key: b"k".to_vec(),
                 value: b"v".to_vec(),
             })
@@ -222,7 +222,7 @@ mod tests {
         let waiter = std::thread::spawn(move || {
             let mut c = p2.checkout().unwrap();
             c.exec(DbOp::Get {
-                table: "t".into(),
+                table: "t",
                 key: b"k".to_vec(),
             })
             .unwrap()
@@ -269,7 +269,7 @@ mod tests {
                 for i in 0..25u32 {
                     let mut c = p2.checkout().unwrap();
                     c.exec(DbOp::Put {
-                        table: "t".into(),
+                        table: "t",
                         key: (t * 100 + i).to_le_bytes().to_vec(),
                         value: b"v".to_vec(),
                     })
@@ -284,7 +284,7 @@ mod tests {
         let mut c = p.checkout().unwrap();
         match c
             .exec(DbOp::ScanPrefix {
-                table: "t".into(),
+                table: "t",
                 prefix: vec![],
             })
             .unwrap()

@@ -71,23 +71,81 @@ impl Decode for LogRecord {
     }
 }
 
-/// When to force bytes to the OS/disk.
+/// When to force bytes to the OS/disk. Each guarantee holds before the call
+/// that appended returns: [`WalWriter::append`] for one record, and for a
+/// batch of DewDB operations (`DbConnection::exec_batch`) the whole batch,
+/// which is one flush (or one `fsync`) however many records it wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Buffered writes only; fastest, loses the tail on process crash.
     Never,
-    /// Flush to the OS after every append (default).
+    /// The appended records reach the OS before the appending call returns
+    /// (default): they survive a process crash.
     EveryAppend,
-    /// Flush and `fsync` after every append; survives power loss.
+    /// The appended records are flushed and `fsync`ed before the appending
+    /// call returns: they survive power loss.
     Fsync,
 }
 
+/// Largest record payload the log writes or replays. Replay reads a longer
+/// length as a torn header, so the writer refuses such a record before
+/// writing a byte of it — a record replay would drop, and every record
+/// after it, is never acknowledged.
+pub const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
+
+/// Append one framed record — `[len u32][crc32 u32][payload]` — to `out`
+/// from borrowed parts; `value: None` frames a delete. The payload is the
+/// bytes `LogRecord::encode` writes for the same record. A payload over
+/// [`MAX_RECORD_BYTES`] is `InvalidInput` and leaves `out` unchanged.
+fn frame(out: &mut Vec<u8>, table: &str, key: &[u8], value: Option<&[u8]>) -> std::io::Result<()> {
+    let (tag, fixed) = match value {
+        Some(_) => (1u8, 1 + 4 + 4 + 4),
+        None => (2u8, 1 + 4 + 4),
+    };
+    let payload_len = [table.len(), key.len(), value.map_or(0, <[u8]>::len)]
+        .into_iter()
+        .try_fold(fixed, usize::checked_add)
+        .filter(|&n| n <= MAX_RECORD_BYTES)
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("log record over {MAX_RECORD_BYTES} bytes"),
+            )
+        })?;
+    // Every length below is at most `payload_len`, which fits in a u32.
+    let len32 = |n: usize| u32::try_from(n).expect("bounded by MAX_RECORD_BYTES");
+    let start = out.len();
+    out.reserve(8 + payload_len);
+    out.extend_from_slice(&[0; 8]);
+    out.push(tag);
+    for part in [Some(table.as_bytes()), Some(key), value]
+        .into_iter()
+        .flatten()
+    {
+        out.extend_from_slice(&len32(part.len()).to_le_bytes());
+        out.extend_from_slice(part);
+    }
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&len32(payload_len).to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
 /// Appender half of the WAL.
+///
+/// Records are framed once into a reused buffer and copied into
+/// the file buffer. [`WalWriter::append`] applies the [`SyncPolicy`] per
+/// record; DewDB stages a batch's records and commits them together, so
+/// the policy costs one flush (or one `fsync`) per batch.
 pub struct WalWriter {
     path: PathBuf,
     writer: BufWriter<File>,
     policy: SyncPolicy,
     appended: u64,
+    /// Framing buffer, reused across records.
+    framed: Vec<u8>,
+    /// Records were staged since the last commit.
+    staged: bool,
 }
 
 impl WalWriter {
@@ -100,18 +158,48 @@ impl WalWriter {
             writer: BufWriter::new(file),
             policy,
             appended: 0,
+            framed: Vec::new(),
+            staged: false,
         })
     }
 
-    /// Append one record.
+    /// Append one record and apply the [`SyncPolicy`] to it. A record over
+    /// [`MAX_RECORD_BYTES`] is refused with `InvalidInput`, and nothing of
+    /// it is written.
     pub fn append(&mut self, rec: &LogRecord) -> std::io::Result<()> {
-        let payload = rec.to_bytes();
-        let crc = crc32(&payload);
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc.to_le_bytes())?;
-        self.writer.write_all(&payload)?;
+        match rec {
+            LogRecord::Put { table, key, value } => self.stage(table, key, Some(value))?,
+            LogRecord::Delete { table, key } => self.stage(table, key, None)?,
+        }
+        self.commit()
+    }
+
+    /// Frame one record into the file buffer without applying the policy;
+    /// [`WalWriter::commit`] does that once for everything staged.
+    pub(crate) fn stage(
+        &mut self,
+        table: &str,
+        key: &[u8],
+        value: Option<&[u8]>,
+    ) -> std::io::Result<()> {
+        self.framed.clear();
+        frame(&mut self.framed, table, key, value)?;
+        self.writer.write_all(&self.framed)?;
+        if self.framed.capacity() > 1 << 20 {
+            // Do not pin a large record's buffer for the writer's lifetime.
+            self.framed = Vec::new();
+        }
         self.appended += 1;
+        self.staged = true;
+        Ok(())
+    }
+
+    /// Apply the [`SyncPolicy`] once to every record staged since the last
+    /// commit. Free when nothing was staged.
+    pub(crate) fn commit(&mut self) -> std::io::Result<()> {
+        if !self.staged {
+            return Ok(());
+        }
         match self.policy {
             SyncPolicy::Never => {}
             SyncPolicy::EveryAppend => self.writer.flush()?,
@@ -120,6 +208,7 @@ impl WalWriter {
                 self.writer.get_ref().sync_data()?;
             }
         }
+        self.staged = false;
         Ok(())
     }
 
@@ -142,6 +231,7 @@ impl WalWriter {
             .open(&self.path)?;
         self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
         drop(file);
+        self.staged = false;
         Ok(())
     }
 }
@@ -184,8 +274,8 @@ pub fn replay(path: impl AsRef<Path>) -> std::io::Result<WalReplay> {
         }
         let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        // Guard insane lengths from a corrupt header.
-        if len > 64 * 1024 * 1024 {
+        // A length the writer never writes is a corrupt header.
+        if len > MAX_RECORD_BYTES {
             truncated = true;
             break;
         }
@@ -353,6 +443,51 @@ mod tests {
         // Without dropping the writer, bytes must already be on disk.
         let r = replay(&path).unwrap();
         assert_eq!(r.records.len(), 1);
+    }
+
+    #[test]
+    fn staged_records_reach_the_file_at_commit() {
+        let dir = TempDir::new("wal-stage");
+        let path = dir.path().join("wal.log");
+        let mut w = WalWriter::open(&path, SyncPolicy::EveryAppend).unwrap();
+        for i in 0..20u32 {
+            w.stage("t", &i.to_le_bytes(), Some(b"v")).unwrap();
+        }
+        w.stage("t", &3u32.to_le_bytes(), None).unwrap();
+        // Staged, not committed: the records sit in the file buffer.
+        assert!(replay(&path).unwrap().records.is_empty());
+        w.commit().unwrap();
+        let r = replay(&path).unwrap();
+        assert_eq!(r.records.len(), 21);
+        assert_eq!(r.records[4], put("t", &4u32.to_le_bytes(), b"v"));
+        assert_eq!(
+            r.records[20],
+            LogRecord::Delete {
+                table: "t".into(),
+                key: 3u32.to_le_bytes().to_vec(),
+            }
+        );
+        assert_eq!(w.appended(), 21);
+    }
+
+    #[test]
+    fn oversize_record_is_refused_before_a_byte() {
+        let dir = TempDir::new("wal-oversize");
+        let path = dir.path().join("wal.log");
+        let mut w = WalWriter::open(&path, SyncPolicy::EveryAppend).unwrap();
+        w.append(&put("t", b"a", b"1")).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        // Payload: tag, three length prefixes, "t", "k", then the value.
+        let value = vec![0u8; MAX_RECORD_BYTES - (1 + 12 + 2) + 1];
+        let err = w.append(&put("t", b"k", &value)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(w.appended(), 1);
+        w.append(&put("t", b"b", b"2")).unwrap();
+        assert_eq!(
+            replay(&path).unwrap().records,
+            [put("t", b"a", b"1"), put("t", b"b", b"2")]
+        );
     }
 
     #[test]

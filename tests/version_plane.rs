@@ -592,10 +592,10 @@ struct OpCounts(Mutex<BTreeMap<(&'static str, String), u64>>);
 impl OpCounts {
     fn note(&self, op: &DbOp) {
         let key = match op {
-            DbOp::Put { table, .. } => ("put", table.clone()),
-            DbOp::Get { table, .. } => ("get", table.clone()),
-            DbOp::Delete { table, .. } => ("delete", table.clone()),
-            DbOp::ScanPrefix { table, .. } => ("scan", table.clone()),
+            DbOp::Put { table, .. } => ("put", table.to_string()),
+            DbOp::Get { table, .. } => ("get", table.to_string()),
+            DbOp::Delete { table, .. } => ("delete", table.to_string()),
+            DbOp::ScanPrefix { table, .. } => ("scan", table.to_string()),
         };
         *self.0.lock().unwrap().entry(key).or_insert(0) += 1;
     }
