@@ -19,6 +19,7 @@
 //! the comparisons are expected to hold.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// The file-size sweep of Fig. 3 (decimal MB, as in the paper).
 pub const FIG3_SIZES_MB: [u64; 5] = [10, 50, 100, 250, 500];

@@ -338,18 +338,25 @@ impl ChunkStore {
     /// Back-fill presence from content already in the store (a whole-blob
     /// `put` or a completed legacy transfer): each chunk of `manifest` found
     /// intact is marked present. Returns the number of verified chunks.
+    /// Every chunk is read into one reused buffer.
     pub fn absorb(&self, object: &str, manifest: &ChunkManifest) -> u32 {
         let mut verified = 0u32;
+        let mut buf = Vec::new();
         for c in &manifest.chunks {
             if self.has_chunk(object, c.index) {
                 verified += 1;
                 continue;
             }
+            buf.clear();
             let ok = self
                 .inner
-                .read_at(object, manifest.offset_of(c.index), c.len as usize)
-                .map(|b| manifest.verify(c.index, &b))
-                .unwrap_or(false);
+                .read_into(
+                    object,
+                    manifest.offset_of(c.index),
+                    c.len as usize,
+                    &mut buf,
+                )
+                .is_ok_and(|_| manifest.verify(c.index, &buf));
             if ok {
                 self.present
                     .lock()
@@ -895,6 +902,14 @@ mod tests {
         // Invalidation models partial loss.
         full.invalidate_chunk("obj", 5);
         assert_eq!(full.missing("obj", &m), vec![5]);
+        // A store whose middle chunk is corrupt absorbs the others, its
+        // neighbours read through the same buffer included.
+        let torn = ChunkStore::new(MemStore::new());
+        let mut bad = content.clone();
+        bad[m.offset_of(4) as usize + 100] ^= 0x5A;
+        torn.store().write_at("obj", 0, &bad).unwrap();
+        assert_eq!(torn.absorb("obj", &m), 9);
+        assert_eq!(torn.missing("obj", &m), vec![4]);
     }
 
     fn locator_for(data: &Data, proto: ProtocolId, remote: &str) -> Locator {

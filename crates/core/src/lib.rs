@@ -169,6 +169,7 @@
 //!    throughput against serialized whole-blob republish).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // `delegate_api!(inherent for ..)` resolves `<T>::name(self, ..)` to the trait
 // method itself when the inherent method is missing; make that recursion a
 // build error rather than a stack overflow at run time.

@@ -27,6 +27,7 @@
 //! DC" result is regenerated without a physical 50-node deployment.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod id;

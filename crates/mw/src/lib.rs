@@ -17,6 +17,7 @@
 //!   and Fig. 6 (per-cluster transfer/unzip/exec breakdown at 400 nodes).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod blast;
 pub mod framework;

@@ -39,6 +39,7 @@
 //! also runs on the threaded wall-clock runtime in `bitdew-core`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod churn;
 pub mod engine;

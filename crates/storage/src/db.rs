@@ -609,6 +609,76 @@ mod tests {
     }
 
     #[test]
+    fn files_digested_by_the_table_kernel_open_through_the_dispatcher() {
+        // A snapshot and a log written byte by byte with every CRC from
+        // slice-by-16 (`fold_tables`, the only kernel before the carry-less
+        // one) open and replay through `crc32`, which sends each body and
+        // every record from `CLMUL_MIN` bytes up to the carry-less kernel
+        // where the CPU has it.
+        use crate::codec::Encode;
+        use crate::crc32::fold_tables;
+        let table_crc = |bytes: &[u8]| !fold_tables(!0, bytes);
+        let lens = [
+            0usize, 1, 15, 16, 17, 47, 63, 64, 65, 127, 128, 129, 1000, 70_000,
+        ];
+        let value = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 7 + len) as u8).collect() };
+
+        let dir = TempDir::new("db-table-crc");
+        let mut body = Vec::new();
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&4u32.to_le_bytes());
+        body.extend_from_slice(b"snap");
+        body.extend_from_slice(&(lens.len() as u64).to_le_bytes());
+        for (i, &len) in lens.iter().enumerate() {
+            let key = (i as u32).to_be_bytes();
+            body.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            body.extend_from_slice(&key);
+            body.extend_from_slice(&(len as u32).to_le_bytes());
+            body.extend_from_slice(&value(len));
+        }
+        let mut snap = SNAPSHOT_MAGIC.to_vec();
+        snap.extend_from_slice(&table_crc(&body).to_le_bytes());
+        snap.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        snap.extend_from_slice(&body);
+        std::fs::write(dir.path().join("snapshot.db"), snap).unwrap();
+
+        let mut log = Vec::new();
+        let mut records: Vec<LogRecord> = lens
+            .iter()
+            .map(|&len| LogRecord::Put {
+                table: "log".into(),
+                key: (len as u32).to_be_bytes().to_vec(),
+                value: value(len),
+            })
+            .collect();
+        records.push(LogRecord::Delete {
+            table: "snap".into(),
+            key: 0u32.to_be_bytes().to_vec(),
+        });
+        for rec in &records {
+            let payload = rec.to_bytes();
+            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            log.extend_from_slice(&table_crc(&payload).to_le_bytes());
+            log.extend_from_slice(&payload);
+        }
+        std::fs::write(dir.path().join("wal.log"), log).unwrap();
+
+        let replayed = wal::replay(dir.path().join("wal.log")).unwrap();
+        assert_eq!(replayed.records, records, "every record replays");
+        assert!(!replayed.truncated_tail);
+        let db = DewDb::open(dir.path(), SyncPolicy::EveryAppend).unwrap();
+        for (i, &len) in lens.iter().enumerate() {
+            let want = (i > 0).then(|| value(len));
+            assert_eq!(db.get("snap", &(i as u32).to_be_bytes()), want.as_deref());
+            assert_eq!(
+                db.get("log", &(len as u32).to_be_bytes()),
+                Some(&value(len)[..]),
+                "log record of {len} bytes"
+            );
+        }
+    }
+
+    #[test]
     fn torn_wal_tail_recovers_prefix() {
         let dir = TempDir::new("db-torn");
         {

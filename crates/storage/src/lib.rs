@@ -17,12 +17,17 @@
 //! * [`pool::ConnectionPool`] — the DBCP analog.
 //! * [`wal`] — durability internals.
 //! * [`crc32`] — the record digest of the WAL and, above this crate, the
-//!   per-chunk digest of the chunked data plane (slice-by-16).
+//!   per-chunk digest of the chunked data plane (a carry-less-multiply
+//!   kernel chosen at run time, slice-by-16 otherwise). It holds the
+//!   workspace's one `unsafe` block: the kernel's call behind CPU-feature
+//!   detection.
 //!
 //! Table 2's four-way comparison (engine × pooling) is regenerated by
 //! `bitdew-bench --bin table2` directly on top of these types.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod codec;
 pub mod crc32;

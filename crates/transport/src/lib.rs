@@ -31,6 +31,7 @@
 //!   regenerate Fig. 3/5/6 at 10–400 node scale.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bittorrent;
 pub mod fabric;

@@ -22,6 +22,7 @@
 //!   experiment reports.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod auid;
 pub mod fmt;

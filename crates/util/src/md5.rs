@@ -23,8 +23,9 @@
 //! * [`Md5::finalize`] pads in place — one or two `compress` calls — rather
 //!   than feeding `update` a byte at a time.
 //!
-//! No SIMD or `unsafe`: MD5 has no data parallelism inside one message, and
-//! the workspace has no `unsafe`. The textbook 64-iteration loop this
+//! No SIMD or `unsafe` (this crate forbids it): MD5 has no data parallelism
+//! inside one message, so a vector kernel has nothing to fold in parallel,
+//! unlike the CRC-32 in `bitdew-storage`. The textbook 64-iteration loop this
 //! replaced is the unit tests' oracle (`tests::oracle`), compared on random
 //! blocks, every split point and every length across the padding boundaries.
 //!

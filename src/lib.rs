@@ -67,6 +67,7 @@
 //!   replica's Copy event.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use bitdew_core as core;
 pub use bitdew_dht as dht;
