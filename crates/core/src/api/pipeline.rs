@@ -477,68 +477,80 @@ impl<N: BitDewApi + ActiveData + TransferManager> SessionCore<N> {
         }
     }
 
+    /// Run one segment as phase batches. Each queued op's datum,
+    /// attributes and payload move into its batch (nothing is cloned); the
+    /// tickets wait beside the batch, in the same order.
     fn run_segment(&self, ops: Vec<Op>) {
         if ops.is_empty() {
             return;
         }
         self.batches.fetch_add(1, Ordering::Relaxed);
-        let mut puts = Vec::new();
-        let mut schedules = Vec::new();
+        let (mut put_data, mut payloads, mut put_tickets) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut schedules, mut schedule_tickets) = (Vec::new(), Vec::new());
         let mut pins = Vec::new();
         let mut deletes = Vec::new();
         for op in ops {
             match op {
-                Op::Put(d, bytes, tk) => puts.push((d, bytes, tk)),
-                Op::Schedule(d, attrs, tk) => schedules.push((d, attrs, tk)),
+                Op::Put(d, bytes, tk) => {
+                    put_data.push(d);
+                    payloads.push(bytes);
+                    put_tickets.push(tk);
+                }
+                Op::Schedule(d, attrs, tk) => {
+                    schedules.push((d, attrs));
+                    schedule_tickets.push(tk);
+                }
                 Op::Pin(d, attrs, tk) => pins.push((d, attrs, tk)),
                 Op::Delete(d, tk) => deletes.push((d, tk)),
             }
         }
 
-        if !puts.is_empty() {
-            let batch: Vec<(Data, &[u8])> = puts
-                .iter()
-                .map(|(d, bytes, _)| (d.clone(), bytes.as_slice()))
+        if !put_tickets.is_empty() {
+            let batch: Vec<(Data, &[u8])> = put_data
+                .into_iter()
+                .zip(payloads.iter().map(Vec::as_slice))
                 .collect();
-            match self.node.put_many(&batch) {
-                Ok(()) => {
-                    for (_, _, tk) in &puts {
-                        self.resolve(tk, Ok(()));
-                    }
-                }
-                // The batch is all-or-nothing; re-run per item so every
-                // ticket carries its own error (put_many is idempotent —
-                // re-storing a payload and re-recording its locators).
-                Err(_) => {
-                    for (d, bytes, tk) in &puts {
-                        self.resolve(tk, self.node.put(d, bytes));
-                    }
-                }
-            }
+            let verdict = self.node.put_many(&batch);
+            self.settle(&put_tickets, &batch, verdict, |(d, bytes)| {
+                self.node.put(d, bytes)
+            });
         }
-        if !schedules.is_empty() {
-            let batch: Vec<(Data, DataAttributes)> = schedules
-                .iter()
-                .map(|(d, attrs, _)| (d.clone(), attrs.clone()))
-                .collect();
-            match self.node.schedule_many(&batch) {
-                Ok(()) => {
-                    for (_, _, tk) in &schedules {
-                        self.resolve(tk, Ok(()));
-                    }
-                }
-                Err(_) => {
-                    for (d, attrs, tk) in &schedules {
-                        self.resolve(tk, self.node.schedule(d, attrs.clone()));
-                    }
-                }
-            }
+        if !schedule_tickets.is_empty() {
+            let verdict = self.node.schedule_many(&schedules);
+            self.settle(&schedule_tickets, &schedules, verdict, |(d, attrs)| {
+                self.node.schedule(d, attrs.clone())
+            });
         }
         for (d, attrs, tk) in pins {
             self.resolve(&tk, self.node.pin(&d, attrs));
         }
         for (d, tk) in deletes {
             self.resolve(&tk, self.node.delete(&d));
+        }
+    }
+
+    /// Resolve a batch's tickets with the batch's verdict. The batch is
+    /// all-or-nothing, so on failure each item re-runs alone and its ticket
+    /// carries its own result (`put_many` and `schedule_many` are
+    /// idempotent: re-storing a payload and re-recording its locators).
+    fn settle<T>(
+        &self,
+        tickets: &[Ticket<()>],
+        batch: &[T],
+        verdict: Result<()>,
+        one: impl Fn(&T) -> Result<()>,
+    ) {
+        match verdict {
+            Ok(()) => {
+                for tk in tickets {
+                    self.resolve(tk, Ok(()));
+                }
+            }
+            Err(_) => {
+                for (item, tk) in batch.iter().zip(tickets) {
+                    self.resolve(tk, one(item));
+                }
+            }
         }
     }
 

@@ -12,6 +12,7 @@
 
 use bitdew_storage::codec::{CodecError, Decode, Encode};
 use bitdew_transport::ProtocolId;
+use bitdew_util::auid::CANONICAL_LEN;
 use bitdew_util::md5::{md5, Md5Digest};
 use bitdew_util::Auid;
 use bytes::{Bytes, BytesMut};
@@ -90,8 +91,15 @@ impl Data {
     /// The canonical object name content is stored under in a
     /// [`FileStore`](bitdew_transport::FileStore): unique per datum so two
     /// data with the same label never collide.
+    ///
+    /// The text is `<name>.<canonical id>`, built in one allocation of
+    /// exactly its length.
     pub fn object_name(&self) -> String {
-        format!("{}.{}", self.name, self.id.to_canonical())
+        let mut object = String::with_capacity(self.name.len() + 1 + CANONICAL_LEN);
+        object.push_str(&self.name);
+        object.push('.');
+        self.id.push_canonical(&mut object);
+        object
     }
 
     /// Whether the declared checksum is the "unknown" sentinel of a slot.
@@ -107,6 +115,11 @@ impl Encode for Data {
         self.checksum.encode(buf);
         self.size.encode(buf);
         self.flags.0.encode(buf);
+    }
+
+    /// Id, name, MD5, size and flags.
+    fn encoded_len(&self) -> Option<usize> {
+        Some(16 + self.name.encoded_len()? + 16 + 8 + 4)
     }
 }
 
@@ -145,14 +158,60 @@ impl Locator {
             object: data.object_name(),
         }
     }
+
+    /// This locator as a borrowed row.
+    pub fn as_ref(&self) -> LocatorRef<'_> {
+        LocatorRef {
+            data: self.data,
+            protocol: &self.protocol.0,
+            remote: &self.remote,
+            object: &self.object,
+        }
+    }
 }
 
 impl Encode for Locator {
     fn encode(&self, buf: &mut BytesMut) {
+        self.as_ref().encode(buf);
+    }
+
+    fn encoded_len(&self) -> Option<usize> {
+        self.as_ref().encoded_len()
+    }
+}
+
+/// A [`Locator`] row from borrowed parts: what the catalog stores, built
+/// from strings the writer already holds (the repository's endpoints, a
+/// datum's object name) instead of an owned `Locator`'s three `String`s.
+/// It has the one encoding a locator row has; [`Locator`] encodes through
+/// it, and the row decodes as a [`Locator`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocatorRef<'a> {
+    /// The datum this locator serves.
+    pub data: DataId,
+    /// Transfer protocol name (a [`ProtocolId`]'s text).
+    pub protocol: &'a str,
+    /// Protocol endpoint.
+    pub remote: &'a str,
+    /// Object name on the remote store.
+    pub object: &'a str,
+}
+
+impl Encode for LocatorRef<'_> {
+    fn encode(&self, buf: &mut BytesMut) {
         self.data.encode(buf);
-        self.protocol.0.encode(buf);
+        self.protocol.encode(buf);
         self.remote.encode(buf);
         self.object.encode(buf);
+    }
+
+    /// Id and three length-prefixed strings.
+    fn encoded_len(&self) -> Option<usize> {
+        Some(
+            16 + self.protocol.encoded_len()?
+                + self.remote.encoded_len()?
+                + self.object.encoded_len()?,
+        )
     }
 }
 
@@ -220,6 +279,80 @@ mod tests {
     impl Data {
         fn from_bytes_slice(bytes: &[u8]) -> Data {
             <Data as Decode>::from_bytes(bytes).unwrap()
+        }
+    }
+
+    #[test]
+    fn object_name_matches_the_format_oracle() {
+        for name in ["", "genome", "späte Grüße — 数据", "a.b.c"] {
+            for id in [Auid(0), Auid(u128::MAX), an_id(8)] {
+                let d = Data::slot(id, name, 0);
+                let object = d.object_name();
+                assert_eq!(object, format!("{}.{}", name, id.to_canonical()));
+                assert_eq!(object.len(), name.len() + 1 + CANONICAL_LEN);
+            }
+        }
+    }
+
+    /// A locator row as its fields encode one by one, written out by hand
+    /// (little-endian id, then three `u32`-length-prefixed strings): the
+    /// oracle for the one encoding both `Locator` and `LocatorRef` share.
+    fn locator_row_oracle(data: DataId, protocol: &str, remote: &str, object: &str) -> Vec<u8> {
+        let mut row = data.0.to_le_bytes().to_vec();
+        for text in [protocol, remote, object] {
+            row.extend_from_slice(&(text.len() as u32).to_le_bytes());
+            row.extend_from_slice(text.as_bytes());
+        }
+        row
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_rows_encode_alike_from_borrowed_or_owned_parts_at_the_stated_size(
+            id in proptest::prelude::any::<u128>(),
+            name in ".{0,24}",
+            protocol in ".{0,12}",
+            remote in ".{0,24}",
+            object in ".{0,48}",
+            size in proptest::prelude::any::<u64>(),
+            flags in proptest::prelude::any::<u32>(),
+        ) {
+            let owned = Locator {
+                data: Auid(id),
+                protocol: ProtocolId(protocol.clone()),
+                remote: remote.clone(),
+                object: object.clone(),
+            };
+            let borrowed = LocatorRef {
+                data: Auid(id),
+                protocol: &protocol,
+                remote: &remote,
+                object: &object,
+            };
+            let oracle = locator_row_oracle(Auid(id), &protocol, &remote, &object);
+            let from_owned = owned.encode_to_vec();
+            let from_borrowed = borrowed.encode_to_vec();
+            proptest::prop_assert_eq!(&from_owned, &oracle);
+            proptest::prop_assert_eq!(&from_borrowed, &oracle);
+            proptest::prop_assert_eq!(&owned.to_bytes()[..], &oracle[..]);
+            proptest::prop_assert_eq!(<Locator as Decode>::from_bytes(&from_borrowed).unwrap(), owned.clone());
+            // The stated size is the encoded size, and the buffer holds
+            // no slack beyond it.
+            proptest::prop_assert_eq!(owned.encoded_len(), Some(oracle.len()));
+            proptest::prop_assert_eq!(borrowed.encoded_len(), Some(oracle.len()));
+            proptest::prop_assert_eq!(from_borrowed.capacity(), oracle.len());
+
+            let data = Data {
+                id: Auid(id),
+                name,
+                checksum: md5(object.as_bytes()),
+                size,
+                flags: DataFlags(flags),
+            };
+            let row = data.encode_to_vec();
+            proptest::prop_assert_eq!(data.encoded_len(), Some(row.len()));
+            proptest::prop_assert_eq!(row.capacity(), row.len());
+            proptest::prop_assert_eq!(<Data as Decode>::from_bytes(&row).unwrap(), data);
         }
     }
 

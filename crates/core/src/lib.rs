@@ -206,7 +206,7 @@ pub use compute::{
     op_outputs, ComputeRunner, ComputeStats, MapFn, MapOp, MapPart, MapSpec, COMPUTE_OP_PREFIX,
     COMPUTE_OUT_PREFIX,
 };
-pub use data::{Data, DataFlags, DataId, Locator};
+pub use data::{Data, DataFlags, DataId, Locator, LocatorRef};
 pub use events::{ActiveDataEventHandler, CallbackHandler};
 pub use runtime::{
     AnnounceConfig, BitdewNode, NodeHandle, RuntimeConfig, ServiceContainer, SyncSummary,

@@ -22,6 +22,7 @@
 //! runs on this threaded deployment or on the simulator adapter unchanged.
 //! Every operation returns [`crate::Result`].
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -49,7 +50,7 @@ use crate::api::{
 use crate::attr::DataAttributes;
 use crate::attrparse;
 use crate::chunks::{ChunkHoldings, ChunkManifest, ChunkStore, MultiSourceFetcher};
-use crate::data::{Data, DataId, Locator};
+use crate::data::{Data, DataId, Locator, LocatorRef};
 use crate::events::ActiveDataEventHandler;
 use crate::services::catalog::DbAccess;
 use crate::services::repository::DataRepository;
@@ -593,14 +594,37 @@ impl BitdewNode {
 
     /// Batched [`BitdewNode::put`]: stores every payload, then records all
     /// locators through one catalog round-trip instead of one per locator.
+    ///
+    /// Each datum's object name is built once: it names the verified store
+    /// write and both locator rows, which borrow it and the repository's
+    /// endpoints. The rows need no presence check of their own — the
+    /// content they point at is what this call just wrote.
     pub fn put_many(&self, items: &[(Data, &[u8])]) -> Result<()> {
-        let mut locators = Vec::with_capacity(items.len() * 2);
+        let repository = &self.container.repository;
+        let mut objects = Vec::with_capacity(items.len());
         for (data, content) in items {
-            self.container.repository.put_bytes(data, content)?;
-            for proto in [ProtocolId::ftp(), ProtocolId::http()] {
-                locators.push(self.container.repository.locator_for(data, &proto)?);
-            }
+            let object = data.object_name();
+            repository.put_object(data, &object, content)?;
+            objects.push(object);
         }
+        let served = [ProtocolId::ftp(), ProtocolId::http()].map(|protocol| {
+            let remote = repository
+                .endpoint(&protocol)
+                .expect("the repository serves FTP and HTTP");
+            (protocol, remote)
+        });
+        let locators: Vec<LocatorRef> = items
+            .iter()
+            .zip(&objects)
+            .flat_map(|((data, _), object)| {
+                served.iter().map(move |(protocol, remote)| LocatorRef {
+                    data: data.id,
+                    protocol: &protocol.0,
+                    remote,
+                    object,
+                })
+            })
+            .collect();
         self.container.plane.add_locators(&locators)?;
         Ok(())
     }
@@ -795,8 +819,12 @@ impl BitdewNode {
 
     /// Announce this node as a source for `data` (serving must be enabled).
     fn announce_replica(&self, data: &Data) -> Result<()> {
-        let locator = Locator::new(data, ProtocolId::ftp(), peer_endpoint(self.uid));
-        self.container.plane.add_locators(&[locator])?;
+        self.container.plane.add_locators(&[LocatorRef {
+            data: data.id,
+            protocol: &ProtocolId::ftp().0,
+            remote: &peer_endpoint(self.uid),
+            object: &data.object_name(),
+        }])?;
         Ok(())
     }
 
@@ -1054,20 +1082,40 @@ impl BitdewNode {
     /// Batched [`BitdewNode::schedule`]: registers all locators in one
     /// catalog round-trip and takes the scheduler lock once for the whole
     /// batch.
+    ///
+    /// A datum whose content the repository holds gets a locator row for
+    /// its protocol, checked with one object name and one presence test:
+    /// FTP and HTTP rows borrow the repository's endpoint; any other
+    /// protocol (BitTorrent) goes through [`DataRepository::locator_for`],
+    /// which starts its seeder. After a `put` the FTP row is already there
+    /// and rewriting it changes nothing; it is what gives content written
+    /// only through `put_range` its locator.
     pub fn schedule_many(&self, items: &[(Data, DataAttributes)]) -> Result<()> {
         for (data, attrs) in items {
             validate_attrs(data, attrs)?;
         }
-        let mut locators = Vec::new();
+        let repository = &self.container.repository;
+        let mut rows = Vec::with_capacity(items.len());
         for (data, attrs) in items {
-            if self.container.repository.has(data) {
-                locators.push(
-                    self.container
-                        .repository
-                        .locator_for(data, &attrs.protocol)?,
-                );
+            let object = data.object_name();
+            if !repository.store().exists(&object) {
+                continue;
             }
+            let remote = match repository.endpoint(&attrs.protocol) {
+                Some(remote) => Cow::Borrowed(remote),
+                None => Cow::Owned(repository.locator_for(data, &attrs.protocol)?.remote),
+            };
+            rows.push((data.id, attrs.protocol.0.as_str(), remote, object));
         }
+        let locators: Vec<LocatorRef> = rows
+            .iter()
+            .map(|(data, protocol, remote, object)| LocatorRef {
+                data: *data,
+                protocol,
+                remote,
+                object,
+            })
+            .collect();
         self.container.plane.add_locators(&locators)?;
         for (data, attrs) in items {
             self.fire(DataEventKind::Create, data, attrs);

@@ -15,11 +15,10 @@ use std::sync::Arc;
 
 use bitdew_storage::codec::{Decode, Encode};
 use bitdew_storage::{ConnectionPool, DbDriver, DbOp, DbReply, DbResult};
-use bitdew_transport::ProtocolId;
 
 use crate::api::Result;
 use crate::chunks::ChunkManifest;
-use crate::data::{Data, DataId, Locator};
+use crate::data::{Data, DataId, Locator, LocatorRef};
 use crate::versions::VersionedManifest;
 
 const T_DATA: &str = "dc_data";
@@ -49,11 +48,11 @@ fn name_key(name: &str, id: DataId) -> Vec<u8> {
 
 /// Key of a `dc_locator` row: data id + protocol name, so one locator per
 /// (data, protocol).
-fn locator_key(id: DataId, protocol: &ProtocolId) -> Vec<u8> {
+fn locator_key(id: DataId, protocol: &str) -> Vec<u8> {
     let id = id.0.to_le_bytes();
-    let mut key = Vec::with_capacity(id.len() + protocol.0.len());
+    let mut key = Vec::with_capacity(id.len() + protocol.len());
     key.extend_from_slice(&id);
-    key.extend_from_slice(protocol.0.as_bytes());
+    key.extend_from_slice(protocol.as_bytes());
     key
 }
 
@@ -190,18 +189,18 @@ impl DataCatalog {
         Ok(out)
     }
 
-    /// Attach a locator to a datum.
-    pub fn add_locator(&self, loc: &Locator) -> Result<()> {
-        self.add_locators([loc])
-    }
-
-    /// Attach a batch of locators over one database connection.
-    pub fn add_locators<'a>(&self, locs: impl IntoIterator<Item = &'a Locator>) -> Result<()> {
+    /// Attach a batch of locator rows over one database connection. The
+    /// rows are borrowed: each key and value is built once, at its exact
+    /// length, straight from the caller's strings.
+    pub fn add_locators<'a, 'r: 'a>(
+        &self,
+        locs: impl IntoIterator<Item = &'a LocatorRef<'r>>,
+    ) -> Result<()> {
         let ops: Vec<DbOp> = locs
             .into_iter()
             .map(|loc| DbOp::Put {
                 table: T_LOCATOR,
-                key: locator_key(loc.data, &loc.protocol),
+                key: locator_key(loc.data, loc.protocol),
                 value: loc.encode_to_vec(),
             })
             .collect();
@@ -316,7 +315,7 @@ impl DataCatalog {
         for l in self.locators(id)? {
             self.db.exec(DbOp::Delete {
                 table: T_LOCATOR,
-                key: locator_key(id, &l.protocol),
+                key: locator_key(id, &l.protocol.0),
             })?;
         }
         self.db.exec(DbOp::Delete {
@@ -382,8 +381,8 @@ mod tests {
 
         let l1 = Locator::new(&d1, ProtocolId::ftp(), "dr-1");
         let l2 = Locator::new(&d1, ProtocolId::bittorrent(), "tracker-1");
-        dc.add_locator(&l1).unwrap();
-        dc.add_locator(&l2).unwrap();
+        dc.add_locators(&[l1.as_ref()]).unwrap();
+        dc.add_locators([&l2.as_ref()]).unwrap();
         let locs = dc.locators(d1.id).unwrap();
         assert_eq!(locs.len(), 2);
 

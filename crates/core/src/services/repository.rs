@@ -8,7 +8,9 @@
 //! servers of `bitdew-transport`: an FTP-like daemon, an HTTP-like daemon,
 //! and a BitTorrent tracker + seeder. `put`/`get` move content between a
 //! client's local store and the repository; `locator_for` mints the
-//! [`Locator`] a remote host needs to fetch a datum with a given protocol.
+//! [`Locator`] a remote host needs to fetch a datum with a given protocol,
+//! and `endpoint` names the FTP/HTTP daemon for a caller that writes the
+//! locator row from borrowed parts.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -75,16 +77,25 @@ impl DataRepository {
         &self.ftp
     }
 
-    /// Replace the content of the slot for `data` with `content`, verifying
-    /// the declared checksum when the datum has one.
+    /// Replace the content of the slot for `data` with `content`:
+    /// [`DataRepository::put_object`] under the datum's own object name.
     pub fn put_bytes(&self, data: &Data, content: &[u8]) -> Result<()> {
+        self.put_object(data, &data.object_name(), content)
+    }
+
+    /// Replace the content of the slot for `data`, stored as `object` (its
+    /// [`Data::object_name`], which a batch caller has already built), with
+    /// `content`. The declared checksum, when the datum has one, is
+    /// verified first, so content that fails it is never written. The
+    /// write is one [`FileStore::replace`]: a shorter `put` leaves no tail
+    /// of the previous content, and on the in-memory store it takes the
+    /// store's lock once.
+    pub fn put_object(&self, data: &Data, object: &str, content: &[u8]) -> Result<()> {
+        debug_assert_eq!(object, data.object_name());
         if data.has_checksum() && bitdew_util::md5::md5(content) != data.checksum {
             return Err(TransportError::ChecksumMismatch.into());
         }
-        // A shorter `put` must not leave the previous content's tail.
-        let name = data.object_name();
-        self.store.remove(&name)?;
-        self.store.write_at(&name, 0, content)?;
+        self.store.replace(object, content)?;
         Ok(())
     }
 
@@ -140,27 +151,41 @@ impl DataRepository {
         Ok(())
     }
 
-    /// Mint the locator remote hosts use to fetch `data` via `protocol`.
-    /// For BitTorrent this also ensures a tracker registration and a seeder
-    /// daemon for the datum ("the FTP server and the BitTorrent seeder run
-    /// on the same node", §4.3).
+    /// The endpoint serving whole objects of this repository over
+    /// `protocol` — FTP or HTTP, which need nothing started per datum.
+    /// `None` for any other protocol: BitTorrent needs a seeder, which
+    /// [`DataRepository::locator_for`] starts.
+    pub fn endpoint(&self, protocol: &ProtocolId) -> Option<&str> {
+        match protocol.0.as_str() {
+            "ftp" => Some(&self.ftp_endpoint),
+            "http" => Some(&self.http_endpoint),
+            _ => None,
+        }
+    }
+
+    /// Mint the locator remote hosts use to fetch `data` via `protocol`,
+    /// once the repository holds its content. For BitTorrent this also
+    /// ensures a tracker registration and a seeder daemon for the datum
+    /// ("the FTP server and the BitTorrent seeder run on the same node",
+    /// §4.3).
     pub fn locator_for(&self, data: &Data, protocol: &ProtocolId) -> Result<Locator> {
         if !self.has(data) {
             return Err(crate::api::BitdewError::CatalogMiss {
                 what: format!("repository content for `{}`", data.object_name()),
             });
         }
-        let remote = if *protocol == ProtocolId::ftp() {
-            self.ftp_endpoint.clone()
-        } else if *protocol == ProtocolId::http() {
-            self.http_endpoint.clone()
-        } else if *protocol == ProtocolId::bittorrent() {
-            self.ensure_seeding(data)?;
-            self.tracker_endpoint.clone()
-        } else {
-            return Err(
-                TransportError::Protocol(format!("repository does not serve {protocol}")).into(),
-            );
+        let remote = match self.endpoint(protocol) {
+            Some(endpoint) => endpoint.to_owned(),
+            None if *protocol == ProtocolId::bittorrent() => {
+                self.ensure_seeding(data)?;
+                self.tracker_endpoint.clone()
+            }
+            None => {
+                return Err(TransportError::Protocol(format!(
+                    "repository does not serve {protocol}"
+                ))
+                .into())
+            }
         };
         Ok(Locator::new(data, protocol.clone(), remote))
     }

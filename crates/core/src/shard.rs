@@ -48,7 +48,7 @@ use crate::agent::ClaimEffect;
 use crate::api::Result;
 use crate::attr::{DataAttributes, Lifetime};
 use crate::chunks::{ChunkHoldings, ChunkManifest};
-use crate::data::{Data, DataId, Locator};
+use crate::data::{Data, DataId, Locator, LocatorRef};
 use crate::services::catalog::{DataCatalog, DbAccess};
 use crate::services::scheduler::{DataScheduler, HostUid, SyncReply, SyncRole};
 use crate::versions::{
@@ -710,9 +710,9 @@ impl ShardedPlane {
         Ok(out)
     }
 
-    /// Attach a batch of locators, grouped per shard in one routing pass so
-    /// each shard sees one batched database round-trip.
-    pub fn add_locators(&self, locs: &[Locator]) -> Result<()> {
+    /// Attach a batch of borrowed locator rows, grouped per shard in one
+    /// routing pass so each shard sees one batched database round-trip.
+    pub fn add_locators(&self, locs: &[LocatorRef]) -> Result<()> {
         if self.catalogs.len() == 1 {
             return self.catalogs[0].add_locators(locs);
         }

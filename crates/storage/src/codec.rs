@@ -34,9 +34,22 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Serialize into a byte buffer.
+///
+/// A type whose encoding length is cheap to compute states it in
+/// [`Encode::encoded_len`], and [`Encode::encode_to_vec`] then allocates
+/// its buffer once, at exactly that size. The catalog's hot rows (a datum,
+/// a locator) do; everything else grows a buffer and trims it.
 pub trait Encode {
     /// Append this value's encoding to `buf`.
     fn encode(&self, buf: &mut BytesMut);
+
+    /// The exact number of bytes [`Encode::encode`] appends, or `None`
+    /// (the default) when the type does not state it. Never an estimate:
+    /// a hint that is off by one byte either reallocates or leaves slack,
+    /// and debug builds assert it in [`Encode::encode_to_vec`].
+    fn encoded_len(&self) -> Option<usize> {
+        None
+    }
 
     /// Encode to a fresh `Bytes`.
     fn to_bytes(&self) -> Bytes {
@@ -45,14 +58,22 @@ pub trait Encode {
         buf.freeze()
     }
 
-    /// Encode to a fresh `Vec<u8>`: one buffer, no `freeze` copy. The name
-    /// is not `to_vec`, which on `Vec<u8>` would shadow the slice method.
+    /// Encode to a fresh `Vec<u8>`: one buffer, no `freeze` copy. With an
+    /// [`Encode::encoded_len`] the buffer is allocated once at the exact
+    /// size; without one it grows and is trimmed to fit. The name is not
+    /// `to_vec`, which on `Vec<u8>` would shadow the slice method.
     fn encode_to_vec(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let Some(len) = self.encoded_len() else {
+            let mut buf = BytesMut::new();
+            self.encode(&mut buf);
+            let mut v = buf.into_vec();
+            v.shrink_to_fit();
+            return v;
+        };
+        let mut buf = BytesMut::with_capacity(len);
         self.encode(&mut buf);
-        let mut v = buf.into_vec();
-        v.shrink_to_fit();
-        v
+        debug_assert_eq!(buf.len(), len, "encoded_len must be exact");
+        buf.into_vec()
     }
 }
 
@@ -135,10 +156,26 @@ impl Decode for Vec<u8> {
 
 impl Encode for String {
     fn encode(&self, buf: &mut BytesMut) {
+        self.as_str().encode(buf);
+    }
+
+    fn encoded_len(&self) -> Option<usize> {
+        self.as_str().encoded_len()
+    }
+}
+
+/// A borrowed string encodes exactly as the `String` it could be.
+impl Encode for str {
+    fn encode(&self, buf: &mut BytesMut) {
         (self.len() as u32).encode(buf);
         buf.put_slice(self.as_bytes());
     }
+
+    fn encoded_len(&self) -> Option<usize> {
+        Some(4 + self.len())
+    }
 }
+
 impl Decode for String {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         let raw = Vec::<u8>::decode(buf)?;

@@ -91,6 +91,19 @@ pub trait FileStore: Send + Sync {
     /// Write `data` into `name` at `offset`, extending (zero-filling any gap)
     /// as needed. Creates the object if missing.
     fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), StoreError>;
+    /// Make `name` hold exactly `data`, creating it if missing: no tail of
+    /// a longer previous content survives.
+    ///
+    /// The default is [`FileStore::remove`] then [`FileStore::write_at`]
+    /// (so a wrapper that overrides only those still sees, and counts,
+    /// the write); between the two a concurrent reader can find the
+    /// object missing. [`MemStore`] overrides it with one insert under one
+    /// acquisition of its write lock, so a reader sees the old content or
+    /// the new and nothing between.
+    fn replace(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
+        self.remove(name)?;
+        self.write_at(name, 0, data)
+    }
     /// Current size of `name`.
     fn size(&self, name: &str) -> Result<u64, StoreError>;
     /// Whether `name` exists.
@@ -198,6 +211,11 @@ impl FileStore for MemStore {
             obj.resize(needed, 0);
         }
         obj[off..needed].copy_from_slice(data);
+        Ok(())
+    }
+
+    fn replace(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
+        self.put(name, data);
         Ok(())
     }
 
@@ -453,14 +471,26 @@ mod tests {
     }
 
     /// A store that overrides only the required methods, so `read_into`
-    /// keeps the trait default.
-    struct Forwarding(Arc<MemStore>);
+    /// and `replace` keep the trait defaults. It counts the writes it
+    /// forwards, as the benchmark's counting wrapper does.
+    struct Forwarding(Arc<MemStore>, std::sync::atomic::AtomicUsize);
+
+    impl Forwarding {
+        fn new() -> Forwarding {
+            Forwarding(MemStore::new(), Default::default())
+        }
+
+        fn writes(&self) -> usize {
+            self.1.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
 
     impl FileStore for Forwarding {
         fn read_at(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, StoreError> {
             self.0.read_at(name, offset, len)
         }
         fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), StoreError> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.0.write_at(name, offset, data)
         }
         fn size(&self, name: &str) -> Result<u64, StoreError> {
@@ -479,7 +509,30 @@ mod tests {
 
     #[test]
     fn default_read_into_keeps_the_contract() {
-        exercise(&Forwarding(MemStore::new()));
+        exercise(&Forwarding::new());
+    }
+
+    /// `replace` leaves exactly the new bytes — no tail of a longer old
+    /// object — on both stores and through the trait default, which a
+    /// wrapper overriding only `write_at` and `remove` still sees as one
+    /// write.
+    #[test]
+    fn replace_leaves_no_tail() {
+        let dir = TempDir::new("replace");
+        let (mem, disk) = (MemStore::new(), DiskStore::new(dir.path()).unwrap());
+        let wrapped = Forwarding::new();
+        let stores: [&dyn FileStore; 3] = [mem.as_ref(), disk.as_ref(), &wrapped];
+        let old: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        for store in stores {
+            store.write_at("o", 0, &old).unwrap();
+            store.replace("o", b"ten bytes!").unwrap();
+            assert_eq!(store.size("o").unwrap(), 10);
+            assert_eq!(&store.read_at("o", 0, 100).unwrap()[..], b"ten bytes!");
+            // A missing object is created.
+            store.replace("new", b"abc").unwrap();
+            assert_eq!(&store.read_at("new", 0, 100).unwrap()[..], b"abc");
+        }
+        assert_eq!(wrapped.writes(), 3, "the first write and both replaces");
     }
 
     proptest! {
@@ -504,7 +557,7 @@ mod tests {
             let stores: [Arc<dyn FileStore>; 3] = [
                 MemStore::new(),
                 DiskStore::new(dir.path()).unwrap(),
-                Arc::new(Forwarding(MemStore::new())),
+                Arc::new(Forwarding::new()),
             ];
             for store in &stores {
                 store.write_at("o", 0, &content).unwrap();

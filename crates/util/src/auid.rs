@@ -24,6 +24,10 @@ pub struct Auid(pub u128);
 
 static SEQ: AtomicU16 = AtomicU16::new(0);
 
+/// Length in bytes of [`Auid::to_canonical`]'s text: 16 + 4 + 12 hex
+/// digits and two dashes.
+pub const CANONICAL_LEN: usize = 34;
+
 impl Auid {
     /// The nil identifier; used as a sentinel ("no data").
     pub const NIL: Auid = Auid(0);
@@ -64,12 +68,30 @@ impl Auid {
 
     /// Canonical textual form, e.g. `0000000000000001-0003-2ab54c1de9f0`.
     pub fn to_canonical(&self) -> String {
-        format!(
-            "{:016x}-{:04x}-{:012x}",
-            self.timestamp_nanos(),
-            self.sequence(),
-            self.0 & 0xffff_ffff_ffff
-        )
+        let mut out = String::with_capacity(CANONICAL_LEN);
+        self.push_canonical(&mut out);
+        out
+    }
+
+    /// Append the canonical textual form — `{:016x}-{:04x}-{:012x}` of
+    /// timestamp, sequence and node — to `out`: exactly [`CANONICAL_LEN`]
+    /// bytes, written from a nibble table with no formatting machinery.
+    /// The three fields are the u128's 32 nibbles in order, so the text is
+    /// those nibbles most significant first with a dash after the 16th and
+    /// the 20th.
+    pub fn push_canonical(&self, out: &mut String) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = [b'-'; CANONICAL_LEN];
+        let mut at = 0;
+        for nibble in 0..32 {
+            if nibble == 16 || nibble == 20 {
+                at += 1; // keep the dash
+            }
+            text[at] = HEX[(self.0 >> (124 - 4 * nibble)) as usize & 0xf];
+            at += 1;
+        }
+        debug_assert_eq!(at, CANONICAL_LEN);
+        out.push_str(std::str::from_utf8(&text).expect("hex digits and dashes are ASCII"));
     }
 
     /// Parse the canonical textual form produced by [`Auid::to_canonical`].
@@ -133,6 +155,49 @@ mod tests {
         for t in [0u64, 1, u64::MAX] {
             let a = Auid::generate(t, &mut rng);
             assert_eq!(Auid::parse_canonical(&a.to_canonical()), Some(a));
+        }
+    }
+
+    /// The `format!` rendering `push_canonical` replaced: the oracle every
+    /// canonical name is held to.
+    fn canonical_oracle(a: Auid) -> String {
+        format!(
+            "{:016x}-{:04x}-{:012x}",
+            a.timestamp_nanos(),
+            a.sequence(),
+            a.0 & 0xffff_ffff_ffff
+        )
+    }
+
+    fn assert_canonical(a: Auid) {
+        let text = a.to_canonical();
+        assert_eq!(text, canonical_oracle(a), "{:#034x}", a.0);
+        assert_eq!(text.len(), CANONICAL_LEN);
+        assert_eq!(Auid::parse_canonical(&text), Some(a));
+        // Appends after what `out` already holds, and nothing more.
+        let mut out = String::from("name.");
+        a.push_canonical(&mut out);
+        assert_eq!(out, format!("name.{}", canonical_oracle(a)));
+    }
+
+    #[test]
+    fn canonical_text_matches_the_format_oracle() {
+        assert_canonical(Auid(0));
+        assert_canonical(Auid(u128::MAX));
+        // Every nibble position, with every digit value: a shift or a dash
+        // off by one moves a digit, and a buffer one byte too long leaves
+        // a byte the oracle does not have.
+        for nibble in 0..32 {
+            for digit in 1..16u128 {
+                assert_canonical(Auid(digit << (4 * nibble)));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_canonical_text_matches_the_format_oracle(v in proptest::prelude::any::<u128>()) {
+            assert_canonical(Auid(v));
         }
     }
 

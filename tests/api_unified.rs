@@ -13,11 +13,10 @@ use bitdew::core::api::{ActiveData, BitDewApi, BitdewError, TransferManager};
 use bitdew::core::services::transfer::{TransferId, TransferState};
 use bitdew::core::simdriver::{SimBitdew, SimNode};
 use bitdew::core::{
-    BitdewNode, ChunkManifest, Data, DataAttributes, Locator, RuntimeConfig, ServiceContainer,
+    BitdewNode, ChunkManifest, Data, DataAttributes, LocatorRef, RuntimeConfig, ServiceContainer,
     VersionedManifest, REPLICA_ALL,
 };
 use bitdew::sim::{topology, Sim, SimDuration, SimTime, Trace};
-use bitdew::transport::ProtocolId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -335,11 +334,11 @@ fn transfer_failures_surface_through_the_unified_error_model() {
     // A locator pointing at a dead endpoint fails in transport terms.
     let stale = client.create_data("stale", b"content").unwrap();
     c.plane
-        .add_locators(&[Locator {
+        .add_locators(&[LocatorRef {
             data: stale.id,
-            protocol: ProtocolId::ftp(),
-            remote: "no.such.listener".into(),
-            object: stale.object_name(),
+            protocol: "ftp",
+            remote: "no.such.listener",
+            object: &stale.object_name(),
         }])
         .unwrap();
     match client.get(&stale) {

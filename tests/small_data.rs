@@ -1,15 +1,23 @@
 //! Small data move in batches: every whole-object FTP datum one
 //! synchronization round assigns from one source travels over one
 //! pipelined session, while each datum keeps its own transfer — its own
-//! verdict, its own retries, its own Copy event, in admission order.
+//! verdict, its own retries, its own Copy event, in admission order. And a
+//! pipelined `put` + `schedule` of a small datum costs the catalog its
+//! rows and nothing more.
 
 use std::collections::HashSet;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bitdew::core::api::{DataEventKind, EventFilter};
-use bitdew::core::{BitdewNode, Data, DataAttributes, DataId, RuntimeConfig, ServiceContainer};
-use bitdew::transport::ProtocolId;
+use bitdew::core::services::DbAccess;
+use bitdew::core::{
+    join_all, BitdewNode, Data, DataAttributes, DataId, Locator, RuntimeConfig, ServiceContainer,
+    Session,
+};
+use bitdew::storage::{ConnectionPool, DbDriver, DewDb, EmbeddedDriver};
+use bitdew::transport::{Fabric, MemStore, ProtocolId};
 
 const ITEM: usize = 256;
 
@@ -202,4 +210,91 @@ fn two_heartbeating_workers_place_each_datum_exactly_once() {
         assert_eq!(distinct.len(), fired.len(), "no Copy event twice");
         assert_eq!(distinct, w.cached().into_iter().collect::<HashSet<_>>());
     }
+}
+
+/// A 4-shard container over embedded DewDB catalogs, with each shard's
+/// database handle kept for its mutation count.
+fn counted_cluster() -> (
+    Arc<ServiceContainer>,
+    Arc<BitdewNode>,
+    Vec<Arc<EmbeddedDriver>>,
+) {
+    let drivers: Vec<Arc<EmbeddedDriver>> = (0..4)
+        .map(|_| Arc::new(EmbeddedDriver::new(DewDb::in_memory())))
+        .collect();
+    let config = RuntimeConfig {
+        shards: NonZeroUsize::new(4).unwrap(),
+        ..RuntimeConfig::default()
+    };
+    let c = ServiceContainer::start_with_db(Fabric::new(), MemStore::new(), config, |i| {
+        let driver: Arc<dyn DbDriver> = drivers[i].clone();
+        DbAccess::Pooled(ConnectionPool::new(driver, 2))
+    });
+    let client = BitdewNode::new_client(Arc::clone(&c));
+    (c, client, drivers)
+}
+
+fn mutations(drivers: &[Arc<EmbeddedDriver>]) -> u64 {
+    drivers.iter().map(|d| d.db().lock().mutations()).sum()
+}
+
+#[test]
+fn a_pipelined_put_and_schedule_costs_four_catalog_rows_per_datum() {
+    const N: usize = 300;
+    let (c, client, drivers) = counted_cluster();
+    let bytes: Vec<Vec<u8>> = (0..N).map(|i| vec![i as u8; ITEM]).collect();
+    let names: Vec<String> = (0..N).map(|i| format!("rows.{i}")).collect();
+    let items: Vec<(&str, &[u8])> = names
+        .iter()
+        .zip(&bytes)
+        .map(|(n, b)| (n.as_str(), b.as_slice()))
+        .collect();
+    let data = client.create_many(&items).unwrap();
+    let session = Session::with_batch_limit(Arc::clone(&client), 64);
+    let mut futures = Vec::with_capacity(2 * N);
+    for (d, b) in data.iter().zip(&bytes) {
+        futures.push(session.put(d, b));
+        futures.push(session.schedule(d, replica_one()));
+    }
+    join_all(futures).unwrap();
+
+    // A data row and a name row from `create_many`, an FTP and an HTTP
+    // locator row from `put`; `schedule` rewrites the FTP row unchanged,
+    // which DewDB does not count.
+    assert_eq!(mutations(&drivers), 4 * N as u64);
+    for d in &data {
+        let mut got = c.plane.locators(d.id).unwrap();
+        got.sort_by(|a, b| a.protocol.0.cmp(&b.protocol.0));
+        let want = [
+            Locator::new(d, ProtocolId::ftp(), "dr.ftp"),
+            Locator::new(d, ProtocolId::http(), "dr.http"),
+        ];
+        assert_eq!(got, want, "{}", d.name);
+    }
+    assert_eq!(c.plane.scheduler().managed_count(), N);
+
+    // Content written only through a raw range write gets its FTP locator
+    // from `schedule`.
+    let raw = client.create_slot("raw", ITEM as u64).unwrap();
+    client.put_range(&raw, 0, &[7u8; ITEM]).unwrap();
+    assert!(c.plane.locators(raw.id).unwrap().is_empty());
+    client.schedule(&raw, replica_one()).unwrap();
+    assert_eq!(
+        c.plane.locators(raw.id).unwrap(),
+        [Locator::new(&raw, ProtocolId::ftp(), "dr.ftp")]
+    );
+
+    // A BitTorrent schedule still starts the datum's seeder and records
+    // its tracker locator.
+    let bt = &data[0];
+    assert!(c.repository.torrent_for(bt).is_none());
+    client
+        .schedule(bt, replica_one().with_protocol(ProtocolId::bittorrent()))
+        .unwrap();
+    assert!(c.repository.torrent_for(bt).is_some());
+    assert!(c.plane.locators(bt.id).unwrap().contains(&Locator::new(
+        bt,
+        ProtocolId::bittorrent(),
+        "dr.tracker"
+    )));
 }
