@@ -1,30 +1,53 @@
-//! The host agent's decisions, defined once for both backends.
+//! The host agent, defined once for both backends: what a host knows, and
+//! the decisions that read it.
 //!
 //! Every reservoir host runs the paper's agent loop: heartbeat,
 //! synchronize with the Data Scheduler (Algorithm 1), purge, download. The
 //! threaded [`BitdewNode`](crate::BitdewNode) and the simulator's
-//! [`SimBitdew`](crate::simdriver::SimBitdew) each run that loop over their
-//! own state; the choices inside it are the functions below — pure, over
-//! plain data, with no locks, no clock and no I/O. A backend gathers the
-//! inputs and carries out the answer.
+//! [`SimBitdew`](crate::simdriver::SimBitdew) each run that loop over one
+//! [`HostState`] per host: the node behind one lock, the simulator as one
+//! slot of a dense vector of hosts.
 //!
-//! 1. [`Cadence`] — the announce TTL, which heartbeat rounds run a full
-//!    sync, and when a held datum's claim is due again. Callers:
-//!    `BitdewNode::heartbeat_round` and `announce_once`,
-//!    `SimBitdew::heartbeat_step` and `announce_refresh`.
-//! 2. [`claim`] — what a held datum announces: flags and chunk bitmap.
-//!    Callers: `BitdewNode::announce_once`, `SimBitdew::announce_refresh`.
-//! 3. [`claim_effect`] — what a claim means for the scheduler: a place in
-//!    Ω, or the chunks still valid at the head. Callers: the
-//!    [`AnnounceServer`](crate::AnnounceServer) for claims off the wire,
-//!    `SimBitdew::announce_refresh` for claims it never encodes.
-//! 4. [`source_order`] — where a chunked fetch pulls from. Callers:
-//!    `BitdewNode::range_sources`, `SimBitdew::start_chunked_fetch`.
-//! 5. [`triage`] — which entries of a sync reply the host acts on.
-//!    Callers: `BitdewNode::sync_once`, `SimBitdew::heartbeat_step`.
+//! A [`HostState`] keeps one [`Facts`] entry per datum the host knows
+//! anything of — the cache entry, the transfer in flight ([`InFlight`]: a
+//! download, or a chunk repair of a cached datum), the version the host's
+//! bytes correspond to, when it last announced its claim, and one fact only
+//! one backend keeps — plus its heartbeat count and whether its last sync
+//! did work. An entry disappears once it holds nothing. The decisions that
+//! read those facts are its methods:
 //!
-//! A host whose held version of a datum is unknown claims the head
-//! version, on both backends.
+//! - [`HostState::next_round`]: whether a heartbeat runs a full sync.
+//! - [`HostState::claims_due`]: which cached data announce this round.
+//! - [`HostState::triage`]: which entries of a sync reply the host acts on.
+//! - [`HostState::forget`]: a purge, which leaves only a repair in flight.
+//! - [`HostState::note_held_version`]: the version a claim is made at.
+//! - [`HostState::check`]: the invariants, which both backends assert
+//!   after every heartbeat in debug builds.
+//!
+//! The decisions that read no per-host fact are free functions over plain
+//! data: [`Cadence`] (the announce TTL and full-sync period), [`claim`]
+//! (what a held datum announces), [`claim_effect`] (what a claim means for
+//! the scheduler, also applied by the [`AnnounceServer`](crate::AnnounceServer)
+//! to claims off the wire) and [`source_order`] (where a chunked fetch
+//! pulls from). Nothing here locks, reads a clock or does I/O: a backend
+//! gathers the inputs and carries out the answer. A host whose held version
+//! of a datum is unknown claims the head version, on both backends.
+//!
+//! The backends still differ in these ways:
+//! - The backend-only fact: the threaded node caches each datum's chunk
+//!   manifest; the simulator keeps a partial holder's chunk set. The
+//!   threaded node reads partial chunk sets from its `ChunkStore`'s
+//!   presence marks instead.
+//! - The simulator never sets `recent_work`, so only transfers in flight
+//!   make its host busy.
+//! - The simulator counts a repair as pending: `SimNode::barrier` waits for
+//!   repairs too, where `BitdewNode::barrier` waits for downloads only.
+//! - A failed repair drops the datum from the simulator's cache; the
+//!   threaded node keeps it cached until a later repair order.
+//! - The threaded node reports its downloads in flight as held when it
+//!   syncs; the simulator reports its cache only.
+
+use bitdew_util::IdMap;
 
 use crate::announce::{bitmap_indices, chunk_bitmap, FLAG_COMPLETE};
 use crate::data::DataId;
@@ -55,10 +78,9 @@ impl Cadence {
         self.ttl
     }
 
-    /// Whether heartbeat `round` runs a full sync: the periodic round, or
-    /// any round while the host is `busy`.
-    pub fn full_due(&self, round: u64, busy: bool) -> bool {
-        busy || round.is_multiple_of(self.full_sync_every)
+    /// Whether heartbeat `round` is the periodic full sync.
+    pub fn periodic(&self, round: u64) -> bool {
+        round.is_multiple_of(self.full_sync_every)
     }
 
     /// Whether a claim last announced at `last` (`None`: never) is due
@@ -85,7 +107,7 @@ pub struct Claim {
     pub bitmap: Vec<u8>,
 }
 
-/// Decision 2: the claim for `holding` of a datum cut into `chunks`
+/// The claim for `holding` of a datum cut into `chunks`
 /// chunks, `serving` being 0 or [`FLAG_SERVING`](crate::FLAG_SERVING).
 /// `None` when the bitmap would exceed
 /// [`MAX_BITMAP_BYTES`](crate::announce::MAX_BITMAP_BYTES): the periodic
@@ -113,7 +135,7 @@ pub enum ClaimEffect {
     Chunks(Vec<u32>),
 }
 
-/// Decision 3: the effect of `claim`, made at `version`, on a datum whose
+/// The effect of `claim`, made at `version`, on a datum whose
 /// head is `head`. A claim behind a mutated datum's head (`head > 1`) is
 /// stale: it never puts the host in Ω, and only the chunks no later
 /// version rewrote count. `head_at` resolves the head; it is called only
@@ -144,7 +166,7 @@ pub fn claim_effect(
     ClaimEffect::Chunks(head_valid_subset(&rv, &held, version))
 }
 
-/// Decision 4: the sources a chunked fetch by host `me` pulls from, in
+/// The sources a chunked fetch by host `me` pulls from, in
 /// the order its chunk queue is work-stolen — the service or repository
 /// `endpoints` first, in published order, then the complete serving
 /// `peers` in ascending host id. `me` and duplicates are left out.
@@ -170,21 +192,279 @@ pub fn source_order<K: Ord, S: PartialEq>(
     order
 }
 
-/// Decision 5: the entries of a sync `reply` the host acts on — it purges
-/// what it `holds`, fetches a download it neither holds nor is already
-/// `fetching`, and repairs a datum it is not already `repairing`.
-pub fn triage(
-    mut reply: SyncReply,
-    holds: impl Fn(DataId) -> bool,
-    fetching: impl Fn(DataId) -> bool,
-    repairing: impl Fn(DataId) -> bool,
-) -> SyncReply {
-    reply.delete.retain(|&id| holds(id));
-    reply
-        .download
-        .retain(|(d, _)| !holds(d.id) && !fetching(d.id));
-    reply.repair.retain(|(d, _)| !repairing(d.id));
-    reply
+/// A transfer in flight towards a host.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InFlight<D, R> {
+    /// A download of a datum the host does not cache.
+    Download(D),
+    /// A chunk repair of a datum the host caches: only its missing chunks
+    /// move.
+    Repair(R),
+}
+
+/// What one host knows of one datum. `C` is the cache entry, `D` and `R`
+/// a download's and a repair's record, and `X` the fact only one backend
+/// keeps (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Facts<C, D, R, X> {
+    /// The host holds the datum: whole, or as a partial holder.
+    pub cached: Option<C>,
+    /// The transfer towards the host, if one is in flight.
+    pub in_flight: Option<InFlight<D, R>>,
+    /// The version the host's bytes correspond to; a claim behind the
+    /// head is stale.
+    pub held_version: Option<u64>,
+    /// When the host last announced its claim on the cached datum.
+    pub announced_at: Option<u64>,
+    /// The backend-only fact.
+    pub extra: Option<X>,
+}
+
+impl<C, D, R, X> Default for Facts<C, D, R, X> {
+    fn default() -> Self {
+        Facts {
+            cached: None,
+            in_flight: None,
+            held_version: None,
+            announced_at: None,
+            extra: None,
+        }
+    }
+}
+
+impl<C, D, R, X> Facts<C, D, R, X> {
+    fn is_empty(&self) -> bool {
+        self.cached.is_none()
+            && self.in_flight.is_none()
+            && self.held_version.is_none()
+            && self.announced_at.is_none()
+            && self.extra.is_none()
+    }
+
+    /// Whether a download (not a repair) is in flight.
+    pub fn downloading(&self) -> bool {
+        matches!(self.in_flight, Some(InFlight::Download(_)))
+    }
+
+    fn repairing(&self) -> bool {
+        matches!(self.in_flight, Some(InFlight::Repair(_)))
+    }
+}
+
+/// One heartbeat round, as [`HostState::next_round`] counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Round {
+    /// The cadence's every-nth full sync.
+    pub periodic: bool,
+    /// A transfer in flight, or work done by the last sync: a busy host
+    /// syncs every round.
+    pub busy: bool,
+}
+
+impl Round {
+    /// Whether the round runs a full sync.
+    pub fn full(self) -> bool {
+        self.periodic || self.busy
+    }
+}
+
+/// Everything one host knows: one [`Facts`] entry per datum, its heartbeat
+/// count and its busy flag. See the module docs.
+#[derive(Debug, Clone)]
+pub struct HostState<C, D, R, X> {
+    facts: IdMap<DataId, Facts<C, D, R, X>>,
+    rounds: u64,
+    recent_work: bool,
+    downloads: u32,
+    repairs: u32,
+}
+
+impl<C, D, R, X> Default for HostState<C, D, R, X> {
+    fn default() -> Self {
+        HostState {
+            facts: IdMap::default(),
+            rounds: 0,
+            recent_work: false,
+            downloads: 0,
+            repairs: 0,
+        }
+    }
+}
+
+impl<C, D, R, X> HostState<C, D, R, X> {
+    /// The facts on `id`, if the host knows anything of it.
+    pub fn get(&self, id: DataId) -> Option<&Facts<C, D, R, X>> {
+        self.facts.get(&id)
+    }
+
+    /// Every datum the host knows anything of, in no fixed order.
+    pub fn iter(&self) -> impl Iterator<Item = (DataId, &Facts<C, D, R, X>)> {
+        self.facts.iter().map(|(&id, f)| (id, f))
+    }
+
+    /// Change the facts on `id` through `f`. The entry is made when
+    /// missing and dropped when `f` leaves it empty.
+    pub fn update<T>(&mut self, id: DataId, f: impl FnOnce(&mut Facts<C, D, R, X>) -> T) -> T {
+        let facts = self.facts.entry(id).or_default();
+        let before = (facts.downloading(), facts.repairing());
+        let out = f(facts);
+        let after = (facts.downloading(), facts.repairing());
+        let empty = facts.is_empty();
+        self.downloads = self.downloads + after.0 as u32 - before.0 as u32;
+        self.repairs = self.repairs + after.1 as u32 - before.1 as u32;
+        if empty {
+            self.facts.remove(&id);
+        }
+        out
+    }
+
+    /// The cache entry of `id`.
+    pub fn cached(&self, id: DataId) -> Option<&C> {
+        self.facts.get(&id)?.cached.as_ref()
+    }
+
+    /// The cached data, in no fixed order.
+    pub fn cached_ids(&self) -> impl Iterator<Item = DataId> + '_ {
+        self.facts
+            .iter()
+            .filter(|(_, f)| f.cached.is_some())
+            .map(|(&id, _)| id)
+    }
+
+    /// Enter `id` into the cache.
+    pub fn cache(&mut self, id: DataId, entry: C) {
+        self.update(id, |f| f.cached = Some(entry));
+    }
+
+    /// Purge `id`: drop everything the host knows of it but the transfer
+    /// in flight (a repair: a cached datum downloads nothing), which is
+    /// still reaped. Returns the cache entry.
+    pub fn forget(&mut self, id: DataId) -> Option<C> {
+        self.facts.get(&id)?;
+        self.update(id, |f| {
+            f.held_version = None;
+            f.announced_at = None;
+            f.extra = None;
+            f.cached.take()
+        })
+    }
+
+    /// The host's bytes of `id` now correspond to `version`; 0 (a datum
+    /// never chunked) records nothing.
+    pub fn note_held_version(&mut self, id: DataId, version: u64) {
+        if version > 0 {
+            self.update(id, |f| f.held_version = Some(version));
+        }
+    }
+
+    /// The version the host's bytes of `id` correspond to, when known.
+    pub fn held_version(&self, id: DataId) -> Option<u64> {
+        self.facts.get(&id)?.held_version
+    }
+
+    /// The cached data whose claim is due at `now`: never announced, or
+    /// past the TTL half-life since.
+    pub fn claims_due<'a>(
+        &'a self,
+        cadence: &'a Cadence,
+        now: u64,
+    ) -> impl Iterator<Item = (DataId, &'a Facts<C, D, R, X>)> + 'a {
+        self.facts
+            .iter()
+            .filter(move |(_, f)| f.cached.is_some() && cadence.claim_due(f.announced_at, now))
+            .map(|(&id, f)| (id, f))
+    }
+
+    /// The host announced its claim on `id` at `now`. A datum purged while
+    /// the claim was on its way keeps no announce time.
+    pub fn note_announced(&mut self, id: DataId, now: u64) {
+        if let Some(f) = self.facts.get_mut(&id).filter(|f| f.cached.is_some()) {
+            f.announced_at = Some(now);
+        }
+    }
+
+    /// The entries of a sync `reply` the host acts on: it purges what it
+    /// caches, downloads what it neither caches nor has in flight, and
+    /// repairs what it has nothing in flight for.
+    pub fn triage(&self, mut reply: SyncReply) -> SyncReply {
+        let facts = |id| self.facts.get(&id);
+        reply
+            .delete
+            .retain(|&id| facts(id).is_some_and(|f| f.cached.is_some()));
+        reply.download.retain(|(d, _)| {
+            facts(d.id).is_none_or(|f| f.cached.is_none() && f.in_flight.is_none())
+        });
+        reply
+            .repair
+            .retain(|(d, _)| facts(d.id).is_none_or(|f| f.in_flight.is_none()));
+        reply
+    }
+
+    /// Start the next heartbeat round. It is busy when a transfer is in
+    /// flight or the last sync did work (which this clears).
+    pub fn next_round(&mut self, cadence: &Cadence) -> Round {
+        let round = self.rounds;
+        self.rounds += 1;
+        let busy = std::mem::take(&mut self.recent_work) || self.in_flight() > 0;
+        Round {
+            periodic: cadence.periodic(round),
+            busy,
+        }
+    }
+
+    /// The last sync did work: the next round is busy.
+    pub fn note_work(&mut self) {
+        self.recent_work = true;
+    }
+
+    /// Heartbeat rounds started so far.
+    pub fn rounds(&self) -> u64 {
+        self.rounds
+    }
+
+    /// Downloads in flight.
+    pub fn downloads(&self) -> usize {
+        self.downloads as usize
+    }
+
+    /// Downloads and repairs in flight.
+    pub fn in_flight(&self) -> usize {
+        (self.downloads + self.repairs) as usize
+    }
+
+    /// The host died: none of its transfers will arrive.
+    pub fn abandon_transfers(&mut self) {
+        self.facts.retain(|_, f| {
+            f.in_flight = None;
+            !f.is_empty()
+        });
+        self.downloads = 0;
+        self.repairs = 0;
+    }
+
+    /// Assert the invariants: no entry is empty, no cached datum is also
+    /// downloading, only cached data have an announce time, and the
+    /// in-flight counts match the entries.
+    ///
+    /// # Panics
+    /// When one fails.
+    pub fn check(&self) {
+        let (mut downloads, mut repairs) = (0, 0);
+        for (id, f) in &self.facts {
+            assert!(!f.is_empty(), "{id}: an empty entry");
+            assert!(
+                !(f.cached.is_some() && f.downloading()),
+                "{id}: cached and downloading"
+            );
+            assert!(
+                f.announced_at.is_none() || f.cached.is_some(),
+                "{id}: an announce time without a cache entry"
+            );
+            downloads += f.downloading() as u32;
+            repairs += f.repairing() as u32;
+        }
+        assert_eq!((downloads, repairs), (self.downloads, self.repairs));
+    }
 }
 
 #[cfg(test)]
@@ -205,12 +485,11 @@ mod tests {
     fn cadence_clamps_zero_factors_and_saturates() {
         let c = Cadence::new(10, 0, 0);
         assert_eq!(c.ttl(), 10, "a claim lives at least one heartbeat");
-        assert!((0..5).all(|round| c.full_due(round, false)));
+        assert!((0..5).all(|round| c.periodic(round)));
         assert_eq!(Cadence::new(u64::MAX, 2, 1).ttl(), u64::MAX);
 
         let c = Cadence::new(10, 2, 8);
-        assert!(c.full_due(0, false) && c.full_due(16, false));
-        assert!(!c.full_due(9, false) && c.full_due(9, true));
+        assert!(c.periodic(0) && c.periodic(16) && !c.periodic(9));
         assert!(c.claim_due(None, 0));
         assert!(!c.claim_due(Some(100), 109));
         assert!(c.claim_due(Some(100), 110));
@@ -297,26 +576,106 @@ mod tests {
         assert_eq!(order, vec!["repo.ftp", "repo.http", "p1", "p5"]);
     }
 
+    /// The simulator's instance: no cache entry, download or repair record
+    /// of its own, and a partial chunk set as the backend-only fact.
+    type Host = HostState<(), (), (), Vec<u32>>;
+
     #[test]
     fn triage_skips_held_in_flight_and_repairing_data() {
         let datum = |n: u128| (Data::slot(Auid(n), "d", 1), DataAttributes::default());
+        let mut host = Host::default();
+        host.cache(Auid(1), ());
+        host.update(Auid(3), |f| f.in_flight = Some(InFlight::Download(())));
+        host.update(Auid(6), |f| f.in_flight = Some(InFlight::Repair(())));
+        host.note_held_version(Auid(2), 4);
         let reply = SyncReply {
             keep: vec![Auid(9)],
             delete: vec![Auid(1), Auid(2)],
-            download: vec![datum(1), datum(3), datum(4)],
-            repair: vec![datum(5), datum(6)],
+            download: vec![datum(1), datum(3), datum(4), datum(6)],
+            repair: vec![datum(3), datum(5), datum(6)],
         };
-        let kept = triage(
-            reply,
-            |id| id == Auid(1),
-            |id| id == Auid(3),
-            |id| id == Auid(6),
-        );
+        let kept = host.triage(reply);
         let ids = |v: &[(Data, DataAttributes)]| v.iter().map(|(d, _)| d.id).collect::<Vec<_>>();
         assert_eq!(kept.keep, vec![Auid(9)]);
         assert_eq!(kept.delete, vec![Auid(1)]);
         assert_eq!(ids(&kept.download), vec![Auid(4)]);
         assert_eq!(ids(&kept.repair), vec![Auid(5)]);
+        host.check();
+    }
+
+    #[test]
+    fn forget_keeps_only_a_repair_and_drops_empty_entries() {
+        let mut host = Host::default();
+        let cadence = Cadence::new(10, 2, 8);
+        for id in [Auid(1), Auid(2)] {
+            host.cache(id, ());
+            host.note_held_version(id, 3);
+            host.update(id, |f| f.extra = Some(vec![0]));
+            host.note_announced(id, 5);
+        }
+        host.update(Auid(2), |f| f.in_flight = Some(InFlight::Repair(())));
+        assert_eq!(host.forget(Auid(1)), Some(()));
+        assert_eq!(host.forget(Auid(2)), Some(()));
+        assert_eq!(host.forget(Auid(7)), None);
+        assert!(host.get(Auid(1)).is_none(), "nothing left of a purge");
+        let repair = host.get(Auid(2)).expect("the repair is still reaped");
+        assert_eq!(repair.in_flight, Some(InFlight::Repair(())));
+        assert_eq!((repair.cached, repair.extra.as_ref()), (None, None));
+        assert_eq!((host.in_flight(), host.downloads()), (1, 0));
+        host.check();
+
+        // Re-cached within the TTL half-life, the claim is due at once.
+        host.cache(Auid(1), ());
+        let due: Vec<DataId> = host.claims_due(&cadence, 6).map(|(id, _)| id).collect();
+        assert_eq!(due, vec![Auid(1)]);
+        host.note_announced(Auid(1), 6);
+        assert_eq!(host.claims_due(&cadence, 10).count(), 0);
+        assert_eq!(host.claims_due(&cadence, 16).count(), 1);
+        // An announce that lands after its datum's purge leaves no time.
+        host.note_announced(Auid(9), 6);
+        assert!(host.get(Auid(9)).is_none());
+
+        host.update(Auid(2), |f| f.in_flight = None);
+        assert!(host.get(Auid(2)).is_none());
+        assert_eq!(host.in_flight(), 0);
+    }
+
+    #[test]
+    fn rounds_are_busy_while_work_is_in_flight_or_just_done() {
+        let cadence = Cadence::new(10, 2, 4);
+        let mut host = Host::default();
+        let kinds: Vec<(bool, bool)> = (0..5)
+            .map(|_| host.next_round(&cadence))
+            .map(|r| (r.periodic, r.busy))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (true, false),
+                (false, false),
+                (false, false),
+                (false, false),
+                (true, false)
+            ]
+        );
+        host.note_work();
+        assert!(host.next_round(&cadence).full(), "work was done");
+        assert!(!host.next_round(&cadence).full(), "the flag is spent");
+        host.update(Auid(1), |f| f.in_flight = Some(InFlight::Download(())));
+        assert!(host.next_round(&cadence).busy);
+        host.abandon_transfers();
+        assert!(!host.next_round(&cadence).busy);
+        assert_eq!(host.rounds(), 9);
+        host.check();
+    }
+
+    #[test]
+    #[should_panic(expected = "cached and downloading")]
+    fn check_refuses_a_cached_download() {
+        let mut host = Host::default();
+        host.update(Auid(1), |f| f.in_flight = Some(InFlight::Download(())));
+        host.cache(Auid(1), ());
+        host.check();
     }
 
     /// A scheduler managing the chain's datum, cut into `chunks` chunks.

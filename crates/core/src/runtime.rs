@@ -23,7 +23,7 @@
 //! Every operation returns [`crate::Result`].
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -41,7 +41,7 @@ use bitdew_util::Auid;
 
 use bitdew_transport::ftp::{FtpRangeClient, FtpServer};
 
-use crate::agent::{self, Cadence, Holding};
+use crate::agent::{self, Cadence, Holding, InFlight};
 use crate::announce::{AnnounceClient, AnnounceServer, AnnounceStats, FLAG_SERVING, LIVENESS_PING};
 use crate::api::{
     Backpressure, BitdewError, DataEvent, DataEventKind, EventBus, EventFilter, EventSub,
@@ -405,6 +405,7 @@ pub struct SyncSummary {
 }
 
 /// A scheduled download in flight on a node.
+#[derive(Debug)]
 struct PendingFetch {
     tid: TransferId,
     /// The download session it travels in: a batch's first member's id,
@@ -412,6 +413,29 @@ struct PendingFetch {
     session: TransferId,
     data: Data,
     attrs: DataAttributes,
+}
+
+/// What a node knows of each datum (see [`agent::HostState`]): the cache
+/// entry with the attributes it was scheduled under, the download or
+/// repair in flight, and the chunk manifest it has seen (fetched from the
+/// catalog or produced by `put_chunked`).
+type Host =
+    agent::HostState<(Data, DataAttributes), Box<PendingFetch>, TransferId, Box<ChunkManifest>>;
+
+/// The node's host state as a call finds it: locked by the caller, or
+/// locked afresh for each touch, so never across a catalog call.
+enum HostRef<'a> {
+    Locked(&'a mut Host),
+    Unlocked(&'a Mutex<Host>),
+}
+
+impl HostRef<'_> {
+    fn with<T>(&mut self, f: impl FnOnce(&mut Host) -> T) -> T {
+        match self {
+            HostRef::Locked(host) => f(host),
+            HostRef::Unlocked(lock) => f(&mut lock.lock()),
+        }
+    }
 }
 
 /// A volatile node (client or reservoir host).
@@ -423,14 +447,11 @@ pub struct BitdewNode {
     /// Chunk-granular view of `local` (presence tracking + verified range
     /// admission) — the node's face of the chunked data plane.
     chunk_store: Arc<ChunkStore>,
-    cache: Mutex<HashMap<DataId, (Data, DataAttributes)>>,
-    pending: Mutex<HashMap<DataId, PendingFetch>>,
-    /// In-flight chunk-level repairs (datum stays cached while missing
-    /// chunks are re-fetched).
-    repairing: Mutex<HashMap<DataId, TransferId>>,
-    /// Manifests this node has seen (fetched from the catalog or produced
-    /// by `put_chunked`).
-    manifests: Mutex<HashMap<DataId, ChunkManifest>>,
+    /// Everything the node knows of each datum, its heartbeat count and
+    /// its busy flag. A call made under this lock takes the `&mut Host`
+    /// and never locks it again; events fire once it is released, as a
+    /// handler may call back into the node.
+    host: Mutex<Host>,
     /// Range server over `local` when this node serves its replicas to
     /// peers (see [`BitdewNode::enable_serving`]).
     peer_server: Mutex<Option<FtpServer>>,
@@ -438,7 +459,7 @@ pub struct BitdewNode {
     /// observes is published here, routed to filtered subscriptions and
     /// handler callbacks.
     bus: EventBus,
-    /// Signaled when a synchronization round leaves no pending downloads
+    /// Signaled when a synchronization round leaves no downloads in flight
     /// (barrier waiters park on this instead of spinning).
     idle: Condvar,
     role: SyncRole,
@@ -461,25 +482,9 @@ pub struct BitdewNode {
     /// The announce TTL and full-sync cadence, from the container's
     /// [`AnnounceConfig`].
     cadence: Cadence,
-    /// Heartbeat rounds run so far — drives the full-sync-every-nth
-    /// cadence and the per-round jitter draw.
-    hb_rounds: AtomicU64,
-    /// Set when a synchronization round did real work (downloads started
-    /// or finished, data deleted): the next heartbeat runs a full sync
-    /// instead of a compact announce, keeping convergence prompt while a
-    /// workload is active.
-    recent_work: AtomicBool,
     /// Announce rounds that degraded to a full TCP sync because the
     /// datagram plane was down or the handshake failed.
     fallback_syncs: AtomicU64,
-    /// When each held datum was last announced — holdings re-announce
-    /// past the TTL half-life, not every round.
-    announced_at: Mutex<HashMap<DataId, u64>>,
-    /// The version this node's locally held bytes of each datum correspond
-    /// to (recorded when the node publishes, commits, repairs or pins).
-    /// Announced alongside the chunk bitmap so the scheduler can demote a
-    /// holder whose replica predates the head.
-    held_versions: Mutex<HashMap<DataId, u64>>,
 }
 
 impl BitdewNode {
@@ -515,10 +520,7 @@ impl BitdewNode {
             container,
             chunk_store: ChunkStore::new(Arc::clone(&local)),
             local,
-            cache: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
-            repairing: Mutex::new(HashMap::new()),
-            manifests: Mutex::new(HashMap::new()),
+            host: Mutex::new(Host::default()),
             peer_server: Mutex::new(None),
             bus: EventBus::new(),
             idle: Condvar::new(),
@@ -530,11 +532,7 @@ impl BitdewNode {
             last_profile: Mutex::new(SyncProfile::default()),
             announce_client: Mutex::new(None),
             cadence,
-            hb_rounds: AtomicU64::new(0),
-            recent_work: AtomicBool::new(false),
             fallback_syncs: AtomicU64::new(0),
-            announced_at: Mutex::new(HashMap::new()),
-            held_versions: Mutex::new(HashMap::new()),
         })
     }
 
@@ -647,8 +645,10 @@ impl BitdewNode {
     /// caches purge it on their next synchronization.
     pub fn delete(&self, data: &Data) -> Result<()> {
         self.versions().delete(data)?;
-        self.manifests.lock().remove(&data.id);
-        self.held_versions.lock().remove(&data.id);
+        self.host.lock().update(data.id, |f| {
+            f.extra = None;
+            f.held_version = None;
+        });
         let _ = self.container.repository.remove(data);
         self.container.plane.scheduler().delete_data(data.id);
         Ok(())
@@ -701,7 +701,9 @@ impl BitdewNode {
         check_republish(&manifest, plane.head(data.id)?.as_deref())?;
         self.put(data, content)?;
         plane.put_manifest(&manifest)?;
-        self.manifests.lock().insert(data.id, manifest.clone());
+        self.host
+            .lock()
+            .update(data.id, |f| f.extra = Some(Box::new(manifest.clone())));
         self.note_held_version(data.id);
         Ok(manifest)
     }
@@ -713,15 +715,22 @@ impl BitdewNode {
     /// the head's per-chunk digests — a holder whose bytes predate the
     /// head fails digest verification and becomes a repair target.
     pub fn chunk_manifest(&self, id: DataId) -> Result<Option<ChunkManifest>> {
-        if self.container.plane.version_head(id)? > 1 {
-            return self.container.plane.materialized_manifest(id);
+        self.manifest_in(HostRef::Unlocked(&self.host), id)
+    }
+
+    /// [`BitdewNode::chunk_manifest`], caching through `host`.
+    fn manifest_in(&self, mut host: HostRef, id: DataId) -> Result<Option<ChunkManifest>> {
+        let plane = &self.container.plane;
+        if plane.version_head(id)? > 1 {
+            return plane.materialized_manifest(id);
         }
-        if let Some(m) = self.manifests.lock().get(&id) {
-            return Ok(Some(m.clone()));
+        let known = host.with(|h| h.get(id).and_then(|f| f.extra.as_deref().cloned()));
+        if known.is_some() {
+            return Ok(known);
         }
-        let m = self.container.plane.manifest(id)?;
+        let m = plane.manifest(id)?;
         if let Some(m) = &m {
-            self.manifests.lock().insert(id, m.clone());
+            host.with(|h| h.update(id, |f| f.extra = Some(Box::new(m.clone()))));
         }
         Ok(m)
     }
@@ -973,9 +982,7 @@ impl BitdewNode {
     /// current head version (after a publish, commit, pin or repair).
     fn note_held_version(&self, id: DataId) {
         if let Ok(head) = self.container.plane.version_head(id) {
-            if head > 0 {
-                self.held_versions.lock().insert(id, head);
-            }
+            self.host.lock().note_held_version(id, head);
         }
     }
 
@@ -986,8 +993,10 @@ impl BitdewNode {
     /// one of the same chunks first.
     pub fn commit_update(&self, data: &Data, base: u64, writes: &[(u64, Vec<u8>)]) -> Result<u64> {
         let committed = self.versions().commit(data, base, writes)?;
-        self.manifests.lock().remove(&data.id);
-        self.held_versions.lock().insert(data.id, committed.version);
+        self.host.lock().update(data.id, |f| {
+            f.extra = None;
+            f.held_version = Some(committed.version);
+        });
         Ok(committed.version)
     }
 
@@ -1065,7 +1074,7 @@ impl BitdewNode {
             // plane partitions MapOps over these sets, and repair targets
             // precisely what is missing.
             scheduler.report_chunk_set(self.uid, data.id, &verified);
-            self.cache.lock().insert(data.id, (data.clone(), attrs));
+            self.host.lock().cache(data.id, (data.clone(), attrs));
         }
         Ok(())
     }
@@ -1132,7 +1141,7 @@ impl BitdewNode {
     /// Collector in §5).
     pub fn pin(&self, data: &Data, attrs: DataAttributes) -> Result<()> {
         self.container.plane.scheduler().pin(data.id, self.uid);
-        self.cache.lock().insert(data.id, (data.clone(), attrs));
+        self.host.lock().cache(data.id, (data.clone(), attrs));
         Ok(())
     }
 
@@ -1196,24 +1205,22 @@ impl BitdewNode {
     /// (a transfer barrier). Runs synchronization rounds while waiting;
     /// between rounds the wait parks on the node's idle condvar, waking
     /// immediately when a concurrent synchronization (the heartbeat
-    /// thread's, another client's) empties the pending set.
+    /// thread's, another client's) lands the last download in flight.
     pub fn barrier(&self, timeout: Duration) -> Result<()> {
         let start = Instant::now();
         loop {
             self.sync_once();
-            {
-                let mut pending = self.pending.lock();
-                if pending.is_empty() {
-                    return Ok(());
-                }
-                if start.elapsed() > timeout {
-                    return Err(BitdewError::Timeout {
-                        what: format!("{} pending downloads", pending.len()),
-                        waited: start.elapsed(),
-                    });
-                }
-                self.idle.wait_for(&mut pending, Duration::from_millis(2));
+            let mut host = self.host.lock();
+            if host.downloads() == 0 {
+                return Ok(());
             }
+            if start.elapsed() > timeout {
+                return Err(BitdewError::Timeout {
+                    what: format!("{} pending downloads", host.downloads()),
+                    waited: start.elapsed(),
+                });
+            }
+            self.idle.wait_for(&mut host, Duration::from_millis(2));
         }
     }
 
@@ -1225,14 +1232,14 @@ impl BitdewNode {
 
     /// Ids currently in the local cache.
     pub fn cached(&self) -> Vec<DataId> {
-        let mut v: Vec<DataId> = self.cache.lock().keys().copied().collect();
+        let mut v: Vec<DataId> = self.host.lock().cached_ids().collect();
         v.sort();
         v
     }
 
     /// Whether a datum is in the local cache.
     pub fn has_cached(&self, id: DataId) -> bool {
-        self.cache.lock().contains_key(&id)
+        self.host.lock().cached(id).is_some()
     }
 
     // --- Discovery plane (announce / scrape) -------------------------------
@@ -1268,12 +1275,15 @@ impl BitdewNode {
 
     /// One compact announce round: a liveness ping (keeps this host out
     /// of the failure detector's reach without a catalog round-trip) plus
-    /// one datagram per held datum whose claim is past its TTL half-life
-    /// — complete holdings as `FLAG_COMPLETE`, chunk-tracked partials as
-    /// a bitmap. Returns `false` when the datagram plane refused a send
-    /// (the fall-back-to-TCP signal); in-flight loss is silent and healed
-    /// by the next refresh.
+    /// one datagram per cached datum whose claim is due (see
+    /// [`agent::HostState::claims_due`]) — complete holdings as
+    /// `FLAG_COMPLETE`, chunk-tracked partials as a bitmap. Returns `false`
+    /// when the datagram plane refused a send (the fall-back-to-TCP
+    /// signal); in-flight loss is silent and healed by the next refresh.
     fn announce_once(&self) -> bool {
+        if !self.container.config.announce.enabled {
+            return false;
+        }
         let ttl = self.cadence.ttl();
         let now = self.container.now_nanos();
         let serving = if self.peer_server.lock().is_some() {
@@ -1281,51 +1291,55 @@ impl BitdewNode {
         } else {
             0
         };
-        let snapshot: Vec<(DataId, String)> = self
-            .cache
+        // Only chunk-tracked partials claim a bitmap: a whole-blob download
+        // has no presence marks and holds every chunk.
+        let due: Vec<(DataId, String, Option<u64>, u32)> = self
+            .host
             .lock()
-            .iter()
-            .map(|(&id, (d, _))| (id, d.object_name()))
+            .claims_due(&self.cadence, now)
+            .filter_map(|(id, f)| {
+                let (data, _) = f.cached.as_ref()?;
+                let chunks = f.extra.as_ref().map_or(0, |m| m.chunk_count());
+                Some((id, data.object_name(), f.held_version, chunks))
+            })
             .collect();
-        self.with_announce_client(|client| {
-            if !client.announce(self.uid, LIVENESS_PING, 0, ttl, serving, Vec::new()) {
-                return false;
-            }
-            let live: std::collections::HashSet<DataId> =
-                snapshot.iter().map(|(id, _)| *id).collect();
-            let mut announced = self.announced_at.lock();
-            announced.retain(|id, _| live.contains(id));
-            for (id, object) in &snapshot {
-                if !self.cadence.claim_due(announced.get(id).copied(), now) {
-                    continue;
-                }
-                // The version the local bytes correspond to: recorded at
-                // publish/commit/download/repair time, defaulting to the
-                // current head for data that predate version tracking.
-                let version = {
-                    let held = self.held_versions.lock().get(id).copied();
-                    held.unwrap_or_else(|| self.container.plane.version_head(*id).unwrap_or(0))
-                };
-                // Only chunk-tracked partials claim a bitmap: a whole-blob
-                // download has no presence marks and holds every chunk.
-                let chunks = self.manifests.lock().get(id).map_or(0, |m| m.chunk_count());
-                let held = self.chunk_store.held_set(object);
-                let holding = if held.is_empty() || held.len() as u32 >= chunks {
-                    Holding::Complete
-                } else {
-                    Holding::Partial(&held)
-                };
-                let Some(claim) = agent::claim(holding, chunks, serving) else {
-                    continue;
-                };
-                if !client.announce(self.uid, *id, version, ttl, claim.flags, claim.bitmap) {
+        let mut announced = Vec::with_capacity(due.len());
+        let sent = self
+            .with_announce_client(|client| {
+                if !client.announce(self.uid, LIVENESS_PING, 0, ttl, serving, Vec::new()) {
                     return false;
                 }
-                announced.insert(*id, now);
-            }
-            true
-        })
-        .unwrap_or(false)
+                for (id, object, held_version, chunks) in &due {
+                    // The version the local bytes correspond to, defaulting
+                    // to the current head for data that predate version
+                    // tracking.
+                    let version = held_version
+                        .unwrap_or_else(|| self.container.plane.version_head(*id).unwrap_or(0));
+                    let held = self.chunk_store.held_set(object);
+                    let holding = if held.is_empty() || held.len() as u32 >= *chunks {
+                        Holding::Complete
+                    } else {
+                        Holding::Partial(&held)
+                    };
+                    let Some(claim) = agent::claim(holding, *chunks, serving) else {
+                        continue;
+                    };
+                    if !client.announce(self.uid, *id, version, ttl, claim.flags, claim.bitmap) {
+                        return false;
+                    }
+                    announced.push(*id);
+                }
+                true
+            })
+            .unwrap_or(false);
+        let mut host = self.host.lock();
+        for id in announced {
+            host.note_announced(id, now);
+        }
+        if cfg!(debug_assertions) {
+            host.check();
+        }
+        sent
     }
 
     /// One heartbeat tick. Runs a full TCP synchronization round when one
@@ -1336,11 +1350,8 @@ impl BitdewNode {
     /// cache stays warm; the rounds between announce *instead of* it.
     /// Returns the sync summary when a full round ran.
     pub fn heartbeat_round(&self) -> Option<SyncSummary> {
-        let round = self.hb_rounds.fetch_add(1, Ordering::Relaxed);
-        let busy = self.recent_work.swap(false, Ordering::Relaxed)
-            || !self.pending.lock().is_empty()
-            || !self.repairing.lock().is_empty();
-        if !self.container.config.announce.enabled || self.cadence.full_due(round, busy) {
+        let round = self.host.lock().next_round(&self.cadence);
+        if !self.container.config.announce.enabled || round.full() {
             let summary = self.sync_once();
             let _ = self.announce_once();
             Some(summary)
@@ -1354,7 +1365,7 @@ impl BitdewNode {
 
     /// Heartbeat rounds run so far (full syncs and announce rounds both).
     pub fn heartbeat_rounds(&self) -> u64 {
-        self.hb_rounds.load(Ordering::Relaxed)
+        self.host.lock().rounds()
     }
 
     /// Announce rounds that degraded to a full TCP sync because the
@@ -1374,6 +1385,7 @@ impl BitdewNode {
         // slow subscriber slows only itself, never this round).
         self.bus.retry_deferred();
         let deferred_before = self.bus.deferred_events();
+        let scheduler = self.container.plane.scheduler();
 
         // 1. Reap finished transfers in admission order (ascending
         // `TransferId`). A batch's members finish in order, but one DT
@@ -1382,155 +1394,153 @@ impl BitdewNode {
         // session still active: a batch's Copy events fire in the order
         // its members were admitted.
         self.container.transfer.tick();
-        let mut completed_data: Vec<Data> = Vec::new();
+        let mut copied: Vec<(Data, DataAttributes)> = Vec::new();
+        let mut repaired: Vec<DataId> = Vec::new();
         {
-            let mut pending = self.pending.lock();
-            let mut order: Vec<(TransferId, TransferId, DataId)> = pending
+            let mut host = self.host.lock();
+            let mut order: Vec<(TransferId, TransferId, DataId)> = host
                 .iter()
-                .map(|(&id, p)| (p.tid, p.session, id))
+                .filter_map(|(id, f)| match &f.in_flight {
+                    Some(InFlight::Download(p)) => Some((p.tid, p.session, id)),
+                    _ => None,
+                })
                 .collect();
             order.sort_unstable();
             let mut held_back: Vec<TransferId> = Vec::new();
             for (tid, session, id) in order {
                 match self.container.transfer.report(tid).map(|r| r.state) {
                     Some(TransferState::Complete) if !held_back.contains(&session) => {
-                        // The entry is present: `order` was snapshotted
-                        // under this same lock and nothing else removes
-                        // entries.
-                        let Some(PendingFetch { data, attrs, .. }) = pending.remove(&id) else {
-                            continue;
-                        };
                         self.container.transfer.reap(tid);
-                        self.cache.lock().insert(id, (data.clone(), attrs.clone()));
+                        let fetch = host.update(id, |f| match f.in_flight.take() {
+                            Some(InFlight::Download(fetch)) => {
+                                f.cached = Some((fetch.data.clone(), fetch.attrs.clone()));
+                                fetch
+                            }
+                            _ => unreachable!("`order` lists downloads, under this lock"),
+                        });
                         // The bytes are the head's. (A chunked datum's head
                         // was loaded when its download launched.)
-                        if let Some(head) = self.container.plane.version_state().head(id) {
-                            self.held_versions.lock().insert(id, head.version);
-                        }
+                        let head = self.container.plane.version_state().head(id);
+                        host.note_held_version(id, head.map_or(0, |h| h.version));
                         summary.completed.push(id);
-                        completed_data.push(data.clone());
-                        self.fire(DataEventKind::Copy, &data, &attrs);
+                        copied.push((fetch.data, fetch.attrs));
                     }
                     Some(TransferState::Complete) => {}
                     Some(TransferState::Failed) | None => {
                         // Next sync re-assigns if the data is still wanted.
-                        pending.remove(&id);
+                        host.update(id, |f| f.in_flight = None);
                         self.container.transfer.reap(tid);
                     }
                     Some(TransferState::Active) => held_back.push(session),
                 }
             }
-        }
-        // 1b. Reap finished chunk-level repairs: a repaired datum is whole
-        // again, so report full holdings (restoring Ω membership).
-        {
-            let mut repairing = self.repairing.lock();
-            let ids: Vec<(DataId, TransferId)> =
-                repairing.iter().map(|(&id, &tid)| (id, tid)).collect();
-            for (id, tid) in ids {
-                match self.container.transfer.report(tid).map(|r| r.state) {
-                    Some(TransferState::Complete) => {
-                        repairing.remove(&id);
-                        self.container.transfer.reap(tid);
-                        self.note_held_version(id);
-                        if let Ok(Some(m)) = self.chunk_manifest(id) {
-                            self.container.plane.scheduler().report_chunks(
-                                self.uid,
-                                id,
-                                m.chunk_count(),
-                            );
-                        }
-                        summary.completed.push(id);
-                    }
-                    Some(TransferState::Failed) | None => {
-                        // Retried on a later sync's repair order.
-                        repairing.remove(&id);
-                        self.container.transfer.reap(tid);
-                    }
-                    Some(TransferState::Active) => {}
+            // 1b. Reap finished chunk-level repairs. A failed one is retried
+            // on a later sync's repair order.
+            let repairs: Vec<(DataId, TransferId)> = host
+                .iter()
+                .filter_map(|(id, f)| match f.in_flight {
+                    Some(InFlight::Repair(tid)) => Some((id, tid)),
+                    _ => None,
+                })
+                .collect();
+            for (id, tid) in repairs {
+                let state = self.container.transfer.report(tid).map(|r| r.state);
+                if state == Some(TransferState::Active) {
+                    continue;
+                }
+                host.update(id, |f| f.in_flight = None);
+                self.container.transfer.reap(tid);
+                if state == Some(TransferState::Complete) {
+                    repaired.push(id);
                 }
             }
+        }
+        for (data, attrs) in &copied {
+            self.fire(DataEventKind::Copy, data, attrs);
+        }
+        // A repaired datum is whole again, so report full holdings
+        // (restoring Ω membership).
+        for id in repaired {
+            self.note_held_version(id);
+            if let Ok(Some(m)) = self.chunk_manifest(id) {
+                scheduler.report_chunks(self.uid, id, m.chunk_count());
+            }
+            summary.completed.push(id);
         }
         // 1c. Serving nodes announce replicas they just completed, so other
         // hosts' multi-source fetches can steal chunks from here.
         if self.peer_server.lock().is_some() {
-            for data in &completed_data {
-                if self.manifests.lock().contains_key(&data.id) {
-                    let _ = self.announce_replica(data);
-                }
+            let chunked: Vec<&Data> = {
+                let host = self.host.lock();
+                copied
+                    .iter()
+                    .map(|(data, _)| data)
+                    .filter(|data| host.get(data.id).is_some_and(|f| f.extra.is_some()))
+                    .collect()
+            };
+            for data in chunked {
+                let _ = self.announce_replica(data);
             }
         }
 
         // 2. Report partial holdings of manifest-backed cached data (the
         // chunk-aware replica validation's input), then synchronize with
-        // the Data Scheduler.
-        let cache_ids: Vec<DataId> = self.cache.lock().keys().copied().collect();
-        {
-            // Lock order matches step 1b: repairing before manifests.
-            let repairing = self.repairing.lock();
-            let manifests = self.manifests.lock();
-            for id in &cache_ids {
-                let Some(m) = manifests.get(id) else { continue };
-                if repairing.contains_key(id) {
-                    continue; // repair already running; holdings in flux
-                }
-                let held = {
-                    let cache = self.cache.lock();
-                    let Some((data, _)) = cache.get(id) else {
-                        continue;
-                    };
-                    self.chunk_store.held_set(&data.object_name())
-                };
-                // Only chunk-tracked data report: a whole-blob download has
-                // no presence marks and stays under whole-blob semantics.
-                if !held.is_empty() && (held.len() as u32) < m.chunk_count() {
-                    self.container
-                        .plane
-                        .scheduler()
-                        .report_chunk_set(self.uid, *id, &held);
-                }
+        // the Data Scheduler. Data whose download is in flight are reported
+        // as held: the host is committed to them. Left out, step 1 of the
+        // sync would take them out of Ω and step 2 put them back — and
+        // another host's synchronization running between the two (the
+        // sharded plane locks a shard per step) could be assigned them as
+        // well.
+        let (held, tracked) = {
+            let host = self.host.lock();
+            let mut held: Vec<DataId> = host.cached_ids().collect();
+            held.extend(
+                host.iter()
+                    .filter(|(_, f)| f.downloading())
+                    .map(|(id, _)| id),
+            );
+            // A datum under repair has its holdings in flux.
+            let tracked: Vec<(DataId, String, u32)> = host
+                .iter()
+                .filter(|(_, f)| f.in_flight.is_none())
+                .filter_map(|(id, f)| {
+                    let ((data, _), m) = (f.cached.as_ref()?, f.extra.as_ref()?);
+                    Some((id, data.object_name(), m.chunk_count()))
+                })
+                .collect();
+            (held, tracked)
+        };
+        for (id, object, chunks) in tracked {
+            let held = self.chunk_store.held_set(&object);
+            // Only chunk-tracked data report: a whole-blob download has
+            // no presence marks and stays under whole-blob semantics.
+            if !held.is_empty() && (held.len() as u32) < chunks {
+                scheduler.report_chunk_set(self.uid, id, &held);
             }
         }
-        // Data whose download is in flight are reported as held: the host
-        // is committed to them. Left out, step 1 of the sync would take
-        // them out of Ω and step 2 put them back — and another host's
-        // synchronization running between the two (the sharded plane
-        // locks a shard per step) could be assigned them as well.
-        let mut held = cache_ids;
-        held.extend(self.pending.lock().keys().copied());
         let now = self.container.now_nanos();
-        let (reply, mut profile) = self
-            .container
-            .plane
-            .scheduler()
-            .sync_profiled(self.uid, &held, now, self.role);
+        let (reply, mut profile) = scheduler.sync_profiled(self.uid, &held, now, self.role);
 
-        // 3–5 act on what `agent::triage` keeps of the reply, with the
-        // in-flight maps locked so that a concurrent round cannot launch
-        // the same datum twice. Delete and Copy events fire once the locks
-        // are released: a handler may call back into this node.
+        // 3–5 act on what `HostState::triage` keeps of the reply, under the
+        // host lock so that a concurrent round cannot launch the same datum
+        // twice. Delete and Copy events fire once it is released: a handler
+        // may call back into this node.
         let cap = self.container.config.max_concurrent_downloads;
         let mut deleted: Vec<(Data, DataAttributes)> = Vec::new();
         let mut markers: Vec<(Data, DataAttributes)> = Vec::new();
         {
-            let mut pending = self.pending.lock();
-            let mut repairing = self.repairing.lock();
-            let reply = agent::triage(
-                reply,
-                |id| self.cache.lock().contains_key(&id),
-                |id| pending.contains_key(&id),
-                |id| repairing.contains_key(&id),
-            );
+            let mut guard = self.host.lock();
+            let host = &mut *guard;
+            let reply = host.triage(reply);
 
-            // 3. Purge obsolete data — bytes, chunk presence marks AND the
-            // cached manifest. Stale presence would make a later re-download
-            // of the same datum a zero-byte no-op (every chunk "already
-            // held").
+            // 3. Purge obsolete data — bytes, chunk presence marks AND what
+            // the host knows of it, the cached manifest included. Stale
+            // presence would make a later re-download of the same datum a
+            // zero-byte no-op (every chunk "already held").
             for id in reply.delete {
-                if let Some((data, attrs)) = self.cache.lock().remove(&id) {
+                if let Some((data, attrs)) = host.forget(id) {
                     let _ = self.local.remove(&data.object_name());
                     self.chunk_store.forget(&data.object_name());
-                    self.manifests.lock().remove(&id);
                     summary.deleted.push(id);
                     deleted.push((data, attrs));
                 }
@@ -1543,9 +1553,12 @@ impl BitdewNode {
             // range-capable sources), BitTorrent data and HTTP locators move
             // one transfer each. Data without a locator yet (content not put)
             // wait for a later round.
-            let mut sessions = pending
-                .values()
-                .map(|p| p.session)
+            let mut sessions = host
+                .iter()
+                .filter_map(|(_, f)| match &f.in_flight {
+                    Some(InFlight::Download(p)) => Some(p.session),
+                    _ => None,
+                })
                 .collect::<HashSet<_>>()
                 .len();
             let mut batches: Vec<Vec<(Data, DataAttributes, Locator)>> = Vec::new();
@@ -1561,7 +1574,10 @@ impl BitdewNode {
                 }
                 let manifest = match attrs.protocol == ProtocolId::bittorrent() {
                     true => None,
-                    false => self.chunk_manifest(data.id).ok().flatten(),
+                    false => self
+                        .manifest_in(HostRef::Locked(host), data.id)
+                        .ok()
+                        .flatten(),
                 };
                 let Ok(locator) = self.locator_for(&data, &attrs.protocol) else {
                     continue;
@@ -1599,13 +1615,14 @@ impl BitdewNode {
                         data,
                         attrs,
                     };
-                    pending.insert(fetch.data.id, fetch);
+                    host.update(fetch.data.id, |f| {
+                        f.in_flight = Some(InFlight::Download(Box::new(fetch)))
+                    });
                 }
             }
             for batch in batches {
-                self.submit_batch(batch, &mut pending, &mut summary);
+                self.submit_batch(batch, host, &mut summary);
             }
-            drop(pending);
 
             // 5. Launch chunk-level repairs: the datum stays cached, only the
             // missing chunks move (the multi-source fetcher skips verified
@@ -1613,31 +1630,51 @@ impl BitdewNode {
             // versions rewrote: its bytes are re-verified against the head's
             // digests first, so the repair moves those too.
             for (data, _attrs) in reply.repair {
-                let held = self.held_versions.lock().get(&data.id).copied();
+                let held = host.held_version(data.id);
                 if held.is_some_and(|v| v < self.version_head(data.id).unwrap_or(0)) {
-                    if let Ok(Some(m)) = self.chunk_manifest(data.id) {
+                    if let Ok(Some(m)) = self.manifest_in(HostRef::Locked(host), data.id) {
                         self.chunk_store.forget(&data.object_name());
                         self.chunk_store.absorb(&data.object_name(), &m);
                     }
                 }
-                if let Ok(tid) = self.get_multi(&data) {
+                let manifest = self.manifest_in(HostRef::Locked(host), data.id);
+                if let Some(tid) = manifest
+                    .ok()
+                    .flatten()
+                    .and_then(|m| self.submit_multi_fetch(&data, m, 1).ok())
+                {
                     summary.started.push(data.id);
-                    repairing.insert(data.id, tid);
+                    host.update(data.id, |f| f.in_flight = Some(InFlight::Repair(tid)));
                 }
             }
         }
         for (data, attrs) in &deleted {
             self.fire(DataEventKind::Delete, data, attrs);
         }
-        for (data, attrs) in markers {
-            self.cache
-                .lock()
-                .insert(data.id, (data.clone(), attrs.clone()));
-            summary.completed.push(data.id);
-            self.fire(DataEventKind::Copy, &data, &attrs);
+        summary
+            .completed
+            .extend(markers.iter().map(|(data, _)| data.id));
+        let idle = {
+            let mut host = self.host.lock();
+            for (data, attrs) in &markers {
+                host.cache(data.id, (data.clone(), attrs.clone()));
+            }
+            if !(summary.completed.is_empty()
+                && summary.started.is_empty()
+                && summary.deleted.is_empty())
+            {
+                host.note_work();
+            }
+            if cfg!(debug_assertions) {
+                host.check();
+            }
+            host.downloads() == 0
+        };
+        for (data, attrs) in &markers {
+            self.fire(DataEventKind::Copy, data, attrs);
         }
         // Wake barrier waiters the moment the node has nothing in flight.
-        if self.pending.lock().is_empty() {
+        if idle {
             self.idle.notify_all();
         }
         // Record the round's work profile, charging it with the events
@@ -1652,12 +1689,6 @@ impl BitdewNode {
         }
         profile.fallback_syncs = self.fallback_syncs.load(Ordering::Relaxed);
         *self.last_profile.lock() = profile;
-        if !(summary.completed.is_empty()
-            && summary.started.is_empty()
-            && summary.deleted.is_empty())
-        {
-            self.recent_work.store(true, Ordering::Relaxed);
-        }
         summary
     }
 
@@ -1675,7 +1706,7 @@ impl BitdewNode {
     fn submit_batch(
         &self,
         batch: Vec<(Data, DataAttributes, Locator)>,
-        pending: &mut HashMap<DataId, PendingFetch>,
+        host: &mut Host,
         summary: &mut SyncSummary,
     ) {
         let specs = batch.iter().map(|(d, _, l)| transfer_spec(d, l)).collect();
@@ -1700,7 +1731,9 @@ impl BitdewNode {
                 data,
                 attrs,
             };
-            pending.insert(fetch.data.id, fetch);
+            host.update(fetch.data.id, |f| {
+                f.in_flight = Some(InFlight::Download(Box::new(fetch)))
+            });
         }
     }
 
@@ -1750,7 +1783,7 @@ impl BitdewNode {
                         // ±10% deterministic jitter: a fleet sharing one
                         // period spreads its rounds instead of thundering
                         // at the service plane in phase.
-                        let round = n2.hb_rounds.load(Ordering::Relaxed);
+                        let round = n2.heartbeat_rounds();
                         n2.stop_cv
                             .wait_for(&mut stopped, jittered(period, seed, round));
                     }

@@ -41,7 +41,7 @@
 //! nothing to defer in virtual time.
 
 use std::cell::{Ref, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::num::NonZeroUsize;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -55,7 +55,7 @@ use bitdew_storage::{ConnectionPool, DewDb, EmbeddedDriver};
 use bitdew_transport::{FileStore, MemStore, StoreError};
 use bitdew_util::{Auid, IdMap};
 
-use crate::agent::{self, Cadence, Holding};
+use crate::agent::{self, Cadence, Holding, InFlight};
 use crate::announce::{HostCache, FLAG_SERVING};
 use crate::api::{
     ActiveData, Backpressure, BitDewApi, BitdewError, DataEvent, DataEventKind, EventBus,
@@ -157,23 +157,20 @@ pub struct SimSyncStats {
 
 /// Virtual-time state of the announce plane: the same TTL-expiring
 /// [`HostCache`] the threaded announce server aggregates into, plus the
-/// per-claim refresh clock and the plane's health switch.
+/// plane's health switch. Each host's claim clock is in its
+/// [`HostState`](agent::HostState).
 struct AnnounceSimState {
-    cadence: Cadence,
     /// `false` models a dead datagram path: every node's announce rounds
     /// degrade to full TCP syncs until revived.
     up: bool,
     cache: HostCache,
-    /// (host, datum) → last announce time; holdings re-announce past the
-    /// TTL half-life, not every round.
-    announced_at: IdMap<(HostUid, DataId), u64>,
     stats: SimSyncStats,
 }
 
 /// Shared state of one in-flight per-chunk multi-source fetch.
 struct SimChunkFetch {
     data: Data,
-    uid: HostUid,
+    idx: HostIdx,
     dest: HostId,
     /// Chunk repair (datum stays cached; no Copy hook on completion).
     repair: bool,
@@ -208,15 +205,23 @@ impl SimChunkFetch {
     }
 }
 
-struct NodeState {
+/// A host's slot in [`DriverState::hosts`]. Heartbeat timers, flow
+/// callbacks and [`SimNode`]s name their host by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HostIdx(u32);
+
+/// What a simulated host knows (see [`agent::HostState`]). Its cache
+/// entries and transfers carry no record of their own; the backend-only
+/// fact is a partial holder's exact chunk set, for the chunk-level repair
+/// loop and the compute plane's locality checks.
+type HostFacts = agent::HostState<(), (), (), BTreeSet<u32>>;
+
+struct SimHost {
+    uid: HostUid,
     host: HostId,
     alive: bool,
     role: SyncRole,
-    cache: HashSet<DataId>,
-    pending: HashSet<DataId>,
-    /// Heartbeat rounds run — drives the announce plane's every-nth
-    /// full-sync cadence.
-    rounds: u64,
+    state: HostFacts,
 }
 
 /// Why a catalog call on the simulator's plane does not fail: its shards
@@ -229,10 +234,15 @@ struct DriverState {
     /// The data space's content (the threaded runtime's repository store):
     /// `put` bytes and version pre-images.
     store: MemStore,
-    /// Looked up several times per heartbeat, so hashed by [`IdMap`]'s
-    /// fast keyed hasher (as are the other maps a heartbeat touches).
-    nodes: IdMap<HostUid, NodeState>,
-    by_host: HashMap<HostId, HostUid>,
+    /// Every host attached, dead ones included, in attach order.
+    hosts: Vec<SimHost>,
+    /// Host lookup for API callers, who name a host by its uid…
+    by_uid: IdMap<HostUid, HostIdx>,
+    /// …or by its simulator host.
+    by_host: HashMap<HostId, HostIdx>,
+    /// Heartbeat timing: a full sync every round until
+    /// [`SimBitdew::enable_announce`] sets the announce plane's cadence.
+    cadence: Cadence,
     copy_hook: Option<CopyHook>,
     /// Monotonic ids for direct (`get`) transfers.
     next_transfer: u64,
@@ -246,13 +256,6 @@ struct DriverState {
     shard_busy: Vec<SimTime>,
     /// Synchronizations fully served (their shard work finished).
     syncs_served: u64,
-    /// Partial holdings (host, datum) → exact held chunk set, for the
-    /// chunk-level repair loop and the compute plane's locality checks.
-    /// Ordered, so one host's holdings are a key range.
-    partials: BTreeMap<(HostUid, DataId), BTreeSet<u32>>,
-    /// (host, datum) → the version the host's bytes correspond to; a host
-    /// behind the head announces stale and reads as a repair target.
-    held_versions: IdMap<(HostUid, DataId), u64>,
     /// Chunk flows started from a peer replica (vs the service host) —
     /// the multi-source data plane's utilization counter.
     peer_chunk_flows: u64,
@@ -287,12 +290,19 @@ impl DriverState {
         }
     }
 
-    /// Record that `uid`'s bytes of `id` are the head's (a chunked datum
-    /// only).
-    fn note_held_version(&mut self, uid: HostUid, id: DataId) {
-        if let Some(head) = self.head(id) {
-            self.held_versions.insert((uid, id), head.version);
-        }
+    fn host(&self, idx: HostIdx) -> &SimHost {
+        &self.hosts[idx.0 as usize]
+    }
+
+    fn host_mut(&mut self, idx: HostIdx) -> &mut SimHost {
+        &mut self.hosts[idx.0 as usize]
+    }
+
+    /// Record that host `idx`'s bytes of `id` are the head's (a chunked
+    /// datum only).
+    fn note_held_version(&mut self, idx: HostIdx, id: DataId) {
+        let version = self.head(id).map_or(0, |h| h.version);
+        self.host_mut(idx).state.note_held_version(id, version);
     }
 
     /// Where a chunked fetch of `data` towards `dest` pulls from, in
@@ -301,14 +311,33 @@ impl DriverState {
     /// serving).
     fn chunk_sources(&self, service_host: HostId, dest: HostId, data: DataId) -> Vec<HostId> {
         let peers: Vec<(HostId, HostId)> = self
-            .nodes
+            .hosts
             .iter()
-            .filter(|(uid, n)| {
-                n.alive && n.cache.contains(&data) && !self.partials.contains_key(&(**uid, data))
+            .filter(|n| {
+                n.alive
+                    && n.state
+                        .get(data)
+                        .is_some_and(|f| f.cached.is_some() && f.extra.is_none())
             })
-            .map(|(_, n)| (n.host, n.host))
+            .map(|n| (n.host, n.host))
             .collect();
         agent::source_order(&dest, vec![service_host], peers)
+    }
+
+    /// The exact chunk set host `idx` verifiably holds of a
+    /// manifest-backed datum: the partial set when one is tracked, every
+    /// chunk when the datum is fully cached, empty otherwise.
+    fn held_chunks(&self, idx: HostIdx, data: DataId) -> Vec<u32> {
+        let facts = self.host(idx).state.get(data);
+        if let Some(set) = facts.and_then(|f| f.extra.as_ref()) {
+            return set.iter().copied().collect();
+        }
+        match self.head(data) {
+            Some(head) if facts.is_some_and(|f| f.cached.is_some()) => {
+                (0..head.chunk_count()).collect()
+            }
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -358,16 +387,16 @@ impl SimBitdew {
             state: Rc::new(RefCell::new(DriverState {
                 plane,
                 store: MemStore::default(),
-                nodes: IdMap::default(),
+                hosts: Vec::new(),
+                by_uid: IdMap::default(),
                 by_host: HashMap::new(),
+                cadence: Cadence::new(heartbeat.as_nanos(), 1, 1),
                 copy_hook: None,
                 next_transfer: 1,
                 service_cost_per_item: SimDuration::ZERO,
                 service_cost_base: SimDuration::ZERO,
                 shard_busy: vec![SimTime::ZERO; shards.get()],
                 syncs_served: 0,
-                partials: BTreeMap::new(),
-                held_versions: IdMap::default(),
                 peer_chunk_flows: 0,
                 announce: None,
                 tcp_stats: SimSyncStats::default(),
@@ -404,11 +433,11 @@ impl SimBitdew {
     /// what they mean in [`crate::runtime::AnnounceConfig`] (0 counts as
     /// 1).
     pub fn enable_announce(&self, ttl_factor: u32, full_sync_every: u32) {
-        self.state.borrow_mut().announce = Some(AnnounceSimState {
-            cadence: Cadence::new(self.heartbeat.as_nanos(), ttl_factor, full_sync_every),
+        let mut st = self.state.borrow_mut();
+        st.cadence = Cadence::new(self.heartbeat.as_nanos(), ttl_factor, full_sync_every);
+        st.announce = Some(AnnounceSimState {
             up: true,
             cache: HostCache::new(),
-            announced_at: IdMap::default(),
             stats: SimSyncStats::default(),
         });
     }
@@ -561,24 +590,30 @@ impl SimBitdew {
         Ok(())
     }
 
-    /// Pending scheduled downloads of a node.
-    fn pending_of(&self, uid: HostUid) -> usize {
-        self.state
-            .borrow()
-            .nodes
-            .get(&uid)
-            .map(|n| n.pending.len())
-            .unwrap_or(0)
+    /// The slot of the host `uid` names, when it is attached.
+    fn idx_of(&self, uid: HostUid) -> Option<HostIdx> {
+        self.state.borrow().by_uid.get(&uid).copied()
+    }
+
+    /// Scheduled downloads and repairs in flight towards host `idx`.
+    fn in_flight_of(&self, idx: HostIdx) -> usize {
+        self.state.borrow().host(idx).state.in_flight()
     }
 
     /// Pin a datum to a node (the ActiveData `pin` call).
     pub fn pin(&self, data: DataId, uid: HostUid) {
-        let mut st = self.state.borrow_mut();
-        st.plane.scheduler().pin(data, uid);
-        st.note_held_version(uid, data);
-        if let Some(n) = st.nodes.get_mut(&uid) {
-            n.cache.insert(data);
+        if let Some(idx) = self.idx_of(uid) {
+            self.pin_at(idx, data);
         }
+    }
+
+    /// [`SimBitdew::pin`] on host `idx`.
+    fn pin_at(&self, idx: HostIdx, data: DataId) {
+        let mut st = self.state.borrow_mut();
+        let uid = st.host(idx).uid;
+        st.plane.scheduler().pin(data, uid);
+        st.note_held_version(idx, data);
+        st.host_mut(idx).state.cache(data, ());
     }
 
     /// Publish a chunk manifest through the catalog: the datum's transfers
@@ -607,13 +642,16 @@ impl SimBitdew {
     /// its next synchronization returns a chunk-level repair order that
     /// moves only the missing chunks.
     pub fn lose_chunks(&self, uid: HostUid, data: DataId, lost: u32) {
+        let Some(idx) = self.idx_of(uid) else { return };
         let mut st = self.state.borrow_mut();
         let Some(total) = st.head(data).map(|h| h.chunk_count()) else {
             return;
         };
         let held: BTreeSet<u32> = (0..total.saturating_sub(lost)).collect();
         let report: Vec<u32> = held.iter().copied().collect();
-        st.partials.insert((uid, data), held);
+        st.host_mut(idx)
+            .state
+            .update(data, |f| f.extra = Some(held));
         st.plane.scheduler().report_chunk_set(uid, data, &report);
     }
 
@@ -628,58 +666,59 @@ impl SimBitdew {
     /// (the SimNode face of `pin_chunks`). A full complement is an
     /// ordinary pin.
     pub fn pin_partial_set(&self, data: DataId, uid: HostUid, held: &[u32]) {
+        if let Some(idx) = self.idx_of(uid) {
+            self.pin_partial_at(idx, data, held);
+        }
+    }
+
+    /// [`SimBitdew::pin_partial_set`] on host `idx`.
+    fn pin_partial_at(&self, idx: HostIdx, data: DataId, held: &[u32]) {
         let total = self.state.borrow().head(data).map(|h| h.chunk_count());
         let Some(total) = total else { return };
         let set: BTreeSet<u32> = held.iter().copied().filter(|&i| i < total).collect();
         if set.len() as u32 >= total {
-            self.pin(data, uid);
+            self.pin_at(idx, data);
             return;
         }
         let report: Vec<u32> = set.iter().copied().collect();
         let mut st = self.state.borrow_mut();
-        st.partials.insert((uid, data), set);
+        let uid = st.host(idx).uid;
         st.plane.scheduler().report_chunk_set(uid, data, &report);
-        st.note_held_version(uid, data);
-        if let Some(n) = st.nodes.get_mut(&uid) {
-            n.cache.insert(data);
-        }
+        st.note_held_version(idx, data);
+        st.host_mut(idx).state.update(data, |f| {
+            f.extra = Some(set);
+            f.cached = Some(());
+        });
     }
 
     /// The exact chunk set `uid` verifiably holds of a manifest-backed
     /// datum: the partial set when one is tracked, every chunk when the
     /// datum is fully cached, empty otherwise.
     pub fn held_chunk_set(&self, uid: HostUid, data: DataId) -> Vec<u32> {
-        let st = self.state.borrow();
-        if let Some(set) = st.partials.get(&(uid, data)) {
-            return set.iter().copied().collect();
-        }
-        let Some(total) = st.head(data).map(|h| h.chunk_count()) else {
-            return Vec::new();
-        };
-        let cached = st.nodes.get(&uid).is_some_and(|n| n.cache.contains(&data));
-        if cached {
-            (0..total).collect()
-        } else {
-            Vec::new()
-        }
+        self.idx_of(uid)
+            .map_or_else(Vec::new, |idx| self.state.borrow().held_chunks(idx, data))
     }
 
-    /// Record that `uid` acquired `chunks` of a datum (a compute-plane
+    /// Record that host `idx` acquired `chunks` of a datum (a compute-plane
     /// fallback fetch). Keeps the held set exact without promoting the
     /// datum into the node's cache — the scheduler learns the new set at
     /// the node's next heartbeat, as it would on the threaded runtime.
-    fn absorb_chunks(&self, uid: HostUid, data: DataId, chunks: &[u32]) {
+    fn absorb_chunks(&self, idx: HostIdx, data: DataId, chunks: &[u32]) {
         let mut st = self.state.borrow_mut();
         let Some(total) = st.head(data).map(|h| h.chunk_count()) else {
             return;
         };
-        let already_full = !st.partials.contains_key(&(uid, data))
-            && st.nodes.get(&uid).is_some_and(|n| n.cache.contains(&data));
+        let host = &mut st.host_mut(idx).state;
+        let already_full = host
+            .get(data)
+            .is_some_and(|f| f.cached.is_some() && f.extra.is_none());
         if already_full {
             return;
         }
-        let set = st.partials.entry((uid, data)).or_default();
-        set.extend(chunks.iter().copied().filter(|&i| i < total));
+        host.update(data, |f| {
+            let set = f.extra.get_or_insert_with(BTreeSet::new);
+            set.extend(chunks.iter().copied().filter(|&i| i < total));
+        });
     }
 
     /// Current owner set of a datum.
@@ -689,12 +728,13 @@ impl SimBitdew {
 
     /// Node's cache contents.
     pub fn cache_of(&self, uid: HostUid) -> Vec<DataId> {
-        self.state
-            .borrow()
-            .nodes
-            .get(&uid)
-            .map(|n| n.cache.iter().copied().collect())
-            .unwrap_or_default()
+        self.idx_of(uid)
+            .map_or_else(Vec::new, |idx| self.cached_at(idx))
+    }
+
+    /// [`SimBitdew::cache_of`] host `idx`.
+    fn cached_at(&self, idx: HostIdx) -> Vec<DataId> {
+        self.state.borrow().host(idx).state.cached_ids().collect()
     }
 
     /// Attach a reservoir node on simulator host `host`, heartbeating from
@@ -713,46 +753,51 @@ impl SimBitdew {
         start_at: SimTime,
         role: SyncRole,
     ) -> HostUid {
+        self.attach_host(sim, host, start_at, role).0
+    }
+
+    /// [`SimBitdew::add_node_with_role`], also returning the host's slot.
+    fn attach_host(
+        &self,
+        sim: &mut Sim,
+        host: HostId,
+        start_at: SimTime,
+        role: SyncRole,
+    ) -> (HostUid, HostIdx) {
         let uid = Auid::generate(sim.now().as_nanos().max(1), &mut sim.rng);
-        {
+        let idx = {
             let mut st = self.state.borrow_mut();
-            st.nodes.insert(
+            let idx = HostIdx(st.hosts.len() as u32);
+            st.hosts.push(SimHost {
                 uid,
-                NodeState {
-                    host,
-                    alive: true,
-                    role,
-                    cache: HashSet::new(),
-                    pending: HashSet::new(),
-                    rounds: 0,
-                },
-            );
-            st.by_host.insert(host, uid);
+                host,
+                alive: true,
+                role,
+                state: HostFacts::default(),
+            });
+            st.by_uid.insert(uid, idx);
+            st.by_host.insert(host, idx);
             st.alive_nodes += 1;
-        }
+            idx
+        };
         self.refresh_control_reservation(sim);
         self.trace
             .push(start_at.max(sim.now()), TraceEvent::HostUp { host });
         let driver = self.clone();
         every(sim, start_at, self.heartbeat, move |sim| {
-            driver.heartbeat_step(sim, uid)
+            driver.heartbeat_step(sim, idx)
         });
-        uid
+        (uid, idx)
     }
 
     /// Kill the node on `host` (heartbeats stop; its flows are failed by the
     /// caller flipping the FlowNet host state — `ChurnDriver` does both).
     pub fn kill_host(&self, sim: &mut Sim, host: HostId) {
         let mut st = self.state.borrow_mut();
-        if let Some(uid) = st.by_host.get(&host).copied() {
-            let mut died = false;
-            if let Some(n) = st.nodes.get_mut(&uid) {
-                if n.alive {
-                    n.alive = false;
-                    died = true;
-                }
-                n.pending.clear();
-            }
+        if let Some(idx) = st.by_host.get(&host).copied() {
+            let n = st.host_mut(idx);
+            let died = std::mem::replace(&mut n.alive, false);
+            n.state.abandon_transfers();
             if died {
                 st.alive_nodes = st.alive_nodes.saturating_sub(1);
             }
@@ -772,35 +817,35 @@ impl SimBitdew {
         });
     }
 
-    /// One compact announce round for `uid`: a liveness ping plus a claim
-    /// per held datum that is due, each charged to the byte counters and
-    /// landed in the host cache. Claims are never encoded: their effect on
-    /// the scheduler is applied directly.
-    fn announce_refresh(&self, st: &mut DriverState, uid: HostUid, now: u64) {
+    /// One compact announce round for host `idx`: a liveness ping plus a
+    /// claim per cached datum that is due, each charged to the byte
+    /// counters and landed in the host cache. Claims are never encoded:
+    /// their effect on the scheduler is applied directly.
+    fn announce_refresh(st: &mut DriverState, idx: HostIdx, now: u64) {
         let DriverState {
             plane,
-            nodes,
-            partials,
-            held_versions,
+            hosts,
             announce,
+            cadence,
             ..
         } = st;
         let Some(a) = announce.as_mut() else {
             return;
         };
+        let node = &mut hosts[idx.0 as usize];
+        let uid = node.uid;
         plane.scheduler_mut().touch_host_mut(uid, now);
         a.stats.announce_datagrams += 1;
         a.stats.announce_bytes += SIM_ANNOUNCE_WIRE + SIM_UDP_OVERHEAD;
-        let cached: Vec<DataId> = nodes
-            .get(&uid)
-            .map_or_else(Vec::new, |n| n.cache.iter().copied().collect());
-        for d in cached {
-            let last = a.announced_at.get(&(uid, d)).copied();
-            if !a.cadence.claim_due(last, now) {
-                continue;
-            }
-            let partial: Option<Vec<u32>> =
-                partials.get(&(uid, d)).map(|s| s.iter().copied().collect());
+        let due: Vec<(DataId, Option<Vec<u32>>, Option<u64>)> = node
+            .state
+            .claims_due(cadence, now)
+            .map(|(d, f)| {
+                let partial = f.extra.as_ref().map(|s| s.iter().copied().collect());
+                (d, partial, f.held_version)
+            })
+            .collect();
+        for (d, partial, held_version) in due {
             let holding = partial
                 .as_deref()
                 .map_or(Holding::Complete, Holding::Partial);
@@ -810,79 +855,75 @@ impl SimBitdew {
                 continue;
             };
             let head_v = head.as_ref().map_or(0, |h| h.version);
-            let held_v = held_versions.get(&(uid, d)).copied().unwrap_or(head_v);
+            let held_v = held_version.unwrap_or(head_v);
             let effect = agent::claim_effect(&claim, held_v, head_v, || head.as_deref().cloned());
             plane.scheduler().apply_claim(uid, d, effect);
-            let expires = now.saturating_add(a.cadence.ttl());
+            let expires = now.saturating_add(cadence.ttl());
             a.cache.insert(uid, d, expires, claim.flags, held_v);
-            a.announced_at.insert((uid, d), now);
+            node.state.note_announced(d, now);
             a.stats.announce_datagrams += 1;
             a.stats.announce_bytes +=
                 SIM_ANNOUNCE_WIRE + SIM_UDP_OVERHEAD + claim.bitmap.len() as u64;
         }
     }
 
-    /// One heartbeat for node `uid`: sync with the sharded scheduler, purge
+    /// One heartbeat for host `idx`: sync with the sharded scheduler, purge
     /// obsolete data, start flows for new assignments once the service
     /// plane has processed the request (per-shard queues, drained in
     /// parallel; free when no service cost is configured). With the
     /// announce plane up, only every nth round is that full TCP sync; the
     /// rounds between send compact datagrams only. Returns false
     /// (stopping the recurring timer) when the node is dead.
-    fn heartbeat_step(&self, sim: &mut Sim, uid: HostUid) -> bool {
+    fn heartbeat_step(&self, sim: &mut Sim, idx: HostIdx) -> bool {
         let now = sim.now().as_nanos();
-        let (host, orders, served_at, sync_bytes, contended) = {
+        let (orders, served_at, sync_bytes, contended) = {
             let mut st = self.state.borrow_mut();
-            let Some(node) = st.nodes.get_mut(&uid) else {
-                return false;
-            };
+            let st = &mut *st;
+            let cadence = st.cadence;
+            let node = st.host_mut(idx);
             if !node.alive {
                 return false;
             }
-            let round = node.rounds;
-            node.rounds += 1;
-            let stm = &mut *st;
+            let round = node.state.next_round(&cadence);
             // TTL sweep (O(1) when nothing expired): claims of silently
             // dead hosts leave the scheduler's replica view here, exactly
             // as the threaded announce server's sweep drops them.
-            if let Some(a) = stm.announce.as_mut() {
+            if let Some(a) = st.announce.as_mut() {
                 let evicted = a.cache.sweep(now);
                 a.stats.cache_evictions += evicted.len() as u64;
                 for (h, d) in evicted {
-                    stm.plane.scheduler().drop_host_holding(h, d);
+                    st.plane.scheduler().drop_host_holding(h, d);
                 }
             }
-            let announce = stm.announce.as_ref().map(|a| (a.up, a.cadence));
-            if let Some((true, _)) = announce {
-                self.announce_refresh(stm, uid, now);
+            let up = st.announce.as_ref().map(|a| a.up);
+            if up == Some(true) {
+                Self::announce_refresh(st, idx, now);
             }
-            let node = stm.nodes.get(&uid).expect("checked above");
             // Without a live datagram plane every round is a full sync;
             // with one, work in flight makes the host busy.
-            let full = match announce {
-                Some((true, cadence)) => cadence.full_due(round, !node.pending.is_empty()),
-                _ => true,
-            };
-            if !full {
+            if up == Some(true) && !round.full() {
+                if cfg!(debug_assertions) {
+                    st.host(idx).state.check();
+                }
                 return true; // datagram-only round
             }
-            let fallback = matches!(announce, Some((false, c)) if !c.full_due(round, false));
-            let host = node.host;
-            let role = node.role;
-            let cache: Vec<DataId> = node.cache.iter().copied().collect();
+            let fallback = up == Some(false) && !round.periodic;
+            let node = &st.hosts[idx.0 as usize];
+            let cache: Vec<DataId> = node.state.cached_ids().collect();
             // Report exact partial chunk sets before synchronizing, as the
             // threaded node does each pump — chunks acquired out of band
             // (compute-plane fallback fetches) become visible to the
             // scheduler's partial-holder tracking here.
-            let partial_sets: Vec<(DataId, Vec<u32>)> = st
-                .partials
-                .range((uid, Auid(0))..=(uid, Auid(u128::MAX)))
-                .map(|((_, d), s)| (*d, s.iter().copied().collect()))
-                .collect();
-            for (d, held) in partial_sets {
-                st.plane.scheduler().report_chunk_set(uid, d, &held);
+            for (d, f) in node.state.iter() {
+                if let Some(set) = &f.extra {
+                    let held: Vec<u32> = set.iter().copied().collect();
+                    st.plane.scheduler().report_chunk_set(node.uid, d, &held);
+                }
             }
-            let (reply, profile) = st.plane.scheduler().sync_profiled(uid, &cache, now, role);
+            let (reply, profile) = st
+                .plane
+                .scheduler()
+                .sync_profiled(node.uid, &cache, now, node.role);
             // Charge the sync's wire cost under the SOAP transport model
             // (see the discovery-plane cost model constants above).
             let reply_entries =
@@ -909,26 +950,23 @@ impl SimBitdew {
                     served_at = served_at.max(done);
                 }
             }
-            let Some(node) = st.nodes.get_mut(&uid) else {
-                return false;
-            };
-            // A chunk repair is in flight like a download: `pending` covers
-            // both.
-            let reply = agent::triage(
-                reply,
-                |id| node.cache.contains(&id),
-                |id| node.pending.contains(&id),
-                |id| node.pending.contains(&id),
-            );
-            for d in &reply.delete {
-                node.cache.remove(d);
+            let host = &mut st.host_mut(idx).state;
+            let reply = host.triage(reply);
+            for &d in &reply.delete {
+                host.forget(d);
             }
-            for (d, _) in reply.download.iter().chain(&reply.repair) {
-                node.pending.insert(d.id);
+            for (d, _) in &reply.download {
+                host.update(d.id, |f| f.in_flight = Some(InFlight::Download(())));
+            }
+            for (d, _) in &reply.repair {
+                host.update(d.id, |f| f.in_flight = Some(InFlight::Repair(())));
+            }
+            if cfg!(debug_assertions) {
+                host.check();
             }
             // Only the transfer orders travel with the reply.
             let orders = (reply.download, reply.repair);
-            (host, orders, served_at, sync_bytes, st.control_contention)
+            (orders, served_at, sync_bytes, st.control_contention)
         };
         if contended {
             // The reply is a real flow on the service host's links: its
@@ -938,6 +976,7 @@ impl SimBitdew {
             let driver = self.clone();
             let start_reply = move |sim: &mut Sim| {
                 let done = driver.clone();
+                let host = driver.state.borrow().host(idx).host;
                 driver.net.start_flow(
                     sim,
                     driver.service_host,
@@ -946,7 +985,7 @@ impl SimBitdew {
                     SimDuration::ZERO,
                     Box::new(move |sim, out| {
                         if matches!(out, FlowOutcome::Completed { .. }) {
-                            done.deliver_sync_reply(sim, uid, host, orders);
+                            done.deliver_sync_reply(sim, idx, orders);
                         }
                     }),
                 );
@@ -957,13 +996,13 @@ impl SimBitdew {
                 sim.schedule_at(served_at, start_reply);
             }
         } else if served_at <= sim.now() {
-            self.deliver_sync_reply(sim, uid, host, orders);
+            self.deliver_sync_reply(sim, idx, orders);
         } else {
             // The reply (and its transfer orders) arrives when the busiest
             // shard has drained this request from its queue.
             let driver = self.clone();
             sim.schedule_at(served_at, move |sim| {
-                driver.deliver_sync_reply(sim, uid, host, orders);
+                driver.deliver_sync_reply(sim, idx, orders);
             });
         }
         true
@@ -971,12 +1010,16 @@ impl SimBitdew {
 
     /// Account a served synchronization and start its transfer orders
     /// (dropped when the node died while the reply was in flight).
-    fn deliver_sync_reply(&self, sim: &mut Sim, uid: HostUid, host: HostId, orders: Orders) {
-        self.state.borrow_mut().syncs_served += 1;
-        let alive = self.state.borrow().nodes.get(&uid).is_some_and(|n| n.alive);
+    fn deliver_sync_reply(&self, sim: &mut Sim, idx: HostIdx, orders: Orders) {
+        let (alive, host) = {
+            let mut st = self.state.borrow_mut();
+            st.syncs_served += 1;
+            let node = st.host(idx);
+            (node.alive, node.host)
+        };
         if alive {
-            self.start_assigned_flows(sim, uid, host, orders.0);
-            self.start_repairs(sim, uid, host, orders.1);
+            self.start_assigned_flows(sim, idx, host, orders.0);
+            self.start_repairs(sim, idx, host, orders.1);
         }
     }
 
@@ -986,7 +1029,7 @@ impl SimBitdew {
     fn start_assigned_flows(
         &self,
         sim: &mut Sim,
-        uid: HostUid,
+        idx: HostIdx,
         host: HostId,
         downloads: Vec<(Data, DataAttributes)>,
     ) {
@@ -1010,7 +1053,7 @@ impl SimBitdew {
             );
             let head = self.state.borrow().head(data.id);
             match head.filter(|h| h.chunk_count() > 0) {
-                Some(h) => self.start_chunked_fetch(sim, uid, host, data, &h, None),
+                Some(h) => self.start_chunked_fetch(sim, idx, host, data, &h, None),
                 None => {
                     let driver = self.clone();
                     self.net.start_flow(
@@ -1021,10 +1064,10 @@ impl SimBitdew {
                         self.setup_latency,
                         Box::new(move |sim, outcome| match outcome {
                             FlowOutcome::Completed { avg_rate, .. } => {
-                                driver.finish_download(sim, uid, host, &data, false, avg_rate)
+                                driver.finish_download(sim, idx, host, &data, false, avg_rate)
                             }
                             FlowOutcome::Failed { .. } => {
-                                driver.fail_download(sim, uid, host, &data, false)
+                                driver.fail_download(sim, idx, host, &data, false)
                             }
                         }),
                     );
@@ -1038,24 +1081,22 @@ impl SimBitdew {
     fn start_repairs(
         &self,
         sim: &mut Sim,
-        uid: HostUid,
+        idx: HostIdx,
         host: HostId,
         repairs: Vec<(Data, DataAttributes)>,
     ) {
         for (data, _attrs) in repairs {
-            let head = self.state.borrow().head(data.id);
-            let held = self
-                .state
-                .borrow()
-                .partials
-                .get(&(uid, data.id))
-                .map_or(0, |s| s.len() as u32);
+            let (head, held) = {
+                let st = self.state.borrow();
+                let facts = st.host(idx).state.get(data.id);
+                let held = facts.and_then(|f| f.extra.as_ref()).map_or(0, |s| s.len());
+                (st.head(data.id), held as u32)
+            };
             let Some(m) = head else {
-                self.state
-                    .borrow_mut()
-                    .nodes
-                    .get_mut(&uid)
-                    .map(|n| n.pending.remove(&data.id));
+                let mut st = self.state.borrow_mut();
+                st.host_mut(idx)
+                    .state
+                    .update(data.id, |f| f.in_flight = None);
                 continue;
             };
             let missing = m.chunk_count().saturating_sub(held);
@@ -1068,7 +1109,7 @@ impl SimBitdew {
                     bytes: missing as f64 * m.chunk_size as f64,
                 },
             );
-            self.start_chunked_fetch(sim, uid, host, data, &m, Some(missing));
+            self.start_chunked_fetch(sim, idx, host, data, &m, Some(missing));
         }
     }
 
@@ -1080,7 +1121,7 @@ impl SimBitdew {
     fn start_chunked_fetch(
         &self,
         sim: &mut Sim,
-        uid: HostUid,
+        idx: HostIdx,
         dest: HostId,
         data: Data,
         head: &ResolvedVersion,
@@ -1113,12 +1154,12 @@ impl SimBitdew {
             .map(|(c, _)| c.len as f64)
             .collect();
         if lens.is_empty() {
-            self.finish_download(sim, uid, dest, &data, repair, 0.0);
+            self.finish_download(sim, idx, dest, &data, repair, 0.0);
             return;
         }
         let fetch = Rc::new(RefCell::new(SimChunkFetch {
             data: data.clone(),
-            uid,
+            idx,
             dest,
             repair,
             queue: (0..lens.len()).collect(),
@@ -1187,8 +1228,8 @@ impl SimBitdew {
         // it (starting a flow can fail immediately and re-enter).
         enum Next {
             Flow(HostId, usize),
-            Done(HostUid, HostId, Data, bool, f64),
-            Fail(HostUid, HostId, Data, bool),
+            Done(HostIdx, HostId, Data, bool, f64),
+            Fail(HostIdx, HostId, Data, bool),
             Nothing,
         }
         let next = {
@@ -1207,7 +1248,7 @@ impl SimBitdew {
                             } else {
                                 0.0
                             };
-                            Next::Done(f.uid, f.dest, f.data.clone(), f.repair, rate)
+                            Next::Done(f.idx, f.dest, f.data.clone(), f.repair, rate)
                         } else {
                             match f.queue.pop_front() {
                                 Some(next_idx) => Next::Flow(src, next_idx),
@@ -1218,7 +1259,7 @@ impl SimBitdew {
                     FlowOutcome::Failed { reason, .. } => {
                         if reason == bitdew_sim::FlowFailure::DestinationDown {
                             f.failed = true;
-                            Next::Fail(f.uid, f.dest, f.data.clone(), f.repair)
+                            Next::Fail(f.idx, f.dest, f.data.clone(), f.repair)
                         } else {
                             // Source died: its chunk goes back on the queue
                             // and a survivor picks it up right away.
@@ -1227,7 +1268,7 @@ impl SimBitdew {
                                 Some(alt) => Next::Flow(alt, idx),
                                 None => {
                                     f.failed = true;
-                                    Next::Fail(f.uid, f.dest, f.data.clone(), f.repair)
+                                    Next::Fail(f.idx, f.dest, f.data.clone(), f.repair)
                                 }
                             }
                         }
@@ -1239,36 +1280,39 @@ impl SimBitdew {
             Next::Flow(source, chunk) => {
                 self.start_chunk_flow(sim, fetch, source, chunk, SimDuration::ZERO)
             }
-            Next::Done(uid, dest, data, repair, rate) => {
-                self.finish_download(sim, uid, dest, &data, repair, rate)
+            Next::Done(idx, dest, data, repair, rate) => {
+                self.finish_download(sim, idx, dest, &data, repair, rate)
             }
-            Next::Fail(uid, dest, data, repair) => {
-                self.fail_download(sim, uid, dest, &data, repair)
+            Next::Fail(idx, dest, data, repair) => {
+                self.fail_download(sim, idx, dest, &data, repair)
             }
             Next::Nothing => {}
         }
     }
 
     /// A download (or a chunk repair, which leaves the cache as it was)
-    /// delivered every byte to `uid`.
+    /// delivered every byte to host `idx`.
     fn finish_download(
         &self,
         sim: &mut Sim,
-        uid: HostUid,
+        idx: HostIdx,
         host: HostId,
         data: &Data,
         repair: bool,
         avg_rate: f64,
     ) {
-        let hook = {
+        let (uid, hook) = {
             let mut st = self.state.borrow_mut();
-            if let Some(n) = st.nodes.get_mut(&uid) {
-                n.pending.remove(&data.id);
-                n.cache.insert(data.id);
-            }
-            st.note_held_version(uid, data.id);
+            let uid = st.host(idx).uid;
+            st.host_mut(idx).state.update(data.id, |f| {
+                f.in_flight = None;
+                f.cached = Some(());
+                if repair {
+                    f.extra = None;
+                }
+            });
+            st.note_held_version(idx, data.id);
             if repair {
-                st.partials.remove(&(uid, data.id));
                 let total = st.head(data.id).map_or(0, |h| h.chunk_count());
                 st.plane.scheduler().report_chunks(uid, data.id, total);
             }
@@ -1280,11 +1324,7 @@ impl SimBitdew {
                     avg_rate,
                 },
             );
-            if repair {
-                None
-            } else {
-                st.copy_hook.take()
-            }
+            (uid, if repair { None } else { st.copy_hook.take() })
         };
         if let Some(mut h) = hook {
             h(sim, uid, data);
@@ -1295,15 +1335,19 @@ impl SimBitdew {
         }
     }
 
-    /// A download (or chunk repair) of `data` towards `uid` failed: the
-    /// next sync re-assigns it if it is still wanted.
-    fn fail_download(&self, sim: &mut Sim, uid: HostUid, host: HostId, data: &Data, repair: bool) {
-        if let Some(n) = self.state.borrow_mut().nodes.get_mut(&uid) {
-            n.pending.remove(&data.id);
+    /// A download (or chunk repair) of `data` towards host `idx` failed:
+    /// the next sync re-assigns it if it is still wanted. A failed repair
+    /// drops the datum from the cache, and with it the claim's clock.
+    fn fail_download(&self, sim: &mut Sim, idx: HostIdx, host: HostId, data: &Data, repair: bool) {
+        let mut st = self.state.borrow_mut();
+        st.host_mut(idx).state.update(data.id, |f| {
+            f.in_flight = None;
             if repair {
-                n.cache.remove(&data.id);
+                f.cached = None;
+                f.announced_at = None;
             }
-        }
+        });
+        drop(st);
         self.trace.push(
             sim.now(),
             TraceEvent::TransferFailed {
@@ -1331,6 +1375,7 @@ pub struct SimNode {
     sim: Rc<RefCell<Sim>>,
     driver: SimBitdew,
     uid: HostUid,
+    idx: HostIdx,
     host: HostId,
     shared: Rc<SimNodeShared>,
 }
@@ -1384,11 +1429,12 @@ impl SimNode {
         start_at: SimTime,
         role: SyncRole,
     ) -> SimNode {
-        let uid = driver.add_node_with_role(&mut sim.borrow_mut(), host, start_at, role);
+        let (uid, idx) = driver.attach_host(&mut sim.borrow_mut(), host, start_at, role);
         SimNode {
             sim: Rc::clone(sim),
             driver: driver.clone(),
             uid,
+            idx,
             host,
             shared: Rc::new(SimNodeShared {
                 seen: RefCell::new(HashMap::new()),
@@ -1423,7 +1469,7 @@ impl SimNode {
     /// Copy/Delete life-cycle events on the node's bus (virtual-time
     /// delivery: subscriptions fill as pumps and waits advance the clock).
     fn refresh(&self) {
-        let current: HashSet<DataId> = self.driver.cache_of(self.uid).into_iter().collect();
+        let current: HashSet<DataId> = self.driver.cached_at(self.idx).into_iter().collect();
         let mut fired: Vec<DataEvent> = Vec::new();
         {
             let mut seen = self.shared.seen.borrow_mut();
@@ -1604,8 +1650,10 @@ impl BitDewApi for SimNode {
         self.with_versions(|v| v.delete(data))?;
         let mut st = self.driver.state.borrow_mut();
         st.store.remove(&data.object_name())?;
-        st.partials.retain(|(_, d), _| *d != data.id);
-        st.held_versions.retain(|(_, d), _| *d != data.id);
+        st.host_mut(self.idx).state.update(data.id, |f| {
+            f.extra = None;
+            f.held_version = None;
+        });
         st.plane.scheduler().delete_data(data.id);
         Ok(())
     }
@@ -1660,7 +1708,7 @@ impl BitDewApi for SimNode {
         self.put(data, content)?;
         self.plane().put_manifest(&manifest)?;
         let mut st = self.driver.state.borrow_mut();
-        st.note_held_version(self.uid, data.id);
+        st.note_held_version(self.idx, data.id);
         Ok(manifest)
     }
 
@@ -1670,18 +1718,14 @@ impl BitDewApi for SimNode {
     }
 
     fn held_chunks(&self, data: &Data) -> Result<Vec<u32>> {
-        Ok(self.driver.held_chunk_set(self.uid, data.id))
+        Ok(self.driver.state.borrow().held_chunks(self.idx, data.id))
     }
 
     fn fetch_chunks(&self, data: &Data, chunks: &[u32]) -> Result<u64> {
         let manifest = self
             .chunk_manifest(data.id)?
             .ok_or_else(|| no_manifest(data))?;
-        let held: BTreeSet<u32> = self
-            .driver
-            .held_chunk_set(self.uid, data.id)
-            .into_iter()
-            .collect();
+        let held: BTreeSet<u32> = self.held_chunks(data)?.into_iter().collect();
         let missing: Vec<u32> = chunks
             .iter()
             .copied()
@@ -1696,7 +1740,7 @@ impl BitDewApi for SimNode {
         // Each missing chunk is one flow served by a peer replica — the
         // same counter the flow-level chunked-fetch engine charges.
         self.driver.state.borrow_mut().peer_chunk_flows += missing.len() as u64;
-        self.driver.absorb_chunks(self.uid, data.id, &missing);
+        self.driver.absorb_chunks(self.idx, data.id, &missing);
         // The threaded fallback blocks on one multi-source fetch; model it
         // as the setup latency plus the bytes at the nominal NIC rate.
         {
@@ -1721,11 +1765,7 @@ impl BitDewApi for SimNode {
         // silent network read.
         if let Some(m) = self.chunk_manifest(data.id)? {
             if len > 0 && m.chunk_size > 0 && m.chunk_count() > 0 {
-                let held: BTreeSet<u32> = self
-                    .driver
-                    .held_chunk_set(self.uid, data.id)
-                    .into_iter()
-                    .collect();
+                let held: BTreeSet<u32> = self.held_chunks(data)?.into_iter().collect();
                 let first = offset / m.chunk_size;
                 let last = offset.saturating_add(len as u64 - 1) / m.chunk_size;
                 for i in first as u32..=last.min(m.chunk_count() as u64 - 1) as u32 {
@@ -1769,7 +1809,9 @@ impl BitDewApi for SimNode {
             let stats = st.stats_mut();
             stats.version_publishes += 1;
             stats.version_bytes += wire;
-            st.held_versions.insert((self.uid, data.id), row.version);
+            st.host_mut(self.idx)
+                .state
+                .note_held_version(data.id, row.version);
             st.control_contention
         };
         if contended {
@@ -1834,7 +1876,7 @@ impl ActiveData for SimNode {
     }
 
     fn pin(&self, data: &Data, attrs: DataAttributes) -> Result<()> {
-        self.driver.pin(data.id, self.uid);
+        self.driver.pin_at(self.idx, data.id);
         self.shared
             .seen
             .borrow_mut()
@@ -1858,7 +1900,7 @@ impl ActiveData for SimNode {
             return self.pin(data, attrs);
         }
         let held: Vec<u32> = held.into_iter().collect();
-        self.driver.pin_partial_set(data.id, self.uid, &held);
+        self.driver.pin_partial_at(self.idx, data.id, &held);
         self.shared
             .seen
             .borrow_mut()
@@ -1940,13 +1982,13 @@ impl TransferManager for SimNode {
         let deadline = self.virtual_deadline(timeout);
         loop {
             self.advance_one();
-            if self.driver.pending_of(self.uid) == 0 && self.shared.unresolved.get() == 0 {
+            if self.driver.in_flight_of(self.idx) == 0 && self.shared.unresolved.get() == 0 {
                 return Ok(());
             }
             if self.sim.borrow().now() >= deadline {
                 let waited = self.sim.borrow().now().since(started);
                 return Err(BitdewError::Timeout {
-                    what: format!("{} pending downloads", self.driver.pending_of(self.uid)),
+                    what: format!("{} pending downloads", self.driver.in_flight_of(self.idx)),
                     waited: Duration::from_nanos(waited.as_nanos()),
                 });
             }
@@ -1959,13 +2001,14 @@ impl TransferManager for SimNode {
     }
 
     fn cached(&self) -> Vec<DataId> {
-        let mut v = self.driver.cache_of(self.uid);
+        let mut v = self.driver.cached_at(self.idx);
         v.sort();
         v
     }
 
     fn has_cached(&self, id: DataId) -> bool {
-        self.driver.cache_of(self.uid).contains(&id)
+        let st = self.driver.state.borrow();
+        st.host(self.idx).state.cached(id).is_some()
     }
 }
 
@@ -2601,5 +2644,43 @@ mod tests {
         assert_eq!(after.fallback_syncs, during.fallback_syncs);
         assert!(after.announce_datagrams > during.announce_datagrams);
         assert_eq!(bd.owners_of(data.id).len(), 2);
+    }
+
+    #[test]
+    fn a_purged_datum_repinned_within_the_ttl_half_life_is_claimed_at_once() {
+        // TTL 16 s (half-life 8 s), a full sync every other round.
+        let topo = topology::gdx_cluster(1);
+        let mut sim = Sim::new(35);
+        let bd = SimBitdew::new(
+            topo.net.clone(),
+            topo.service,
+            SimDuration::from_secs(1),
+            Trace::new(),
+        );
+        bd.enable_announce(16, 2);
+        let data = datum("expiring", 4_000);
+        bd.put_manifest(&ChunkManifest::describe(data.id, 1_000, &[0; 4_000]));
+        let expires = SimTime::from_millis(1_500).as_nanos();
+        bd.schedule_data(
+            data.clone(),
+            DataAttributes::default()
+                .with_replica(0)
+                .with_lifetime(crate::attr::Lifetime::Absolute(expires)),
+        );
+        let n = bd.add_node(&mut sim, topo.workers[0], SimTime::ZERO);
+        bd.pin(data.id, n);
+        // t = 0: a complete claim. t = 2 s: the full sync purges the
+        // expired datum.
+        sim.run_until(SimTime::from_millis(2_500));
+        assert!(bd.cache_of(n).is_empty(), "the lifetime purged the datum");
+        assert_eq!(
+            bd.announce_holders(&sim, data.id),
+            vec![(n, FLAG_SERVING | crate::announce::FLAG_COMPLETE)]
+        );
+        // Re-pinned as a partial 2.5 s after its last claim: the purge
+        // forgot the claim's clock, so t = 3 s announces the new holding.
+        bd.pin_partial_set(data.id, n, &[0]);
+        sim.run_until(SimTime::from_millis(3_500));
+        assert_eq!(bd.announce_holders(&sim, data.id), vec![(n, FLAG_SERVING)]);
     }
 }

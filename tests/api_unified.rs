@@ -13,8 +13,8 @@ use bitdew::core::api::{ActiveData, BitDewApi, BitdewError, TransferManager};
 use bitdew::core::services::transfer::{TransferId, TransferState};
 use bitdew::core::simdriver::{SimBitdew, SimNode};
 use bitdew::core::{
-    BitdewNode, ChunkManifest, Data, DataAttributes, LocatorRef, RuntimeConfig, ServiceContainer,
-    VersionedManifest, REPLICA_ALL,
+    BitdewNode, ChunkManifest, Data, DataAttributes, Lifetime, LocatorRef, RuntimeConfig,
+    ServiceContainer, VersionedManifest, REPLICA_ALL,
 };
 use bitdew::sim::{topology, Sim, SimDuration, SimTime, Trace};
 use rand::rngs::SmallRng;
@@ -250,6 +250,63 @@ fn both_backends_answer_the_contract_edges_identically() {
     assert_eq!(threaded.reput_get_range, Ok(vec![2; 30]));
     assert_eq!(threaded.deleted_version_head, Ok(0));
     assert!(threaded.deleted_fetch_chunks.is_err());
+    assert_eq!(threaded, simulated);
+}
+
+/// A worker holds chunk 0 of a chunked datum whose absolute lifetime ends
+/// at `expiry()` on the backend's clock, as a partial pin, and is pumped
+/// past it. Returns (cached, held chunks) before the pumps and after.
+fn purge_of_a_partial<N>(client: &N, worker: &N, expiry: impl Fn() -> u64) -> [(bool, Vec<u32>); 2]
+where
+    N: BitDewApi + ActiveData + TransferManager,
+{
+    let payload: Vec<u8> = (0..16_384u32).map(|i| (i % 251) as u8).collect();
+    let data = client.create_data("partial.expiring", &payload).unwrap();
+    client.put_chunked(&data, &payload, 4_096).unwrap();
+    // Replica 0: nothing is placed, so the partial pin is all the worker
+    // holds.
+    let attrs = DataAttributes::default()
+        .with_replica(0)
+        .with_lifetime(Lifetime::Absolute(expiry()));
+    client.schedule(&data, attrs.clone()).unwrap();
+    worker.fetch_chunks(&data, &[0]).unwrap();
+    worker.pin_chunks(&data, attrs, &[0]).unwrap();
+    let holding = || {
+        (
+            worker.has_cached(data.id),
+            worker.held_chunks(&data).unwrap(),
+        )
+    };
+    let before = holding();
+    for _ in 0..3 {
+        client.pump().unwrap();
+        worker.pump().unwrap();
+    }
+    [before, holding()]
+}
+
+#[test]
+fn a_purge_forgets_a_partial_holding_on_both_backends() {
+    let c = ServiceContainer::start(RuntimeConfig::default());
+    let threaded = purge_of_a_partial(
+        &BitdewNode::new_client(Arc::clone(&c)),
+        &BitdewNode::new(Arc::clone(&c)),
+        || c.now_nanos(),
+    );
+
+    let topo = topology::gdx_cluster(2);
+    let sim = Rc::new(RefCell::new(Sim::new(41)));
+    let driver = SimBitdew::new(
+        topo.net.clone(),
+        topo.service,
+        SimDuration::from_secs(1),
+        Trace::new(),
+    );
+    let client = SimNode::attach_client(&sim, &driver, topo.workers[0], SimTime::ZERO);
+    let worker = SimNode::attach(&sim, &driver, topo.workers[1], SimTime::ZERO);
+    let simulated = purge_of_a_partial(&client, &worker, || sim.borrow().now().as_nanos());
+
+    assert_eq!(threaded, [(true, vec![0]), (false, vec![])]);
     assert_eq!(threaded, simulated);
 }
 
