@@ -7,15 +7,21 @@
 //! thread count stays flat no matter how many sessions register.
 //!
 //! The harness drives a burst workload against an in-process plane: each
-//! session receives a burst of `K` slot `put`s (one group-commit batch),
+//! session receives bursts of `K` slot `put`s (one group-commit batch),
 //! sweeping the session count while the worker set stays fixed, then
 //! re-runs the 1- and 100-session points on the PR 5 dedicated-thread
-//! shape for comparison. Two acceptance criteria (asserted in every
-//! mode):
+//! shape for comparison. Every point runs the same work: `K` puts to each
+//! of as many slot data as the widest point has sessions, with the same
+//! payload; only the number of sessions the puts are spread over changes
+//! (one session takes the slots in turn, 10 000 sessions one slot each).
+//! Two acceptance criteria (asserted in every mode):
 //!
 //! * **flat cost** — per-op cost at 10 000 pooled sessions stays within
 //!   **2×** of the 1-session cost (the registration table, injector, and
-//!   wakeup path must not degrade with registered-session count);
+//!   wakeup path must not degrade with registered-session count). The
+//!   points share their data set so that the ratio reads the session
+//!   count, not the difference between rewriting one hot datum and
+//!   writing many cold ones;
 //! * **no regression vs dedicated threads** — at 100 sessions the pool
 //!   sustains **≥ 0.9×** the ops/sec of 100 dedicated executor threads.
 //!
@@ -33,14 +39,14 @@ use bitdew_core::api::{ExecutorConfig, ExecutorPool, Session};
 use bitdew_core::{BitdewNode, Data, RuntimeConfig, ServiceContainer};
 
 struct Params {
-    /// Session counts swept on the shared pool.
+    /// Session counts swept on the shared pool. The widest sets the data
+    /// set: one slot datum per session at that point.
     pool_scales: &'static [usize],
     /// Session counts re-run with dedicated per-session threads.
     dedicated_scales: &'static [usize],
-    /// Ops per session per round — one group-commit burst.
+    /// Ops per session per round — one group-commit burst — and puts per
+    /// slot datum.
     burst: usize,
-    /// Minimum total ops per measurement (small scales run more rounds).
-    min_ops: usize,
     /// Payload bytes per put.
     payload: usize,
 }
@@ -51,7 +57,6 @@ impl Params {
             pool_scales: &[1, 100, 10_000],
             dedicated_scales: &[1, 100],
             burst: 16,
-            min_ops: 32_768,
             payload: 64,
         }
     }
@@ -61,9 +66,13 @@ impl Params {
             pool_scales: &[1, 100, 10_000],
             dedicated_scales: &[1, 100],
             burst: 4,
-            min_ops: 8_192,
             payload: 64,
         }
+    }
+
+    /// Slot data every point writes: one per session at the widest point.
+    fn slots(&self) -> usize {
+        self.pool_scales.iter().copied().max().unwrap_or(1)
     }
 }
 
@@ -76,7 +85,7 @@ struct Measurement {
     threads: usize,
 }
 
-/// One slot datum per session, so repeated puts are valid at any round
+/// The slot data of one point, so repeated puts are valid at any round
 /// count and an order violation would be observable as a torn readback.
 fn make_slots(node: &Arc<BitdewNode>, n: usize, len: u64, tag: &str) -> Vec<Data> {
     (0..n)
@@ -87,12 +96,15 @@ fn make_slots(node: &Arc<BitdewNode>, n: usize, len: u64, tag: &str) -> Vec<Data
         .collect()
 }
 
-/// Drive `rounds × sessions × burst` puts and wait for every future;
-/// returns the measured rates.
+/// Drive `burst` puts to each of [`Params::slots`] slot data over
+/// `sessions` sessions and wait for every future; returns the measured
+/// rates. Round `r` gives session `s` a burst on slot `r × sessions + s`,
+/// so every point puts the same bytes to the same data set in the same
+/// per-slot order.
 fn run_scale(p: &Params, sessions: usize, config: &dyn Fn() -> ExecutorConfig) -> Measurement {
     let c = ServiceContainer::start(RuntimeConfig::default());
     let node = BitdewNode::new_client(Arc::clone(&c));
-    let slots = make_slots(&node, sessions, p.payload as u64, &format!("s{sessions}"));
+    let slots = make_slots(&node, p.slots(), p.payload as u64, &format!("s{sessions}"));
     let sxs: Vec<_> = (0..sessions)
         .map(|_| {
             let s = Session::with_batch_limit(Arc::clone(&node), p.burst.max(4));
@@ -101,15 +113,17 @@ fn run_scale(p: &Params, sessions: usize, config: &dyn Fn() -> ExecutorConfig) -
         })
         .collect();
 
-    let rounds = p.min_ops.div_ceil(sessions * p.burst);
-    let total_ops = rounds * sessions * p.burst;
+    assert_eq!(slots.len() % sessions, 0, "sessions divide the data set");
+    let rounds = slots.len() / sessions;
+    let total_ops = slots.len() * p.burst;
     let payload = vec![0x5a; p.payload];
     let mut futures = Vec::with_capacity(total_ops);
     let started = Instant::now();
-    for _ in 0..rounds {
+    for round in 0..rounds {
         for (si, session) in sxs.iter().enumerate() {
+            let slot = &slots[round * sessions + si];
             for _ in 0..p.burst {
-                futures.push(session.put(&slots[si], &payload));
+                futures.push(session.put(slot, &payload));
             }
         }
     }
@@ -182,10 +196,11 @@ fn main() {
     )
     .expect("pool");
     println!(
-        "\npool: {} workers, burst {} ops/session, ≥{} ops per point",
+        "\npool: {} workers, burst {} ops/session, {} slot data × {} puts per point",
         pool.workers(),
         p.burst,
-        p.min_ops
+        p.slots(),
+        p.burst
     );
 
     section("shared pool, session-count sweep");

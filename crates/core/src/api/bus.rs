@@ -575,6 +575,23 @@ impl EventBus {
         self.publish_inner(event, true);
     }
 
+    /// [`EventBus::publish_deferring`] for a run of events that are built
+    /// only if something listens: with no subscription open and no handler
+    /// attached, the events are counted in [`EventBus::published`] and
+    /// never built. The check is made once for the run: a subscriber that
+    /// arrives while an unheard run is counted sees none of it, as if it
+    /// had subscribed just after the run.
+    pub fn publish_all_deferring(&self, events: impl ExactSizeIterator<Item = DataEvent>) {
+        if self.subs.lock().is_empty() && self.handlers.lock().is_empty() {
+            self.published
+                .fetch_add(events.len() as u64, Ordering::Relaxed);
+            return;
+        }
+        for event in events {
+            self.publish_inner(&event, true);
+        }
+    }
+
     /// Events deferred across all subscriptions since the bus was created
     /// (monotonic).
     pub fn deferred_events(&self) -> u64 {

@@ -72,7 +72,7 @@
 //! the legacy dedicated per-session thread. The simulator keeps the
 //! cooperative drain, so the discrete event order is unchanged.
 //!
-//! The same tickets carry an **async façade** with zero runtime
+//! The same futures carry an **async façade** with zero runtime
 //! dependency: [`OpFuture`] implements [`std::future::Future`] (waker
 //! stored in the op slot, woken on resolve), [`EventSub::stream`] yields
 //! an async [`EventStream`] of life-cycle events, and [`block_on`] is the

@@ -2,15 +2,28 @@
 //! and the background session executor.
 //!
 //! Every mutating operation submitted through a [`Session`] returns an
-//! [`OpFuture`] ticket immediately; the op lands in the session's
-//! submission queue and an executor drains the queue in *batches* — one
-//! catalog round-trip (`put_many`) and one scheduler lock acquisition
+//! [`OpFuture`] immediately; the op lands in the session's submission
+//! queue and an executor drains the queue in *batches* — one catalog
+//! round-trip (`put_many`) and one scheduler lock acquisition
 //! (`schedule_many`) per batch — instead of paying one lock-and-round-trip
 //! per call. A client can keep thousands of operations in flight against
 //! the sharded DC+DS plane and collect completions with
 //! [`OpFuture::wait`] / [`OpFuture::try_get`] / [`join_all`] — or simply
 //! `.await` them: [`OpFuture`] implements [`std::future::Future`] with no
 //! runtime dependency (see [`block_on`] for a zero-dependency executor).
+//!
+//! ## Completion blocks
+//!
+//! The ops submitted between two drains share one *completion block*: a
+//! vector with a slot per op behind one lock, and one condvar. An op's
+//! future is the block and the op's index in it, so a submission costs a
+//! slot push, not an allocation of its own. A drain takes the
+//! queued ops together with their block; after each segment (see below)
+//! it writes the segment's results into their slots under one lock, then
+//! wakes the block's parked waiters with one `notify_all` and each stored
+//! task waker. A waiter woken by a segment that is not its own re-checks
+//! its slot and parks again. Debug builds assert that a drain leaves no
+//! slot of its block pending. Lock order: the queue, then a block.
 //!
 //! ## Drain modes
 //!
@@ -60,7 +73,7 @@
 //! [`Session::failed_dropped`]), so an abandoned-futures loop cannot grow
 //! it without limit.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -68,6 +81,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
+use bitdew_util::IdMap;
 use parking_lot::{Condvar, Mutex};
 
 use crate::api::pool::{self, ExecutorConfig, ExecutorPool, PoolDrive, PoolHandle};
@@ -91,12 +105,13 @@ const WAIT_RECHECK: Duration = Duration::from_millis(100);
 /// `batch_limit × HIGH_WATER_FACTOR` queued ops until it catches up.
 const HIGH_WATER_FACTOR: usize = 16;
 
-/// One queued mutating operation.
+/// One queued mutating operation. Its completion slot is the one at the
+/// same position in the queue's [`Block`].
 enum Op {
-    Put(Data, Vec<u8>, Ticket<()>),
-    Schedule(Data, DataAttributes, Ticket<()>),
-    Pin(Data, DataAttributes, Ticket<()>),
-    Delete(Data, Ticket<()>),
+    Put(Data, Vec<u8>),
+    Schedule(Data, DataAttributes),
+    Pin(Data, DataAttributes),
+    Delete(Data),
 }
 
 impl Op {
@@ -115,14 +130,16 @@ impl Op {
 
     fn data_id(&self) -> DataId {
         match self {
-            Op::Put(d, ..) | Op::Schedule(d, ..) | Op::Pin(d, ..) | Op::Delete(d, ..) => d.id,
+            Op::Put(d, ..) | Op::Schedule(d, ..) | Op::Pin(d, ..) | Op::Delete(d) => d.id,
         }
     }
 }
 
-/// Resolution slot of one op future.
-enum SlotState<T> {
-    Pending,
+/// The completion slot of one op.
+enum Slot<T> {
+    /// Queued or in flight, with the task waker of an `.await`er, if one
+    /// polled.
+    Pending(Option<Waker>),
     Ready(Result<T>),
     Taken,
     /// The future was dropped while the op was still queued or in flight;
@@ -131,22 +148,44 @@ enum SlotState<T> {
     Abandoned,
 }
 
-struct OpSlot<T> {
-    state: Mutex<SlotState<T>>,
-    cond: Condvar,
-    /// Task waker of an `.await`er, stored by `Future::poll` and woken when
-    /// the slot resolves.
-    waker: Mutex<Option<Waker>>,
+/// The completion slots of every op submitted between two drains, behind
+/// one lock and one condvar: the batch's futures share one `Arc` and one
+/// slot vector (sized at the batch limit) instead of an allocation each.
+/// An op's future holds the block and its index; the drain writes a
+/// segment's results under one lock and wakes the block's waiters once.
+struct Block<T> {
+    slots: Mutex<Vec<Slot<T>>>,
+    /// Signaled after every segment settles; waiters re-check their own
+    /// slot.
+    settled: Condvar,
 }
 
-type Ticket<T> = Arc<OpSlot<T>>;
+impl<T> Block<T> {
+    fn with_capacity(ops: usize) -> Block<T> {
+        Block {
+            slots: Mutex::new(Vec::with_capacity(ops)),
+            settled: Condvar::new(),
+        }
+    }
 
-fn ticket<T>() -> Ticket<T> {
-    Arc::new(OpSlot {
-        state: Mutex::new(SlotState::Pending),
-        cond: Condvar::new(),
-        waker: Mutex::new(None),
-    })
+    /// Whether no slot is still pending — true of every block a drain has
+    /// finished with.
+    fn settled(&self) -> bool {
+        !self
+            .slots
+            .lock()
+            .iter()
+            .any(|slot| matches!(slot, Slot::Pending(_)))
+    }
+}
+
+/// The submission queue: the ops not yet drained and the block their
+/// futures resolve through. The block exists exactly while ops do; a
+/// drain takes both. Lock order: queue, then block.
+#[derive(Default)]
+struct Queue {
+    ops: Vec<Op>,
+    block: Option<Arc<Block<()>>>,
 }
 
 /// Something that can drain a submission queue and absorb orphaned errors
@@ -156,7 +195,7 @@ trait Drive {
     /// Drain the owning session's queue now.
     fn drive(&self);
     /// Whether the *calling thread* should park and let a background
-    /// executor resolve its tickets. False when no executor is draining —
+    /// executor settle its ops. False when no executor is draining —
     /// and false on the draining thread itself (a bus handler fired from
     /// inside a batch that waits/awaits a future must drive the nested
     /// drain, not park on a resolution only its own frame can produce).
@@ -165,19 +204,22 @@ trait Drive {
     fn sink_error(&self, err: BitdewError);
 }
 
-/// A ticket for one submitted operation. Resolution happens when the
-/// owning session's queue drains; waiting on the future triggers that
-/// drain on a cooperative session and parks on a background-executor one,
-/// so a pipelined caller never deadlocks on its own queue.
+/// The handle of one submitted operation: its slot in the batch's
+/// completion block. Resolution happens when the owning session's queue
+/// drains; waiting on the future triggers that drain on a cooperative
+/// session and parks on a background-executor one, so a pipelined caller
+/// never deadlocks on its own queue.
 ///
 /// `OpFuture` also implements [`std::future::Future`], so
 /// `handle.put(..).await` works under any async executor (the waker is
-/// stored in the op slot and woken when the background executor resolves
-/// it; on a cooperative session the first poll drains the queue
-/// synchronously, preserving discrete-event order under the simulator).
+/// stored in the op's slot and woken when the background executor settles
+/// the op's segment; on a cooperative session the first poll drains the
+/// queue synchronously, preserving discrete-event order under the
+/// simulator).
 #[must_use = "a dropped OpFuture reports its op's error only through Session::take_failed; wait(), .await or join_all() it"]
 pub struct OpFuture<T> {
-    slot: Ticket<T>,
+    block: Arc<Block<T>>,
+    index: usize,
     driver: Arc<dyn Drive>,
 }
 
@@ -185,53 +227,59 @@ impl<T> OpFuture<T> {
     /// Whether the op has resolved (successfully or not) — never drives
     /// the queue, never blocks.
     pub fn is_ready(&self) -> bool {
-        !matches!(*self.slot.state.lock(), SlotState::Pending)
+        !matches!(self.block.slots.lock()[self.index], Slot::Pending(_))
     }
 
     /// Take the result if the op has resolved; `None` while it is still
     /// queued or in flight (and forever after the result was taken).
     /// Never drives the queue.
     pub fn try_get(&self) -> Option<Result<T>> {
-        let mut state = self.slot.state.lock();
-        match std::mem::replace(&mut *state, SlotState::Taken) {
-            SlotState::Ready(result) => Some(result),
-            other => {
-                *state = other;
-                None
-            }
-        }
+        take_ready(&mut self.block.slots.lock()[self.index])
     }
 
     /// Resolve the op and return the result. On a cooperative session this
     /// flushes the owning queue synchronously; with a background executor
-    /// running it parks until the executor resolves the ticket (re-driving
+    /// running it parks until the executor settles the op (re-driving
     /// itself if the executor stops mid-wait).
     pub fn wait(self) -> Result<T> {
         if !self.is_ready() && !self.driver.background_active() {
             self.driver.drive();
         }
-        let mut state = self.slot.state.lock();
+        let mut slots = self.block.slots.lock();
         loop {
-            match std::mem::replace(&mut *state, SlotState::Taken) {
-                SlotState::Ready(result) => return result,
-                SlotState::Taken | SlotState::Abandoned => {
+            match std::mem::replace(&mut slots[self.index], Slot::Taken) {
+                Slot::Ready(result) => return result,
+                Slot::Taken | Slot::Abandoned => {
                     panic!("OpFuture::wait called after the result was already taken")
                 }
-                SlotState::Pending => {
+                pending @ Slot::Pending(_) => {
                     // Another thread (a concurrent flusher or the background
-                    // executor) owns this op; park until it resolves the
-                    // ticket. If no executor is draining anymore (it was
-                    // stopped, or a concurrent flush finished without our
-                    // op), drive the queue ourselves.
-                    *state = SlotState::Pending;
-                    self.slot.cond.wait_for(&mut state, WAIT_RECHECK);
-                    if matches!(*state, SlotState::Pending) && !self.driver.background_active() {
-                        drop(state);
+                    // executor) owns this op; park until a segment of the
+                    // block settles. If no executor is draining anymore (it
+                    // was stopped, or a concurrent flush finished without
+                    // our op), drive the queue ourselves.
+                    slots[self.index] = pending;
+                    self.block.settled.wait_for(&mut slots, WAIT_RECHECK);
+                    if matches!(slots[self.index], Slot::Pending(_))
+                        && !self.driver.background_active()
+                    {
+                        drop(slots);
                         self.driver.drive();
-                        state = self.slot.state.lock();
+                        slots = self.block.slots.lock();
                     }
                 }
             }
+        }
+    }
+}
+
+/// Move a ready result out of its slot, leaving it `Taken`.
+fn take_ready<T>(slot: &mut Slot<T>) -> Option<Result<T>> {
+    match std::mem::replace(slot, Slot::Taken) {
+        Slot::Ready(result) => Some(result),
+        other => {
+            *slot = other;
+            None
         }
     }
 }
@@ -240,14 +288,17 @@ impl<T> Future for OpFuture<T> {
     type Output = Result<T>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Result<T>> {
-        if let Some(result) = self.try_get() {
-            return Poll::Ready(result);
-        }
-        // Store the waker before the second readiness check so a resolve
-        // racing between the two wakes us rather than being lost.
-        *self.slot.waker.lock() = Some(cx.waker().clone());
-        if let Some(result) = self.try_get() {
-            return Poll::Ready(result);
+        {
+            // Check and store the waker under one lock, so a settle racing
+            // the poll either is seen here or finds the waker.
+            let mut slots = self.block.slots.lock();
+            let slot = &mut slots[self.index];
+            if let Some(result) = take_ready(slot) {
+                return Poll::Ready(result);
+            }
+            if let Slot::Pending(waker) = slot {
+                *waker = Some(cx.waker().clone());
+            }
         }
         if !self.driver.background_active() {
             // Cooperative session: the poller is the only driver, so drain
@@ -264,18 +315,19 @@ impl<T> Future for OpFuture<T> {
 
 impl<T> Drop for OpFuture<T> {
     fn drop(&mut self) {
-        let mut state = self.slot.state.lock();
-        match std::mem::replace(&mut *state, SlotState::Taken) {
+        let mut slots = self.block.slots.lock();
+        let slot = &mut slots[self.index];
+        match std::mem::replace(slot, Slot::Taken) {
             // Resolved to an error nobody consumed: route it to the
             // session's error sink instead of discarding it.
-            SlotState::Ready(Err(e)) => {
-                drop(state);
+            Slot::Ready(Err(e)) => {
+                drop(slots);
                 self.driver.sink_error(e);
             }
-            SlotState::Ready(Ok(_)) | SlotState::Taken | SlotState::Abandoned => {}
+            Slot::Ready(Ok(_)) | Slot::Taken | Slot::Abandoned => {}
             // Still queued or in flight: mark the slot so the eventual
             // resolution routes an error to the sink.
-            SlotState::Pending => *state = SlotState::Abandoned,
+            Slot::Pending(_) => *slot = Slot::Abandoned,
         }
     }
 }
@@ -296,7 +348,7 @@ pub fn join_all<T>(futures: impl IntoIterator<Item = OpFuture<T>>) -> Result<Vec
 ///
 /// Works with any future; with [`OpFuture`] it completes in one poll on a
 /// cooperative session (the poll drains the queue) and parks until the
-/// background executor resolves the ticket otherwise.
+/// background executor settles the op otherwise.
 pub fn block_on<F: Future>(fut: F) -> F::Output {
     /// Unparks the thread that started `block_on`.
     struct ThreadWaker(std::thread::Thread);
@@ -323,7 +375,7 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
 
 struct SessionCore<N> {
     node: N,
-    queue: Mutex<Vec<Op>>,
+    queue: Mutex<Queue>,
     /// Signaled on every submission; the background executor parks here.
     queue_cond: Condvar,
     /// Serializes flushes: held for the whole drain, so concurrent
@@ -368,12 +420,27 @@ struct SessionCore<N> {
     user_refs: AtomicUsize,
 }
 
-impl<N: BitDewApi + ActiveData + TransferManager> SessionCore<N> {
-    fn submit(self: &Arc<Self>, op: Op) {
+impl<N: BitDewApi + ActiveData + TransferManager + 'static> SessionCore<N> {
+    /// Queue `op` and return its future: the next slot of the queue's
+    /// completion block (opened by the first op after a drain).
+    fn submit(self: &Arc<Self>, op: Op) -> OpFuture<()> {
         self.ops.fetch_add(1, Ordering::Relaxed);
         let mut queue = self.queue.lock();
-        queue.push(op);
-        let full = queue.len() >= self.batch_limit;
+        let block = queue
+            .block
+            .get_or_insert_with(|| Arc::new(Block::with_capacity(self.batch_limit)));
+        let index = {
+            let mut slots = block.slots.lock();
+            slots.push(Slot::Pending(None));
+            slots.len() - 1
+        };
+        let future = OpFuture {
+            block: Arc::clone(block),
+            index,
+            driver: Arc::clone(self) as Arc<dyn Drive>,
+        };
+        queue.ops.push(op);
+        let full = queue.ops.len() >= self.batch_limit;
         if self.background.load(Ordering::SeqCst) {
             // An executor drains asynchronously; don't flush from the
             // submitting thread (that would serialize round-trips back
@@ -393,11 +460,11 @@ impl<N: BitDewApi + ActiveData + TransferManager> SessionCore<N> {
                 self.queue_cond.notify_one();
             }
             let high_water = self.batch_limit.saturating_mul(HIGH_WATER_FACTOR);
-            if queue.len() >= high_water
+            if queue.ops.len() >= high_water
                 && !pool::is_pool_worker()
                 && *self.flusher.lock() != Some(std::thread::current().id())
             {
-                while queue.len() >= high_water && self.background.load(Ordering::SeqCst) {
+                while queue.ops.len() >= high_water && self.background.load(Ordering::SeqCst) {
                     self.space_cond
                         .wait_for(&mut queue, Duration::from_millis(5));
                 }
@@ -406,6 +473,7 @@ impl<N: BitDewApi + ActiveData + TransferManager> SessionCore<N> {
             drop(queue);
             self.flush();
         }
+        future
     }
 
     fn flush(&self) {
@@ -425,133 +493,134 @@ impl<N: BitDewApi + ActiveData + TransferManager> SessionCore<N> {
         *self.flusher.lock() = None;
     }
 
-    /// Drain the queue until empty (caller holds the flush gate). Ops
-    /// queued while a batch executes — by other threads, or by handlers on
-    /// this one — run in a later iteration of the same serialized flush,
-    /// so per-datum program order holds across concurrent submitters.
+    /// Drain the queue until empty (caller holds the flush gate). Each
+    /// pass takes the queued ops with their completion block. Ops queued
+    /// while a batch executes — by other threads, or by handlers on this
+    /// one — open a new block and run in a later pass of the same
+    /// serialized flush, so per-datum program order holds across
+    /// concurrent submitters.
     fn drain(&self) {
         loop {
-            let ops = std::mem::take(&mut *self.queue.lock());
+            let (ops, block) = {
+                let mut queue = self.queue.lock();
+                (std::mem::take(&mut queue.ops), queue.block.take())
+            };
             // The queue just emptied: wake producers parked at the
             // high-water mark.
             self.space_cond.notify_all();
-            if ops.is_empty() {
+            let Some(block) = block else {
                 break;
-            }
+            };
             // Split into segments: within a segment every datum's ops are
             // in non-decreasing phase order, so executing the segment's
-            // phases in order preserves program order exactly.
+            // phases in order preserves program order exactly. A segment
+            // is a run of the queue, so its slots are a run of the block
+            // starting at `base`.
             let mut segment: Vec<Op> = Vec::new();
-            let mut seen_phase: HashMap<DataId, u8> = HashMap::new();
-            for op in ops {
+            let mut base = 0;
+            let mut seen_phase: IdMap<DataId, u8> = IdMap::default();
+            for (index, op) in ops.into_iter().enumerate() {
                 let phase = op.phase();
                 if seen_phase.get(&op.data_id()).is_some_and(|&p| phase < p) {
-                    self.run_segment(std::mem::take(&mut segment));
+                    let results = self.run_segment(std::mem::take(&mut segment));
+                    self.settle(&block, base, results);
+                    base = index;
                     seen_phase.clear();
                 }
                 seen_phase.insert(op.data_id(), phase);
                 segment.push(op);
             }
-            self.run_segment(segment);
+            let results = self.run_segment(segment);
+            self.settle(&block, base, results);
+            debug_assert!(block.settled(), "a drained block holds a pending slot");
         }
     }
 
-    /// Resolve one ticket, waking parked waiters and stored task wakers. A
-    /// ticket whose future was dropped routes its error to the session's
-    /// sink instead.
-    fn resolve<T>(&self, t: &Ticket<T>, result: Result<T>) {
-        let mut state = t.state.lock();
-        if matches!(*state, SlotState::Abandoned) {
-            *state = SlotState::Taken;
-            drop(state);
-            if let Err(e) = result {
-                self.sink_error(e);
+    /// Write one segment's results into the slots of `block` from `base`
+    /// on, under one lock, then wake the block's parked waiters once and
+    /// every stored task waker. A slot whose future was dropped routes its
+    /// error to the session's sink instead.
+    fn settle(&self, block: &Block<()>, base: usize, results: Vec<Result<()>>) {
+        let mut wakers = Vec::new();
+        let mut orphaned = Vec::new();
+        {
+            let mut slots = block.slots.lock();
+            for (slot, result) in slots[base..].iter_mut().zip(results) {
+                match std::mem::replace(slot, Slot::Taken) {
+                    Slot::Pending(waker) => {
+                        *slot = Slot::Ready(result);
+                        wakers.extend(waker);
+                    }
+                    Slot::Abandoned => orphaned.extend(result.err()),
+                    Slot::Ready(_) | Slot::Taken => unreachable!("an op settles once"),
+                }
             }
-            return;
         }
-        *state = SlotState::Ready(result);
-        drop(state);
-        t.cond.notify_all();
-        if let Some(w) = t.waker.lock().take() {
-            w.wake();
+        block.settled.notify_all();
+        for waker in wakers {
+            waker.wake();
+        }
+        for err in orphaned {
+            self.sink_error(err);
         }
     }
 
-    /// Run one segment as phase batches. Each queued op's datum,
-    /// attributes and payload move into its batch (nothing is cloned); the
-    /// tickets wait beside the batch, in the same order.
-    fn run_segment(&self, ops: Vec<Op>) {
+    /// Run one segment as phase batches and return each op's result, in
+    /// segment order. Each queued op's datum, attributes and payload move
+    /// into its batch (nothing is cloned). A batch is all-or-nothing, so on
+    /// failure each of its items re-runs alone and carries its own result
+    /// (`put_many` and `schedule_many` are idempotent: re-storing a
+    /// payload and re-recording its locators).
+    fn run_segment(&self, ops: Vec<Op>) -> Vec<Result<()>> {
+        let mut results: Vec<Result<()>> = Vec::with_capacity(ops.len());
         if ops.is_empty() {
-            return;
+            return results;
         }
         self.batches.fetch_add(1, Ordering::Relaxed);
-        let (mut put_data, mut payloads, mut put_tickets) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut schedules, mut schedule_tickets) = (Vec::new(), Vec::new());
+        let (mut put_data, mut payloads, mut put_at) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut schedules, mut schedule_at) = (Vec::new(), Vec::new());
         let mut pins = Vec::new();
         let mut deletes = Vec::new();
-        for op in ops {
+        for (at, op) in ops.into_iter().enumerate() {
+            results.push(Ok(()));
             match op {
-                Op::Put(d, bytes, tk) => {
+                Op::Put(d, bytes) => {
                     put_data.push(d);
                     payloads.push(bytes);
-                    put_tickets.push(tk);
+                    put_at.push(at);
                 }
-                Op::Schedule(d, attrs, tk) => {
+                Op::Schedule(d, attrs) => {
                     schedules.push((d, attrs));
-                    schedule_tickets.push(tk);
+                    schedule_at.push(at);
                 }
-                Op::Pin(d, attrs, tk) => pins.push((d, attrs, tk)),
-                Op::Delete(d, tk) => deletes.push((d, tk)),
+                Op::Pin(d, attrs) => pins.push((d, attrs, at)),
+                Op::Delete(d) => deletes.push((d, at)),
             }
         }
 
-        if !put_tickets.is_empty() {
+        if !put_at.is_empty() {
             let batch: Vec<(Data, &[u8])> = put_data
                 .into_iter()
                 .zip(payloads.iter().map(Vec::as_slice))
                 .collect();
-            let verdict = self.node.put_many(&batch);
-            self.settle(&put_tickets, &batch, verdict, |(d, bytes)| {
-                self.node.put(d, bytes)
-            });
-        }
-        if !schedule_tickets.is_empty() {
-            let verdict = self.node.schedule_many(&schedules);
-            self.settle(&schedule_tickets, &schedules, verdict, |(d, attrs)| {
-                self.node.schedule(d, attrs.clone())
-            });
-        }
-        for (d, attrs, tk) in pins {
-            self.resolve(&tk, self.node.pin(&d, attrs));
-        }
-        for (d, tk) in deletes {
-            self.resolve(&tk, self.node.delete(&d));
-        }
-    }
-
-    /// Resolve a batch's tickets with the batch's verdict. The batch is
-    /// all-or-nothing, so on failure each item re-runs alone and its ticket
-    /// carries its own result (`put_many` and `schedule_many` are
-    /// idempotent: re-storing a payload and re-recording its locators).
-    fn settle<T>(
-        &self,
-        tickets: &[Ticket<()>],
-        batch: &[T],
-        verdict: Result<()>,
-        one: impl Fn(&T) -> Result<()>,
-    ) {
-        match verdict {
-            Ok(()) => {
-                for tk in tickets {
-                    self.resolve(tk, Ok(()));
-                }
-            }
-            Err(_) => {
-                for (item, tk) in batch.iter().zip(tickets) {
-                    self.resolve(tk, one(item));
+            if self.node.put_many(&batch).is_err() {
+                for ((d, bytes), &at) in batch.iter().zip(&put_at) {
+                    results[at] = self.node.put(d, bytes);
                 }
             }
         }
+        if !schedule_at.is_empty() && self.node.schedule_many(&schedules).is_err() {
+            for ((d, attrs), &at) in schedules.iter().zip(&schedule_at) {
+                results[at] = self.node.schedule(d, attrs.clone());
+            }
+        }
+        for (d, attrs, at) in pins {
+            results[at] = self.node.pin(&d, attrs);
+        }
+        for (d, at) in deletes {
+            results[at] = self.node.delete(&d);
+        }
+        results
     }
 
     /// The background executor loop: park on the submission condvar, drain
@@ -570,14 +639,14 @@ impl<N: BitDewApi + ActiveData + TransferManager> SessionCore<N> {
         loop {
             let stopping = {
                 let mut queue = self.queue.lock();
-                while queue.is_empty() && !self.exec_stop.load(Ordering::Acquire) {
+                while queue.ops.is_empty() && !self.exec_stop.load(Ordering::Acquire) {
                     // The timeout is a belt against a notify lost between
                     // the emptiness check and the park; submissions under
                     // the same lock make a true miss impossible.
                     self.queue_cond
                         .wait_for(&mut queue, Duration::from_millis(250));
                 }
-                queue.is_empty()
+                queue.ops.is_empty()
             };
             if stopping {
                 // Stop requested with an empty queue. Clear `background`
@@ -587,7 +656,7 @@ impl<N: BitDewApi + ActiveData + TransferManager> SessionCore<N> {
                 // its submitter saw the flag down and owns the cooperative
                 // drain — no op can be stranded with a stored waker.
                 self.background.store(false, Ordering::SeqCst);
-                if !self.queue.lock().is_empty() {
+                if !self.queue.lock().ops.is_empty() {
                     self.flush();
                 }
                 break;
@@ -599,7 +668,7 @@ impl<N: BitDewApi + ActiveData + TransferManager> SessionCore<N> {
     }
 }
 
-impl<N: BitDewApi + ActiveData + TransferManager> Drive for SessionCore<N> {
+impl<N: BitDewApi + ActiveData + TransferManager + 'static> Drive for SessionCore<N> {
     fn drive(&self) {
         self.flush();
     }
@@ -624,7 +693,9 @@ impl<N: BitDewApi + ActiveData + TransferManager> Drive for SessionCore<N> {
 
 /// The pool-facing face: a worker that claimed this session drains it
 /// through the same serialized flush path as every other drain driver.
-impl<N: BitDewApi + ActiveData + TransferManager + Send + Sync> PoolDrive for SessionCore<N> {
+impl<N: BitDewApi + ActiveData + TransferManager + Send + Sync + 'static> PoolDrive
+    for SessionCore<N>
+{
     fn pool_drain(&self) {
         self.flush();
     }
@@ -703,7 +774,7 @@ impl<N> Drop for Session<N> {
         if std::thread::panicking() {
             return;
         }
-        let leftover = self.core.queue.lock().len();
+        let leftover = self.core.queue.lock().ops.len();
         if leftover > 0 {
             eprintln!(
                 "bitdew: session dropped with {leftover} op(s) still queued \
@@ -733,7 +804,7 @@ impl<N: BitDewApi + ActiveData + TransferManager + 'static> Session<N> {
         Session {
             core: Arc::new(SessionCore {
                 node,
-                queue: Mutex::new(Vec::new()),
+                queue: Mutex::new(Queue::default()),
                 queue_cond: Condvar::new(),
                 space_cond: Condvar::new(),
                 flush_gate: Mutex::new(()),
@@ -790,35 +861,22 @@ impl<N: BitDewApi + ActiveData + TransferManager + 'static> Session<N> {
     /// Queue a `put` of `content` for `data`; resolves when the batch
     /// lands in the data space.
     pub fn put(&self, data: &Data, content: &[u8]) -> OpFuture<()> {
-        let tk = ticket();
-        let fut = self.future(&tk);
-        self.core
-            .submit(Op::Put(data.clone(), content.to_vec(), tk));
-        fut
+        self.core.submit(Op::Put(data.clone(), content.to_vec()))
     }
 
     /// Queue a `schedule` of `data` under `attrs`.
     pub fn schedule(&self, data: &Data, attrs: DataAttributes) -> OpFuture<()> {
-        let tk = ticket();
-        let fut = self.future(&tk);
-        self.core.submit(Op::Schedule(data.clone(), attrs, tk));
-        fut
+        self.core.submit(Op::Schedule(data.clone(), attrs))
     }
 
     /// Queue a `pin` of `data` on this node.
     pub fn pin(&self, data: &Data, attrs: DataAttributes) -> OpFuture<()> {
-        let tk = ticket();
-        let fut = self.future(&tk);
-        self.core.submit(Op::Pin(data.clone(), attrs, tk));
-        fut
+        self.core.submit(Op::Pin(data.clone(), attrs))
     }
 
     /// Queue a `delete` of `data` from the data space.
     pub fn delete(&self, data: &Data) -> OpFuture<()> {
-        let tk = ticket();
-        let fut = self.future(&tk);
-        self.core.submit(Op::Delete(data.clone(), tk));
-        fut
+        self.core.submit(Op::Delete(data.clone()))
     }
 
     /// Drain the submission queue now (one batched round per segment).
@@ -829,7 +887,7 @@ impl<N: BitDewApi + ActiveData + TransferManager + 'static> Session<N> {
 
     /// Ops currently queued and not yet flushed.
     pub fn pending_ops(&self) -> usize {
-        self.core.queue.lock().len()
+        self.core.queue.lock().ops.len()
     }
 
     /// Total ops submitted through this session.
@@ -865,13 +923,6 @@ impl<N: BitDewApi + ActiveData + TransferManager + 'static> Session<N> {
     /// uncollected (monotonic; drop-oldest).
     pub fn failed_dropped(&self) -> u64 {
         self.core.failed_dropped.load(Ordering::Relaxed)
-    }
-
-    fn future<T>(&self, tk: &Ticket<T>) -> OpFuture<T> {
-        OpFuture {
-            slot: Arc::clone(tk),
-            driver: Arc::clone(&self.core) as Arc<dyn Drive>,
-        }
     }
 }
 
@@ -924,7 +975,7 @@ impl<N: BitDewApi + ActiveData + TransferManager + Send + Sync + 'static> Sessio
         self.core.background.store(true, Ordering::SeqCst);
         // Ops queued before registration must not wait for the next
         // submission: mark the session ready now.
-        let pending = !self.core.queue.lock().is_empty();
+        let pending = !self.core.queue.lock().ops.is_empty();
         if pending {
             if let Some(reg) = self.core.pool_reg.lock().as_ref() {
                 reg.notify();
@@ -970,5 +1021,178 @@ impl<N: BitDewApi + ActiveData + TransferManager + Send + Sync + 'static> Sessio
     /// drains either way.
     pub fn stop_executor(&self) {
         self.core.shutdown_executor();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::{DataEventKind, EventFilter};
+    use crate::events::CallbackHandler;
+    use crate::runtime::{BitdewNode, RuntimeConfig, ServiceContainer};
+    use bitdew_transport::TransportError;
+    use std::sync::mpsc;
+    use std::task::Wake;
+
+    const PATIENCE: Duration = Duration::from_secs(30);
+
+    fn client() -> Arc<BitdewNode> {
+        BitdewNode::new_client(ServiceContainer::start(RuntimeConfig::default()))
+    }
+
+    fn data(node: &BitdewNode, n: usize) -> Vec<(Data, Vec<u8>)> {
+        let bytes: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 16]).collect();
+        let names: Vec<String> = (0..n).map(|i| format!("block.{i}")).collect();
+        let items: Vec<(&str, &[u8])> = names
+            .iter()
+            .zip(&bytes)
+            .map(|(name, b)| (name.as_str(), b.as_slice()))
+            .collect();
+        let created = node.create_many(&items).expect("create_many");
+        created.into_iter().zip(bytes).collect()
+    }
+
+    fn background(node: &Arc<BitdewNode>) -> Session<Arc<BitdewNode>> {
+        let session = Session::new(Arc::clone(node));
+        assert!(session
+            .start_executor_with(ExecutorConfig::Dedicated)
+            .expect("executor"));
+        session
+    }
+
+    /// Counts the wakes of one task.
+    #[derive(Default)]
+    struct CountingWaker(AtomicUsize);
+
+    impl Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn dropped_failures_in_one_batch_reach_the_sink_once_each() {
+        let node = client();
+        let session = Session::new(Arc::clone(&node));
+        let mut kept = Vec::new();
+        for (i, (d, bytes)) in data(&node, 64).iter().enumerate() {
+            if i % 4 == 0 {
+                // Not the declared content: this put fails its checksum.
+                drop(session.put(d, b"tampered"));
+            } else {
+                kept.push(session.put(d, bytes));
+            }
+        }
+        session.flush();
+        assert_eq!(session.batches_flushed(), 1, "one segment, one batch");
+        assert!(kept.iter().all(|f| Arc::ptr_eq(&f.block, &kept[0].block)));
+        for f in kept {
+            f.wait().expect("the batch's other puts succeed");
+        }
+        assert_eq!(session.failed_count(), 16);
+        let failed = session.take_failed();
+        assert_eq!(failed.len(), 16);
+        assert!(failed
+            .iter()
+            .all(|e| matches!(e, BitdewError::Transport(TransportError::ChecksumMismatch))));
+        session.flush();
+        assert_eq!(
+            session.failed_count(),
+            16,
+            "each error reached the sink once"
+        );
+    }
+
+    #[test]
+    fn every_awaiter_of_a_block_is_woken_by_its_segment() {
+        let node = client();
+        let session = background(&node);
+        let items = data(&node, 8);
+        // Holding the flush gate keeps the executor from draining while
+        // the futures are polled.
+        let gate = session.core.flush_gate.lock();
+        let mut futures: Vec<OpFuture<()>> = items.iter().map(|(d, b)| session.put(d, b)).collect();
+        assert!(futures
+            .iter()
+            .all(|f| Arc::ptr_eq(&f.block, &futures[0].block)));
+        let wakers: Vec<Arc<CountingWaker>> = futures.iter().map(|_| Arc::default()).collect();
+        for (f, w) in futures.iter_mut().zip(&wakers) {
+            let waker = Waker::from(Arc::clone(w));
+            let poll = Pin::new(f).poll(&mut Context::from_waker(&waker));
+            assert!(poll.is_pending(), "the executor cannot drain yet");
+        }
+        drop(gate);
+        // Returns once the executor's drain (or this one) has settled the
+        // block.
+        session.flush();
+        assert!(wakers.iter().all(|w| w.0.load(Ordering::SeqCst) == 1));
+        for f in futures {
+            assert!(f.is_ready());
+            f.wait().expect("put");
+        }
+    }
+
+    #[test]
+    fn a_waiter_resolves_while_the_executor_drains_a_later_block() {
+        // Scheduling `first` queues `later` from inside the drain, so
+        // `later` opens the next block; `later`'s handler then holds the
+        // executor inside that block until this thread releases it, which
+        // it does only after the waiter of `first` has resolved.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let node = client();
+            let session = background(&node);
+            let first = node.create_data("first", b"1").expect("create");
+            let later = node.create_data("later", b"2").expect("create");
+            let attrs = DataAttributes::default().with_replica(0);
+            let (s2, l2, a2) = (session.clone(), later.clone(), attrs.clone());
+            node.add_handler(
+                EventFilter::data(first.id).and_kind(DataEventKind::Create),
+                Box::new(CallbackHandler::new().on_create(move |_, _| {
+                    drop(s2.schedule(&l2, a2.clone()));
+                })),
+            );
+            let release_rx = Mutex::new(release_rx);
+            node.add_handler(
+                EventFilter::data(later.id).and_kind(DataEventKind::Create),
+                Box::new(CallbackHandler::new().on_create(move |_, _| {
+                    entered_tx.send(()).expect("report entry");
+                    let _ = release_rx.lock().recv_timeout(PATIENCE);
+                })),
+            );
+            let first_result = session.schedule(&first, attrs).wait();
+            done_tx.send(first_result).expect("report the first result");
+            session.flush();
+            session.failed_count()
+        });
+        let first_result = done_rx.recv_timeout(PATIENCE);
+        let entered = entered_rx.recv_timeout(PATIENCE);
+        release_tx.send(()).expect("release the executor");
+        first_result
+            .expect("the waiter resolved while the executor held the later block")
+            .expect("schedule first");
+        entered.expect("the executor reached the later block");
+        assert_eq!(waiter.join().expect("waiter thread"), 0, "later scheduled");
+    }
+
+    #[test]
+    fn a_future_outlives_its_session() {
+        let node = client();
+        let items = data(&node, 2);
+        let cooperative = Session::new(Arc::clone(&node));
+        let queued = cooperative.put(&items[0].0, &items[0].1);
+        drop(cooperative);
+        queued.wait().expect("the future drives the queue itself");
+
+        let session = background(&node);
+        let drained = session.put(&items[1].0, &items[1].1);
+        drop(session);
+        assert!(
+            drained.is_ready(),
+            "the last handle's drop drains the queue"
+        );
+        drained.wait().expect("put");
     }
 }

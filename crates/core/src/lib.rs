@@ -41,7 +41,7 @@
 //! lagging consumers. Threaded sessions drain on a dedicated **background
 //! executor thread** (`Session::start_executor` /
 //! [`runtime::BitdewNode::session`]), overlapping batch round-trips with
-//! application work; the same tickets expose an async façade —
+//! application work; the same futures expose an async façade —
 //! `OpFuture` implements `Future`, [`EventStream`] awaits life-cycle
 //! events, [`block_on`] runs either with zero runtime dependency.
 //!

@@ -22,7 +22,6 @@
 //! runs on this threaded deployment or on the simulator adapter unchanged.
 //! Every operation returns [`crate::Result`].
 
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -605,26 +604,43 @@ impl BitdewNode {
             repository.put_object(data, &object, content)?;
             objects.push(object);
         }
+        self.record_served(
+            items
+                .iter()
+                .zip(&objects)
+                .map(|((data, _), object)| (data.id, object.as_str())),
+        )
+    }
+
+    /// Record the FTP and HTTP locators of content the repository has just
+    /// written, as `(datum, object name)` pairs, in one catalog round-trip.
+    /// The rows borrow the names and the repository's endpoints. Every
+    /// content write records them: a row that is already there is a no-op
+    /// in DewDB, and a row a failed write left out is written again by the
+    /// next one.
+    fn record_served<'a>(
+        &self,
+        objects: impl IntoIterator<Item = (DataId, &'a str)>,
+    ) -> Result<()> {
+        let repository = &self.container.repository;
         let served = [ProtocolId::ftp(), ProtocolId::http()].map(|protocol| {
             let remote = repository
                 .endpoint(&protocol)
                 .expect("the repository serves FTP and HTTP");
             (protocol, remote)
         });
-        let locators: Vec<LocatorRef> = items
-            .iter()
-            .zip(&objects)
-            .flat_map(|((data, _), object)| {
+        let locators: Vec<LocatorRef> = objects
+            .into_iter()
+            .flat_map(|(data, object)| {
                 served.iter().map(move |(protocol, remote)| LocatorRef {
-                    data: data.id,
+                    data,
                     protocol: &protocol.0,
                     remote,
                     object,
                 })
             })
             .collect();
-        self.container.plane.add_locators(&locators)?;
-        Ok(())
+        self.container.plane.add_locators(&locators)
     }
 
     /// Start copying a datum from the data space into this node's local
@@ -945,15 +961,20 @@ impl BitdewNode {
 
     /// Write a byte range into a datum's data-space content. On a datum
     /// without a published manifest this is the raw repository range write
-    /// (see [`DataRepository::put_range`] for the integrity contract). On
-    /// a *chunked* datum it is version-creating: the write commits through
+    /// (see [`DataRepository::put_range`] for the integrity contract),
+    /// followed by the datum's FTP and HTTP locator rows, as after
+    /// [`BitdewNode::put`]; every call writes them, so a row a failed call
+    /// left out is written by the next. On a *chunked* datum it is
+    /// version-creating: the write commits through
     /// [`BitdewNode::commit_update`] against the current head, retrying
     /// internally on [`BitdewError::VersionConflict`] — concurrent
     /// non-overlapping writers commit independently, overlapping writers
     /// serialize last-writer-wins.
     pub fn put_range(&self, data: &Data, offset: u64, content: &[u8]) -> Result<()> {
         if self.container.plane.version_head(data.id)? == 0 {
-            return self.container.repository.put_range(data, offset, content);
+            self.container.repository.put_range(data, offset, content)?;
+            let object = data.object_name();
+            return self.record_served([(data.id, object.as_str())]);
         }
         loop {
             let base = self.container.plane.version_head(data.id)?;
@@ -1088,47 +1109,36 @@ impl BitdewNode {
         self.schedule_many(&[(data.clone(), attrs)])
     }
 
-    /// Batched [`BitdewNode::schedule`]: registers all locators in one
-    /// catalog round-trip and takes the scheduler lock once for the whole
-    /// batch.
+    /// Batched [`BitdewNode::schedule`]: takes the scheduler lock once for
+    /// the whole batch.
     ///
-    /// A datum whose content the repository holds gets a locator row for
-    /// its protocol, checked with one object name and one presence test:
-    /// FTP and HTTP rows borrow the repository's endpoint; any other
-    /// protocol (BitTorrent) goes through [`DataRepository::locator_for`],
-    /// which starts its seeder. After a `put` the FTP row is already there
-    /// and rewriting it changes nothing; it is what gives content written
-    /// only through `put_range` its locator.
+    /// FTP and HTTP locators belong to content writes (`put`, `put_many`,
+    /// `put_range`), so a datum scheduled over either gets no row here. A
+    /// protocol the repository serves without an endpoint (BitTorrent)
+    /// gets its row through [`DataRepository::locator_for`], which starts
+    /// the datum's seeder, once the repository holds the content; all
+    /// such rows go in one catalog round-trip. A datum's Create event is
+    /// built only when the bus has a listener.
     pub fn schedule_many(&self, items: &[(Data, DataAttributes)]) -> Result<()> {
         for (data, attrs) in items {
             validate_attrs(data, attrs)?;
         }
         let repository = &self.container.repository;
-        let mut rows = Vec::with_capacity(items.len());
+        let mut locators = Vec::new();
         for (data, attrs) in items {
-            let object = data.object_name();
-            if !repository.store().exists(&object) {
-                continue;
+            if repository.endpoint(&attrs.protocol).is_none() && repository.has(data) {
+                locators.push(repository.locator_for(data, &attrs.protocol)?);
             }
-            let remote = match repository.endpoint(&attrs.protocol) {
-                Some(remote) => Cow::Borrowed(remote),
-                None => Cow::Owned(repository.locator_for(data, &attrs.protocol)?.remote),
-            };
-            rows.push((data.id, attrs.protocol.0.as_str(), remote, object));
         }
-        let locators: Vec<LocatorRef> = rows
-            .iter()
-            .map(|(data, protocol, remote, object)| LocatorRef {
-                data: *data,
-                protocol,
-                remote,
-                object,
-            })
-            .collect();
-        self.container.plane.add_locators(&locators)?;
-        for (data, attrs) in items {
-            self.fire(DataEventKind::Create, data, attrs);
-        }
+        let rows: Vec<LocatorRef> = locators.iter().map(Locator::as_ref).collect();
+        self.container.plane.add_locators(&rows)?;
+        self.bus
+            .publish_all_deferring(items.iter().map(|(data, attrs)| DataEvent {
+                kind: DataEventKind::Create,
+                data: data.clone(),
+                attrs: attrs.clone(),
+                host: self.uid,
+            }));
         self.container
             .plane
             .scheduler()

@@ -438,7 +438,7 @@ impl DataScheduler {
     /// against its global live set rather than this shard's Θ.
     pub fn schedule_unchecked(&mut self, data: Data, attrs: DataAttributes) {
         let id = data.id;
-        let owner_count = self.owners.entry(id).or_default().len();
+        let owner_count = self.owners.get(&id).map_or(0, BTreeSet::len);
         // Re-scheduling may change the lifetime or the affinity: drop stale
         // index entries before recording the new ones.
         self.unindex_attrs(id);

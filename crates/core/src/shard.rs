@@ -36,13 +36,14 @@
 //! sync-path alive oracle takes only a brief `live` read lock per
 //! relative-lifetime check.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use bitdew_dht::id::{key_for_auid, RingPos};
+use bitdew_util::{IdMap, IdSet};
 
 use crate::agent::ClaimEffect;
 use crate::api::Result;
@@ -110,12 +111,12 @@ impl ShardRouter {
 struct RefRegistry {
     /// Reference → dependents with `Lifetime::RelativeTo(reference)`,
     /// across all shards.
-    rdeps: HashMap<DataId, BTreeSet<DataId>>,
+    rdeps: IdMap<DataId, BTreeSet<DataId>>,
     /// Dependent → its current reference (the inverse edge), so the edge
     /// under `rdeps` can be dropped exactly when the dependent dies or is
     /// re-scheduled with a different lifetime — a stale edge would later
     /// cascade-delete a datum that no longer depends on the reference.
-    ref_of: HashMap<DataId, DataId>,
+    ref_of: IdMap<DataId, DataId>,
 }
 
 impl RefRegistry {
@@ -204,7 +205,7 @@ pub struct ShardedScheduler {
     /// Union of managed ids across every shard — read-mostly (the sync
     /// path's alive oracle), hence an `RwLock` rather than the registry
     /// mutex.
-    live: RwLock<HashSet<DataId>>,
+    live: RwLock<IdSet<DataId>>,
     refs: Mutex<RefRegistry>,
     max_data_schedule: usize,
 }
@@ -219,7 +220,7 @@ impl ShardedScheduler {
             shards: (0..shards.get())
                 .map(|_| Mutex::new(DataScheduler::new(timeout_nanos, max_data_schedule)))
                 .collect(),
-            live: RwLock::new(HashSet::new()),
+            live: RwLock::new(IdSet::default()),
             refs: Mutex::new(RefRegistry::default()),
             max_data_schedule: max_data_schedule.max(1),
         }
@@ -892,6 +893,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     const SEC: u64 = 1_000_000_000;

@@ -21,17 +21,20 @@
 //! per process, as it is under std's hasher, so no caller can come to
 //! depend on one order.
 //!
-//! Use [`IdMap`] for maps keyed by `Auid`s or tuples of them. Other keys
+//! Use [`IdMap`] (and [`IdSet`]) for maps keyed by `Auid`s or tuples of them. Other keys
 //! hash correctly but are read eight bytes at a time with no claim to
 //! speed or quality; keep std's default hasher for those.
 
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 /// A `HashMap` hashed by [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, IdHashState>;
+
+/// A `HashSet` hashed by [`IdHasher`].
+pub type IdSet<K> = HashSet<K, IdHashState>;
 
 /// Multiply the 64-bit halves as one 128-bit product and XOR its halves.
 #[inline(always)]

@@ -32,6 +32,6 @@ pub mod md5;
 pub mod stats;
 
 pub use auid::Auid;
-pub use idhash::IdMap;
+pub use idhash::{IdMap, IdSet};
 pub use md5::Md5Digest;
 pub use stats::RunningStats;

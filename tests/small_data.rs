@@ -7,6 +7,7 @@
 
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,9 @@ use bitdew::core::{
     join_all, BitdewNode, Data, DataAttributes, DataId, Locator, RuntimeConfig, ServiceContainer,
     Session,
 };
-use bitdew::storage::{ConnectionPool, DbDriver, DewDb, EmbeddedDriver};
+use bitdew::storage::{
+    ConnectionPool, DbConnection, DbDriver, DbOp, DbReply, DbResult, DewDb, EmbeddedDriver,
+};
 use bitdew::transport::{Fabric, MemStore, ProtocolId};
 
 const ITEM: usize = 256;
@@ -212,36 +215,100 @@ fn two_heartbeating_workers_place_each_datum_exactly_once() {
     }
 }
 
+/// A [`DbDriver`] that counts the rows its sessions send to DewDB — every
+/// `Put`, whether or not the engine finds it a no-op.
+struct RowCounting {
+    inner: Arc<EmbeddedDriver>,
+    rows: Arc<AtomicU64>,
+}
+
+struct RowCountingConnection {
+    inner: Box<dyn DbConnection>,
+    rows: Arc<AtomicU64>,
+}
+
+impl RowCountingConnection {
+    fn count(&self, op: &DbOp) {
+        if matches!(op, DbOp::Put { .. }) {
+            self.rows.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl DbConnection for RowCountingConnection {
+    fn exec(&mut self, op: DbOp) -> DbResult<DbReply> {
+        self.count(&op);
+        self.inner.exec(op)
+    }
+
+    fn exec_batch(&mut self, ops: Vec<DbOp>) -> DbResult<Vec<DbReply>> {
+        ops.iter().for_each(|op| self.count(op));
+        self.inner.exec_batch(ops)
+    }
+}
+
+impl DbDriver for RowCounting {
+    fn connect(&self) -> DbResult<Box<dyn DbConnection>> {
+        Ok(Box::new(RowCountingConnection {
+            inner: self.inner.connect()?,
+            rows: Arc::clone(&self.rows),
+        }))
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
 /// A 4-shard container over embedded DewDB catalogs, with each shard's
-/// database handle kept for its mutation count.
+/// database handle kept for its mutation count and one counter of the rows
+/// sent to all four.
 fn counted_cluster() -> (
     Arc<ServiceContainer>,
     Arc<BitdewNode>,
     Vec<Arc<EmbeddedDriver>>,
+    Arc<AtomicU64>,
 ) {
     let drivers: Vec<Arc<EmbeddedDriver>> = (0..4)
         .map(|_| Arc::new(EmbeddedDriver::new(DewDb::in_memory())))
         .collect();
+    let rows = Arc::new(AtomicU64::new(0));
     let config = RuntimeConfig {
         shards: NonZeroUsize::new(4).unwrap(),
         ..RuntimeConfig::default()
     };
     let c = ServiceContainer::start_with_db(Fabric::new(), MemStore::new(), config, |i| {
-        let driver: Arc<dyn DbDriver> = drivers[i].clone();
+        let driver: Arc<dyn DbDriver> = Arc::new(RowCounting {
+            inner: Arc::clone(&drivers[i]),
+            rows: Arc::clone(&rows),
+        });
         DbAccess::Pooled(ConnectionPool::new(driver, 2))
     });
     let client = BitdewNode::new_client(Arc::clone(&c));
-    (c, client, drivers)
+    (c, client, drivers, rows)
 }
 
 fn mutations(drivers: &[Arc<EmbeddedDriver>]) -> u64 {
     drivers.iter().map(|d| d.db().lock().mutations()).sum()
 }
 
+fn sorted_locators(c: &ServiceContainer, d: &Data) -> Vec<Locator> {
+    let mut got = c.plane.locators(d.id).unwrap();
+    got.sort_by(|a, b| a.protocol.0.cmp(&b.protocol.0));
+    got
+}
+
+fn served(d: &Data) -> [Locator; 2] {
+    [
+        Locator::new(d, ProtocolId::ftp(), "dr.ftp"),
+        Locator::new(d, ProtocolId::http(), "dr.http"),
+    ]
+}
+
 #[test]
 fn a_pipelined_put_and_schedule_costs_four_catalog_rows_per_datum() {
     const N: usize = 300;
-    let (c, client, drivers) = counted_cluster();
+    let (c, client, drivers, rows) = counted_cluster();
     let bytes: Vec<Vec<u8>> = (0..N).map(|i| vec![i as u8; ITEM]).collect();
     let names: Vec<String> = (0..N).map(|i| format!("rows.{i}")).collect();
     let items: Vec<(&str, &[u8])> = names
@@ -259,42 +326,46 @@ fn a_pipelined_put_and_schedule_costs_four_catalog_rows_per_datum() {
     join_all(futures).unwrap();
 
     // A data row and a name row from `create_many`, an FTP and an HTTP
-    // locator row from `put`; `schedule` rewrites the FTP row unchanged,
-    // which DewDB does not count.
+    // locator row from `put`, and nothing from `schedule`: four rows sent
+    // and four mutations per datum.
+    assert_eq!(rows.load(Ordering::Relaxed), 4 * N as u64);
     assert_eq!(mutations(&drivers), 4 * N as u64);
     for d in &data {
-        let mut got = c.plane.locators(d.id).unwrap();
-        got.sort_by(|a, b| a.protocol.0.cmp(&b.protocol.0));
-        let want = [
-            Locator::new(d, ProtocolId::ftp(), "dr.ftp"),
-            Locator::new(d, ProtocolId::http(), "dr.http"),
-        ];
-        assert_eq!(got, want, "{}", d.name);
+        assert_eq!(sorted_locators(&c, d), served(d), "{}", d.name);
     }
     assert_eq!(c.plane.scheduler().managed_count(), N);
-
-    // Content written only through a raw range write gets its FTP locator
-    // from `schedule`.
-    let raw = client.create_slot("raw", ITEM as u64).unwrap();
-    client.put_range(&raw, 0, &[7u8; ITEM]).unwrap();
-    assert!(c.plane.locators(raw.id).unwrap().is_empty());
-    client.schedule(&raw, replica_one()).unwrap();
+    let sent = rows.load(Ordering::Relaxed);
+    join_all(data.iter().map(|d| session.schedule(d, replica_one()))).unwrap();
     assert_eq!(
-        c.plane.locators(raw.id).unwrap(),
-        [Locator::new(&raw, ProtocolId::ftp(), "dr.ftp")]
+        rows.load(Ordering::Relaxed),
+        sent,
+        "a schedule sends no row"
     );
 
-    // A BitTorrent schedule still starts the datum's seeder and records
-    // its tracker locator.
+    // Content written only through a raw range write gets its FTP and
+    // HTTP locators from the write itself; `schedule` adds none.
+    let raw = client.create_slot("raw", ITEM as u64).unwrap();
+    assert!(c.plane.locators(raw.id).unwrap().is_empty());
+    client.put_range(&raw, 0, &[7u8; ITEM]).unwrap();
+    assert_eq!(sorted_locators(&c, &raw), served(&raw));
+    client.schedule(&raw, replica_one()).unwrap();
+    assert_eq!(sorted_locators(&c, &raw), served(&raw));
+
+    // A BitTorrent schedule still starts the datum's seeder and adds its
+    // tracker locator beside the two.
     let bt = &data[0];
     assert!(c.repository.torrent_for(bt).is_none());
     client
         .schedule(bt, replica_one().with_protocol(ProtocolId::bittorrent()))
         .unwrap();
     assert!(c.repository.torrent_for(bt).is_some());
-    assert!(c.plane.locators(bt.id).unwrap().contains(&Locator::new(
-        bt,
-        ProtocolId::bittorrent(),
-        "dr.tracker"
-    )));
+    let [ftp, http] = served(bt);
+    assert_eq!(
+        sorted_locators(&c, bt),
+        [
+            Locator::new(bt, ProtocolId::bittorrent(), "dr.tracker"),
+            ftp,
+            http
+        ]
+    );
 }
